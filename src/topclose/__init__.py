@@ -12,7 +12,7 @@ from .engine import (
     top_k,
 )
 from .graph import Graph, bfs, connected_components, from_edges, load_edge_list, write_edge_list
-from .oracle import exact_closeness_all, metrics, top_k_textbook
+from .oracle import exact_closeness_all, top_k_textbook
 from .scc import compute_alpha_omega, compute_scc_dag, reachability_for
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "from_edges",
     "inverse_closeness_lower_bound",
     "load_edge_list",
-    "metrics",
     "reachability_for",
     "top_k",
     "top_k_textbook",

@@ -75,7 +75,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print("error: -k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     table, m_tot = oracle.exact_closeness_all(g)
-    result = oracle.top_k_textbook(g, args.k)
+    result = table.ranked(g, args.k)
     stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot)
     report = build_report(args.input, g, result, stats, 1, args.stats)
     _emit(report, args.format)
@@ -88,11 +88,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("error: -k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     result, stats = engine.top_k(g, args.k, workers=args.threads)
-    expected = oracle.top_k_textbook(g, args.k)
-    _, m_tot = oracle.exact_closeness_all(g)
+    table, m_tot = oracle.exact_closeness_all(g)
+    expected = table.ranked(g, args.k)
     stats.m_tot = m_tot
     match = _multisets_match(result.closeness_values(), expected.closeness_values())
-    improvement, ratio = oracle.metrics(stats.m_vis, m_tot, g.m, g.n)
+    improvement = stats.improvement_factor
     engine_report = build_report(args.input, g, result, stats, args.threads, True)
     oracle_report = build_report(
         args.input, g, expected, engine.RunStats(m_vis=m_tot, m_tot=m_tot), 1, args.stats
@@ -114,7 +114,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "engine": json.loads(engine_report.to_json()),
                     "oracle": json.loads(oracle_report.to_json()),
                     "improvement_factor": improvement,
-                    "performance_ratio": ratio,
+                    "performance_ratio": engine_report.stats.performance_ratio,
                     "verdict": "match" if match else "mismatch",
                 },
                 indent=2,

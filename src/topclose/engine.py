@@ -7,13 +7,12 @@ from __future__ import annotations
 import heapq
 import multiprocessing as mp
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, connected_components
+from .graph import Graph, frontier_neighbors
 from .scc import ReachabilityBounds, reachability_for
 
 INF = float("inf")
@@ -54,24 +53,12 @@ def inverse_closeness_lower_bound(
 
 
 @dataclass
-class VisitState:
-    """Per-visit bookkeeping of the queue-based pruned BFS."""
-
-    d: int = 0
-    f_d: int = 0
-    n_d: int = 0
-    gamma_next: int = 0
-    dist: dict[int, int] = field(default_factory=dict)
-    queue: deque = field(default_factory=deque)
-
-
-@dataclass
 class VisitOutcome:
     closeness: float  # CUT if pruned
     farness: int
     reachable: int  # vertices visited (valid when completed)
     cut_level: int  # -1 if completed
-    arcs: int  # arcs out of dequeued vertices
+    arcs: int  # arcs out of the expanded levels
 
 
 BoundaryRecorder = Callable[[int, int, int, int, int], None]
@@ -83,77 +70,24 @@ def bfs_cut(
     v: int,
     threshold: Callable[[], float],
     bounds: ReachabilityBounds,
-    recorder: BoundaryRecorder | None = None,
-) -> VisitOutcome:
-    """Queue-based pruned BFS from v.
-
-    At every level boundary (first dequeue at distance d+1) the regime bound
-    is evaluated against the current threshold x: with an exact reachable
-    count the closeness upper bound, otherwise the inverse-closeness lower
-    bound from alpha/omega. Returns CUT as soon as closeness <= x is certain.
-    """
-    n = g.n
-    exact_r = bool(bounds.exact[v])
-    r_v = int(bounds.r[v]) if exact_r else 0
-    alpha = int(bounds.alpha[v])
-    omega = int(bounds.omega[v])
-    st = VisitState()
-    st.dist[v] = 0
-    st.queue.append(v)
-    arcs = 0
-    undirected = not g.directed
-    while st.queue:
-        u = st.queue.popleft()
-        du = st.dist[u]
-        if du > st.d:
-            # level boundary: all of level d dequeued, bound is evaluable
-            if recorder is not None:
-                recorder(v, st.d, st.f_d, st.n_d, st.gamma_next)
-            x = threshold()
-            if exact_r:
-                lam = farness_lower_bound(st.d, st.f_d, st.n_d, st.gamma_next, r_v)
-                if closeness_upper_bound(lam, r_v, n) <= x:
-                    return VisitOutcome(CUT, st.f_d, st.n_d, st.d, arcs)
-            else:
-                inv = inverse_closeness_lower_bound(
-                    st.d, st.f_d, st.n_d, st.gamma_next, alpha, omega, n
-                )
-                if x > 0 and inv >= 1.0 / x:
-                    return VisitOutcome(CUT, st.f_d, st.n_d, st.d, arcs)
-            st.d = du
-            st.gamma_next = 0
-        st.f_d += du
-        deg_u = g.degree(u)
-        # undirected refinement: beyond level 0 one edge per frontier vertex
-        # must point back into the previous level
-        st.gamma_next += deg_u - 1 if (undirected and du >= 1) else deg_u
-        st.n_d += 1
-        arcs += deg_u
-        for w in g.neighbors(u):
-            w = int(w)
-            if w not in st.dist:
-                st.dist[w] = du + 1
-                st.queue.append(w)
-    r = st.n_d
-    c = 0.0 if r <= 1 or n <= 1 else (r - 1) ** 2 / ((n - 1) * st.f_d)
-    return VisitOutcome(c, st.f_d, r, -1, arcs)
-
-
-def _bfs_cut_levelwise(
-    g: Graph,
-    v: int,
-    threshold: Callable[[], float],
-    bounds: ReachabilityBounds,
     seen_epoch: np.ndarray,
     epoch: int,
+    recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
-    """Level-synchronous pruned BFS; same outcome and arc count as bfs_cut.
+    """Level-synchronous pruned BFS from v.
+
+    At every level boundary d -> d+1 (level d expanded, level d+1 non-empty)
+    the regime bound is evaluated against the current threshold x: with an
+    exact reachable count the closeness upper bound, otherwise the
+    inverse-closeness lower bound from alpha/omega. Returns CUT as soon as
+    closeness <= x is certain. ``recorder``, if given, sees each evaluated
+    boundary just before the cut test.
 
     ``seen_epoch`` is reusable scratch of length n: a vertex is visited in
-    this call iff seen_epoch[w] == epoch (avoids clearing between visits).
+    this call iff seen_epoch[w] == epoch (avoids clearing between visits), so
+    ``epoch`` must differ from every value already stored in it.
     """
     n = g.n
-    offsets, targets = g.offsets, g.targets
     exact_r = bool(bounds.exact[v])
     r_v = int(bounds.r[v]) if exact_r else 0
     alpha = int(bounds.alpha[v])
@@ -169,21 +103,19 @@ def _bfs_cut_levelwise(
         fsize = len(frontier)
         f += d * fsize
         nd += fsize
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        deg_sum = int(counts.sum())
+        neigh = frontier_neighbors(g, frontier)
+        deg_sum = len(neigh)
         arcs += deg_sum
+        # undirected refinement: beyond level 0 one edge per frontier vertex
+        # must point back into the previous level
         gamma_next = deg_sum - fsize if (undirected and d >= 1) else deg_sum
-        if deg_sum == 0:
-            break
-        idx = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(deg_sum)
-        neigh = targets[idx]
         new = neigh[seen_epoch[neigh] != epoch]
         if new.size == 0:
             break
         new = np.unique(new)
         seen_epoch[new] = epoch
-        # boundary d -> d+1: level d fully dequeued, level d+1 discovered
+        if recorder is not None:
+            recorder(v, d, f, nd, gamma_next)
         x = threshold()
         if exact_r:
             lam = farness_lower_bound(d, f, nd, gamma_next, r_v)
@@ -220,17 +152,13 @@ class ThresholdHeap:
         elif value > self._heap[0]:
             heapq.heapreplace(self._heap, value)
         new_xk = self._heap[0] if len(self._heap) == self.k else 0.0
-        assert new_xk >= self._xk, "threshold must be monotone"
+        if new_xk < self._xk:
+            raise RuntimeError("threshold must be monotone")
         self._xk = new_xk
 
     @property
     def threshold(self) -> float:
         return self._xk
-
-
-def kth_threshold(heap: ThresholdHeap) -> float:
-    """Current k-th biggest closeness, 0 until k values have been seen."""
-    return heap.threshold
 
 
 @dataclass(frozen=True)
@@ -278,17 +206,14 @@ def processing_order(g: Graph) -> np.ndarray:
 def exact_m_tot(g: Graph, bounds: ReachabilityBounds) -> int | None:
     """Arc budget of the textbook all-BFS algorithm, when cheap to know.
 
-    Undirected: sum over components of size * volume. Directed and strongly
-    connected: m * n. Otherwise unknown without running the oracle.
+    Undirected: every BFS from v scans its whole component, so the budget is
+    sum over v of r(v) * deg(v) (= sum over components of size * volume).
+    Directed and strongly connected: m * n. Otherwise unknown without running
+    the oracle.
     """
-    if g.n == 0:
-        return 0
     if not g.directed:
-        comps = connected_components(g)
-        vol = np.zeros(comps.count, dtype=np.int64)
-        np.add.at(vol, comps.component_id, g.degrees)
-        return int((comps.component_size * vol).sum())
-    if bool(bounds.exact.all()) and g.n and int(bounds.r[0]) == g.n:
+        return int((bounds.r * g.degrees).sum())
+    if (bounds.r == g.n).all():
         return g.m * g.n
     return None
 
@@ -318,18 +243,20 @@ def top_k(
     g: Graph,
     k: int,
     workers: int = 1,
-    instrument: bool = False,
     recorder: BoundaryRecorder | None = None,
 ) -> tuple[TopKResult, RunStats]:
     """Exact top-k closeness via pruned BFS with a rising threshold.
 
     Vertices are processed in decreasing degree order; each visit may be cut
     once its closeness provably cannot exceed the current k-th best value.
-    ``instrument=True`` forces the queue-based visit (slower, supports a
-    boundary recorder). ``workers`` > 1 forks that many processes.
+    ``workers`` > 1 forks that many processes. ``recorder`` is passed to every
+    serial visit (see bfs_cut); it cannot be combined with ``workers`` > 1,
+    because a forked worker cannot call back into the parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if recorder is not None and workers > 1:
+        raise ValueError("a boundary recorder requires workers=1")
     t0 = time.perf_counter()
     bounds = reachability_for(g)
     order = processing_order(g)
@@ -346,27 +273,21 @@ def top_k(
 
     skip = (bounds.exact & (bounds.r <= 1)) | (bounds.alpha <= 1) | (n <= 1)
 
-    if workers > 1 and not instrument and n:
+    if workers > 1 and n:
         m_vis = _run_parallel(
             g, bounds, order, skip, heap, workers,
             closeness, farness, reachable, cut_level, completed,
         )
     else:
         seen_epoch = np.zeros(n, dtype=np.int64)
-        epoch = 0
-        for v in order:
-            v = int(v)
+        for epoch, v in enumerate(order.tolist(), start=1):
             if skip[v]:
                 completed[v] = True
                 heap.push(0.0)
                 continue
-            if instrument:
-                out = bfs_cut(g, v, lambda: heap.threshold, bounds, recorder)
-            else:
-                epoch += 1
-                out = _bfs_cut_levelwise(g, v, lambda: heap.threshold, bounds, seen_epoch, epoch)
+            out = bfs_cut(g, v, lambda: heap.threshold, bounds, seen_epoch, epoch, recorder)
             m_vis += out.arcs
-            if out.closeness == CUT and out.cut_level >= 0:
+            if out.closeness == CUT:
                 cut_level[v] = out.cut_level
             else:
                 closeness[v] = out.closeness
@@ -432,7 +353,8 @@ class _SharedThresholdHeap:
                     heap[smallest], heap[i] = heap[i], heap[smallest]
                     i = smallest
             new_xk = heap[0] if count == self.k else 0.0
-            assert new_xk >= self.xk.value, "threshold must be monotone"
+            if new_xk < self.xk.value:
+                raise RuntimeError("threshold must be monotone")
             self.xk.value = new_xk
 
 
@@ -441,7 +363,6 @@ def _worker_loop(g, bounds, order, skip, cursor, shared_heap, out_q):
     closeness through the shared threshold heap, report to the parent."""
     n = g.n
     seen_epoch = np.zeros(n, dtype=np.int64)
-    epoch = 0
     m_vis = 0
     read_x = lambda: shared_heap.xk.value  # re-read at every level boundary
     while True:
@@ -455,8 +376,7 @@ def _worker_loop(g, bounds, order, skip, cursor, shared_heap, out_q):
             shared_heap.push(0.0)
             out_q.put((v, 0.0, 0, 1, -1))
             continue
-        epoch += 1
-        out = _bfs_cut_levelwise(g, v, read_x, bounds, seen_epoch, epoch)
+        out = bfs_cut(g, v, read_x, bounds, seen_epoch, i + 1)
         m_vis += out.arcs
         if out.closeness == CUT:
             out_q.put((v, CUT, 0, 0, out.cut_level))

@@ -43,8 +43,12 @@ class Graph:
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def __post_init__(self):
-        assert self.offsets.shape == (self.n + 1,)
-        assert self.offsets[0] == 0 and self.offsets[self.n] == self.m
+        if not (
+            self.offsets.shape == (self.n + 1,)
+            and self.offsets[0] == 0
+            and self.offsets[self.n] == self.m
+        ):
+            raise ValueError("offsets must have length n+1, start at 0 and end at m")
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield stored arcs (u, w); for undirected graphs only u < w once."""
@@ -61,8 +65,16 @@ def from_edges(
     directed: bool,
     labels: tuple[str, ...] | None = None,
 ) -> Graph:
-    """Build a Graph from integer endpoint pairs; drops self-loops and duplicates."""
+    """Build a Graph from integer endpoint pairs; drops self-loops and duplicates.
+
+    Raises ValueError naming the first pair with an endpoint outside [0, n).
+    """
     pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        u, w = (int(x) for x in pairs[i])
+        raise ValueError(f"edge {i} ({u}, {w}) has an endpoint outside [0, {n})")
     if pairs.size:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not directed and pairs.size:
@@ -119,6 +131,16 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
         sink.write(f"{g.labels[u]} {g.labels[w]}\n")
 
 
+def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
+    """Out-neighbours of every vertex in ``frontier``, concatenated in
+    frontier order with repeats; its length is the frontier's arc count."""
+    starts = g.offsets[frontier]
+    counts = g.offsets[frontier + 1] - starts
+    total = int(counts.sum())
+    idx = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(total)
+    return g.targets[idx]
+
+
 def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
     """Plain BFS from ``source``.
 
@@ -133,16 +155,9 @@ def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
     visited = 1
     arcs = 0
     d = 0
-    offsets, targets = g.offsets, g.targets
     while frontier.size:
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        arcs += total
-        if total == 0:
-            break
-        idx = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(total)
-        neigh = targets[idx]
+        neigh = frontier_neighbors(g, frontier)
+        arcs += len(neigh)
         new = np.unique(neigh[dist[neigh] < 0])
         d += 1
         dist[new] = d
@@ -172,7 +187,6 @@ def connected_components(g: Graph) -> ComponentMap:
         raise ValueError("connected_components requires an undirected graph")
     comp = np.full(g.n, -1, dtype=np.int64)
     sizes: list[int] = []
-    offsets, targets = g.offsets, g.targets
     for v in range(g.n):
         if comp[v] >= 0:
             continue
@@ -181,13 +195,7 @@ def connected_components(g: Graph) -> ComponentMap:
         frontier = np.array([v], dtype=np.int64)
         size = 1
         while frontier.size:
-            starts = offsets[frontier]
-            counts = offsets[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            idx = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(total)
-            neigh = targets[idx]
+            neigh = frontier_neighbors(g, frontier)
             new = np.unique(neigh[comp[neigh] < 0])
             comp[new] = cid
             size += len(new)

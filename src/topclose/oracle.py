@@ -1,5 +1,4 @@
-"""Textbook all-BFS closeness: the comparison baseline and test oracle,
-plus the evaluation metrics derived from visited-arc counts."""
+"""Textbook all-BFS closeness: the comparison baseline and test oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RankedVertex, TopKResult
+from .engine import TopKResult, _rank
 from .graph import Graph, bfs
 
 
@@ -16,6 +15,11 @@ class ClosenessTable:
     closeness: np.ndarray  # float64 per vertex
     farness: np.ndarray  # int64 per vertex
     reachable: np.ndarray  # int64 per vertex
+
+    def ranked(self, g: Graph, k: int) -> TopKResult:
+        """The k best rows: closeness descending, ties by vertex id."""
+        everyone = np.ones(g.n, dtype=bool)
+        return _rank(g, k, self.closeness, self.farness, self.reachable, everyone)
 
 
 def exact_closeness_all(g: Graph) -> tuple[ClosenessTable, int]:
@@ -43,26 +47,4 @@ def top_k_textbook(g: Graph, k: int) -> TopKResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     table, _ = exact_closeness_all(g)
-    order = np.lexsort((np.arange(g.n), -table.closeness))[:k]
-    entries = tuple(
-        RankedVertex(
-            rank=i + 1,
-            vertex=int(v),
-            label=g.labels[int(v)],
-            closeness=float(table.closeness[v]),
-            farness=int(table.farness[v]),
-            reachable=int(table.reachable[v]),
-        )
-        for i, v in enumerate(order)
-    )
-    return TopKResult(k=k, entries=entries)
-
-
-def metrics(m_vis: int, m_tot: int, m: int, n: int) -> tuple[float | None, float | None]:
-    """(improvement factor m_vis/m_tot, performance ratio m_vis/(m*n)).
-
-    Either entry is None when its denominator is zero.
-    """
-    improvement = m_vis / m_tot if m_tot > 0 else None
-    ratio = m_vis / (m * n) if m * n > 0 else None
-    return improvement, ratio
+    return table.ranked(g, k)

@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 
 from .engine import RankedVertex, RunStats, TopKResult
 from .graph import Graph
-from .oracle import metrics
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,12 @@ def build_report(
 ) -> RunReport:
     stats_info = None
     if include_stats and stats is not None:
-        m_tot = stats.m_tot
-        improvement = stats.m_vis / m_tot if m_tot else None
-        _, ratio = metrics(stats.m_vis, m_tot or 0, g.m, g.n)
+        mn = g.m * g.n
         stats_info = StatsInfo(
             m_vis=stats.m_vis,
-            m_tot=m_tot,
-            improvement_factor=improvement,
-            performance_ratio=ratio,
+            m_tot=stats.m_tot,
+            improvement_factor=stats.improvement_factor,
+            performance_ratio=stats.m_vis / mn if mn else None,
             preprocessing_seconds=stats.preprocessing_seconds,
             total_seconds=stats.total_seconds,
         )

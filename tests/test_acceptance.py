@@ -70,9 +70,7 @@ def test_criterion_2_bound_validity(suite, suite_oracle):
     for tag, g in suite:
         table, _ = suite_oracle[tag]
         records: list[tuple[int, int, int, int, int]] = []
-        res, stats = top_k(
-            g, 10, instrument=True, recorder=lambda *a: records.append(a)
-        )
+        res, stats = top_k(g, 10, recorder=lambda *a: records.append(a))
         for v, d, f_d, n_d, gamma in records:
             boundaries += 1
             r_v = int(table.reachable[v])

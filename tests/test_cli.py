@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from topclose import oracle
 from topclose.cli import main
 from topclose.report import RunReport
 
@@ -79,6 +80,19 @@ class TestOracleAndCompare:
         assert main(["oracle", "--input", cycle3, "--directed", "-k", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [e["closeness"] for e in report["results"]] == pytest.approx([2 / 3] * 3)
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_one_oracle_pass(self, command, cycle3, capsys, monkeypatch):
+        calls = []
+        real = oracle.exact_closeness_all
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(oracle, "exact_closeness_all", counting)
+        assert main([command, "--input", cycle3, "--directed", "-k", "2"]) == 0
+        assert len(calls) == 1
 
     def test_compare_match_verdict(self, cycle3, capsys):
         assert main(["compare", "--input", cycle3, "--directed", "-k", "1"]) == 0

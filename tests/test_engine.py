@@ -7,7 +7,7 @@ from topclose.engine import (
     CUT,
     ThresholdHeap,
     bfs_cut,
-    kth_threshold,
+    exact_m_tot,
     processing_order,
     top_k,
 )
@@ -21,16 +21,21 @@ def three_cycle():
     return from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 
 
+def visit(g, v, threshold, bounds):
+    """One pruned BFS with fresh scratch."""
+    return bfs_cut(g, v, lambda: threshold, bounds, np.zeros(g.n, np.int64), 1)
+
+
 class TestBfsCut:
     def test_cuts_at_first_boundary(self):
         g = three_cycle()
-        out = bfs_cut(g, 0, lambda: 0.9, reachability_for(g))
+        out = visit(g, 0, 0.9, reachability_for(g))
         assert out.closeness == CUT
         assert out.cut_level == 0
 
     def test_completes_below_threshold(self):
         g = three_cycle()
-        out = bfs_cut(g, 0, lambda: 0.5, reachability_for(g))
+        out = visit(g, 0, 0.5, reachability_for(g))
         assert out.closeness == pytest.approx(2 / 3)
         assert out.farness == 3
         assert out.reachable == 3
@@ -44,7 +49,7 @@ class TestBfsCut:
             for v in range(g.n):
                 if bounds.alpha[v] <= 1:
                     continue
-                out = bfs_cut(g, v, lambda: 0.0, bounds)
+                out = visit(g, v, 0.0, bounds)
                 assert out.closeness == pytest.approx(table.closeness[v], rel=1e-12)
 
     def test_arc_count_matches_plain_bfs_when_complete(self):
@@ -55,7 +60,7 @@ class TestBfsCut:
         for v in range(g.n):
             if bounds.alpha[v] <= 1:
                 continue
-            out = bfs_cut(g, v, lambda: 0.0, bounds)
+            out = visit(g, v, 0.0, bounds)
             _, _, arcs = bfs(g, v)
             assert out.arcs == arcs
 
@@ -65,20 +70,20 @@ class TestThreshold:
         h = ThresholdHeap(3)
         h.push(0.5)
         h.push(0.4)
-        assert kth_threshold(h) == 0.0
+        assert h.threshold == 0.0
 
     def test_k_one(self):
         h = ThresholdHeap(1)
         h.push(0.2)
-        assert kth_threshold(h) == 0.2
+        assert h.threshold == 0.2
         h.push(0.5)
-        assert kth_threshold(h) == 0.5
+        assert h.threshold == 0.5
 
     def test_k_two(self):
         h = ThresholdHeap(2)
         for v in (0.9, 0.3, 0.6):
             h.push(v)
-        assert kth_threshold(h) == 0.6
+        assert h.threshold == 0.6
 
     def test_monotone_under_random_pushes(self):
         rng = np.random.default_rng(0)
@@ -144,13 +149,27 @@ class TestTopK:
             np.round(expected.closeness_values(), 12)
         )
 
-    def test_instrumented_agrees_with_fast_path(self):
+    def test_recorder_leaves_the_run_unchanged(self):
         for directed in (False, True):
             g = gnp(80, 0.04, 7, directed=directed)
-            fast, s_fast = top_k(g, 5)
-            slow, s_slow = top_k(g, 5, instrument=True)
-            assert fast.closeness_values() == slow.closeness_values()
-            assert s_fast.m_vis == s_slow.m_vis
+            records = []
+            plain, s_plain = top_k(g, 5)
+            seen, s_seen = top_k(g, 5, recorder=lambda *a: records.append(a))
+            assert records
+            assert plain.closeness_values() == seen.closeness_values()
+            assert s_plain.m_vis == s_seen.m_vis
+
+    def test_recorder_rejects_workers(self):
+        with pytest.raises(ValueError):
+            top_k(path_graph(3), 1, workers=2, recorder=lambda *a: None)
+
+    def test_exact_m_tot_matches_oracle(self, suite, suite_oracle):
+        for tag, g in suite:
+            m_tot = exact_m_tot(g, reachability_for(g))
+            if m_tot is not None:
+                assert m_tot == suite_oracle[tag][1], tag
+            else:
+                assert g.directed, tag
 
     def test_m_vis_bounded_by_m_tot(self, suite):
         for tag, g in suite[:40]:

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from topclose.graph import (
     EdgeListParseError,
+    Graph,
     bfs,
     connected_components,
     from_edges,
@@ -74,6 +79,35 @@ class TestCsrInvariants:
         for u in range(g.n):
             for w in g.neighbors(u):
                 assert u in g.neighbors(int(w))
+
+
+class TestEndpointValidation:
+    def test_negative_id(self):
+        with pytest.raises(ValueError, match=r"edge 0 \(0, -1\)"):
+            from_edges(3, [(0, -1)], directed=False)
+
+    def test_id_equal_to_n(self):
+        with pytest.raises(ValueError, match=r"edge 1 \(2, 3\)"):
+            from_edges(3, [(0, 1), (2, 3)], directed=True)
+
+    def test_negative_id_under_optimize(self):
+        # -O strips assert statements; the check must still run
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "from topclose.graph import from_edges; from_edges(3, [(0, -1)], False)"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+
+    def test_inconsistent_offsets(self):
+        with pytest.raises(ValueError):
+            Graph(
+                n=2, m=1, offsets=np.array([0, 1], dtype=np.int64),
+                targets=np.array([1], dtype=np.int32), directed=True, labels=("0", "1"),
+            )
 
 
 class TestBfs:

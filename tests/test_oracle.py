@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from topclose.generators import gnp, path_graph
+from topclose.engine import RunStats, TopKResult
+from topclose.generators import cycle_graph, gnp, path_graph
 from topclose.graph import from_edges
-from topclose.oracle import exact_closeness_all, metrics, top_k_textbook
+from topclose.oracle import exact_closeness_all, top_k_textbook
+from topclose.report import build_report
 
 
 class TestExactClosenessAll:
@@ -67,15 +69,26 @@ class TestTopKTextbook:
 
 
 class TestMetrics:
+    """Improvement factor m_vis/m_tot (RunStats) and performance ratio
+    m_vis/(m*n) (the report), relative to the oracle's arc budget."""
+
+    def report_stats(self, g, stats):
+        empty = TopKResult(k=1, entries=())
+        return build_report("g", g, empty, stats, 1, include_stats=True).stats
+
     def test_no_pruning_gives_factor_one(self):
-        improvement, _ = metrics(100, 100, 10, 10)
-        assert improvement == 1.0
+        assert RunStats(m_vis=100, m_tot=100).improvement_factor == 1.0
 
     def test_performance_ratio(self):
-        _, ratio = metrics(50, 100, 10, 10)
-        assert ratio == 0.5
+        g = cycle_graph(10, directed=True)  # m * n = 100
+        info = self.report_stats(g, RunStats(m_vis=50, m_tot=100))
+        assert info.performance_ratio == 0.5
+        assert info.improvement_factor == 0.5
 
     def test_zero_denominators_marked_undefined(self):
-        improvement, ratio = metrics(0, 0, 0, 5)
-        assert improvement is None
-        assert ratio is None
+        assert RunStats(m_vis=0, m_tot=0).improvement_factor is None
+        assert RunStats(m_vis=0, m_tot=None).improvement_factor is None
+        g = from_edges(5, [], directed=False)  # m * n = 0
+        info = self.report_stats(g, RunStats(m_vis=0, m_tot=0))
+        assert info.improvement_factor is None
+        assert info.performance_ratio is None
