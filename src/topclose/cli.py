@@ -76,7 +76,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     table, m_tot = oracle.exact_closeness_all(g)
     result = table.ranked(g, args.k)
-    stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot)
+    stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot, arcs_scanned=m_tot)
     report = build_report(args.input, g, result, stats, 1, args.stats)
     _emit(report, args.format)
     return EXIT_OK
@@ -95,7 +95,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     improvement = stats.improvement_factor
     engine_report = build_report(args.input, g, result, stats, args.threads, True)
     oracle_report = build_report(
-        args.input, g, expected, engine.RunStats(m_vis=m_tot, m_tot=m_tot), 1, args.stats
+        args.input, g, expected,
+        engine.RunStats(m_vis=m_tot, m_tot=m_tot, arcs_scanned=m_tot), 1, args.stats,
     )
     if args.format == "tsv":
         sys.stdout.write("# engine\n")

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, frontier_neighbors
+from .graph import Graph, distinct, frontier_neighbors
 from .scc import ReachabilityBounds, reachability_for
 
 INF = float("inf")
@@ -58,7 +58,8 @@ class VisitOutcome:
     farness: int
     reachable: int  # vertices visited (valid when completed)
     cut_level: int  # -1 if completed
-    arcs: int  # arcs out of the expanded levels
+    arcs: int  # arcs out of the expanded levels (the paper's m_vis share)
+    arcs_scanned: int  # arcs the kernel actually gathered (<= arcs)
 
 
 BoundaryRecorder = Callable[[int, int, int, int, int], None]
@@ -72,6 +73,7 @@ def bfs_cut(
     bounds: ReachabilityBounds,
     seen_epoch: np.ndarray,
     epoch: int,
+    slot: np.ndarray,
     recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
     """Level-synchronous pruned BFS from v.
@@ -83,11 +85,19 @@ def bfs_cut(
     closeness <= x is certain. ``recorder``, if given, sees each evaluated
     boundary just before the cut test.
 
+    With an exact r(v) the boundary needs only degrees (level d+1 is
+    non-empty iff fewer than r(v) vertices are seen), so the cut test runs
+    before level d's out-arcs are gathered and a cut visit never gathers the
+    level it throws away. With alpha/omega only, level d is gathered first
+    to learn whether level d+1 exists.
+
     ``seen_epoch`` is reusable scratch of length n: a vertex is visited in
     this call iff seen_epoch[w] == epoch (avoids clearing between visits), so
-    ``epoch`` must differ from every value already stored in it.
+    ``epoch`` must differ from every value already stored in it. ``slot`` is
+    reusable dedup scratch of length n (see graph.distinct).
     """
     n = g.n
+    degrees = g.degrees
     exact_r = bool(bounds.exact[v])
     r_v = int(bounds.r[v]) if exact_r else 0
     alpha = int(bounds.alpha[v])
@@ -99,37 +109,46 @@ def bfs_cut(
     f = 0
     nd = 0
     arcs = 0
+    scanned = 0
     while True:
         fsize = len(frontier)
         f += d * fsize
         nd += fsize
-        neigh = frontier_neighbors(g, frontier)
-        deg_sum = len(neigh)
+        if exact_r:
+            deg_sum = int(degrees[frontier].sum())
+            more = nd < r_v  # level d+1 exists iff r(v) is not yet reached
+        else:
+            neigh = frontier_neighbors(g, frontier)
+            deg_sum = len(neigh)
+            scanned += deg_sum
+            new = neigh[seen_epoch[neigh] != epoch]
+            more = new.size > 0
         arcs += deg_sum
+        if not more:
+            break
         # undirected refinement: beyond level 0 one edge per frontier vertex
         # must point back into the previous level
         gamma_next = deg_sum - fsize if (undirected and d >= 1) else deg_sum
-        new = neigh[seen_epoch[neigh] != epoch]
-        if new.size == 0:
-            break
-        new = np.unique(new)
-        seen_epoch[new] = epoch
         if recorder is not None:
             recorder(v, d, f, nd, gamma_next)
         x = threshold()
         if exact_r:
             lam = farness_lower_bound(d, f, nd, gamma_next, r_v)
             if closeness_upper_bound(lam, r_v, n) <= x:
-                return VisitOutcome(CUT, f, nd, d, arcs)
+                return VisitOutcome(CUT, f, nd, d, arcs, scanned)
+            neigh = frontier_neighbors(g, frontier)
+            scanned += deg_sum
+            new = neigh[seen_epoch[neigh] != epoch]
         else:
             inv = inverse_closeness_lower_bound(d, f, nd, gamma_next, alpha, omega, n)
             if x > 0 and inv >= 1.0 / x:
-                return VisitOutcome(CUT, f, nd, d, arcs)
-        frontier = new.astype(np.int64)
+                return VisitOutcome(CUT, f, nd, d, arcs, scanned)
+        frontier = distinct(new, slot)
+        seen_epoch[frontier] = epoch
         d += 1
     r = nd
     c = 0.0 if r <= 1 or n <= 1 else (r - 1) ** 2 / ((n - 1) * f)
-    return VisitOutcome(c, f, r, -1, arcs)
+    return VisitOutcome(c, f, r, -1, arcs, scanned)
 
 
 class ThresholdHeap:
@@ -182,8 +201,9 @@ class TopKResult:
 
 @dataclass
 class RunStats:
-    m_vis: int = 0
+    m_vis: int = 0  # the paper's arc count: out-arcs of every expanded level
     m_tot: int | None = None
+    arcs_scanned: int = 0  # arcs the visit kernel actually gathered (<= m_vis)
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     completed: np.ndarray | None = None
     preprocessing_seconds: float = 0.0
@@ -270,23 +290,28 @@ def top_k(
     completed = np.zeros(n, dtype=bool)
     heap = ThresholdHeap(k)
     m_vis = 0
+    scanned = 0
 
     skip = (bounds.exact & (bounds.r <= 1)) | (bounds.alpha <= 1) | (n <= 1)
 
     if workers > 1 and n:
-        m_vis = _run_parallel(
+        m_vis, scanned = _run_parallel(
             g, bounds, order, skip, heap, workers,
             closeness, farness, reachable, cut_level, completed,
         )
     else:
         seen_epoch = np.zeros(n, dtype=np.int64)
+        slot = np.empty(n, dtype=np.int64)
         for epoch, v in enumerate(order.tolist(), start=1):
             if skip[v]:
                 completed[v] = True
                 heap.push(0.0)
                 continue
-            out = bfs_cut(g, v, lambda: heap.threshold, bounds, seen_epoch, epoch, recorder)
+            out = bfs_cut(
+                g, v, lambda: heap.threshold, bounds, seen_epoch, epoch, slot, recorder
+            )
             m_vis += out.arcs
+            scanned += out.arcs_scanned
             if out.closeness == CUT:
                 cut_level[v] = out.cut_level
             else:
@@ -299,6 +324,7 @@ def top_k(
     result = _rank(g, k, closeness, farness, reachable, completed)
     stats = RunStats(
         m_vis=int(m_vis),
+        arcs_scanned=int(scanned),
         m_tot=exact_m_tot(g, bounds),
         cut_level=cut_level,
         completed=completed,
@@ -358,12 +384,14 @@ class _SharedThresholdHeap:
             self.xk.value = new_xk
 
 
-def _worker_loop(g, bounds, order, skip, cursor, shared_heap, out_q):
+def _worker_loop(g, bounds, order, skip, cursor, shared_heap, conn):
     """Runs in a forked process: grab the next vertex, visit, publish the
     closeness through the shared threshold heap, report to the parent."""
     n = g.n
     seen_epoch = np.zeros(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
     m_vis = 0
+    scanned = 0
     read_x = lambda: shared_heap.xk.value  # re-read at every level boundary
     while True:
         with cursor.get_lock():
@@ -374,55 +402,99 @@ def _worker_loop(g, bounds, order, skip, cursor, shared_heap, out_q):
         v = int(order[i])
         if skip[v]:
             shared_heap.push(0.0)
-            out_q.put((v, 0.0, 0, 1, -1))
+            conn.send((v, 0.0, 0, 1, -1))
             continue
-        out = bfs_cut(g, v, read_x, bounds, seen_epoch, i + 1)
+        out = bfs_cut(g, v, read_x, bounds, seen_epoch, i + 1, slot)
         m_vis += out.arcs
+        scanned += out.arcs_scanned
         if out.closeness == CUT:
-            out_q.put((v, CUT, 0, 0, out.cut_level))
+            conn.send((v, CUT, 0, 0, out.cut_level))
         else:
             shared_heap.push(out.closeness)
-            out_q.put((v, out.closeness, out.farness, out.reachable, -1))
-    out_q.put(("done", m_vis))
+            conn.send((v, out.closeness, out.farness, out.reachable, -1))
+    conn.send(("done", m_vis, scanned))
+    conn.close()
 
 
 def _run_parallel(
     g, bounds, order, skip, heap, workers,
     closeness, farness, reachable, cut_level, completed,
-) -> int:
+) -> tuple[int, int]:
     """Fork worker processes sharing the graph copy-on-write. Workers update
     the shared k-heap synchronously; a worker may still read a stale (smaller)
     threshold mid-visit, which can only delay a cut, never cause a wrong one.
+
+    Each worker reports over its own pipe. The parent waits on the pipes and
+    the process sentinels together, so a worker that exits before reporting
+    "done" raises RuntimeError (with its exit code) instead of a hang.
+    Returns (m_vis, arcs_scanned) summed over the workers.
     """
+    # imported here: it costs serial runs about 0.5 MB of peak RSS
+    from multiprocessing.connection import wait
+
     ctx = mp.get_context("fork")
     cursor = ctx.Value("l", 0)
     shared_heap = _SharedThresholdHeap(ctx, heap.k)
-    out_q = ctx.SimpleQueue()
-    procs = [
-        ctx.Process(target=_worker_loop, args=(g, bounds, order, skip, cursor, shared_heap, out_q))
-        for _ in range(workers)
-    ]
-    for p in procs:
-        p.start()
-    m_vis = 0
-    remaining = workers
+    procs, readers = [], []
     try:
-        while remaining:
-            msg = out_q.get()
-            if msg[0] == "done":
-                m_vis += msg[1]
-                remaining -= 1
-                continue
-            v, c, f, r, cl = msg
-            if c == CUT:
-                cut_level[v] = cl
-            else:
-                closeness[v] = c
-                farness[v] = f
-                reachable[v] = r
-                completed[v] = True
-                heap.push(c)  # parent mirror, used for the final ranking
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            p = ctx.Process(
+                target=_worker_loop,
+                args=(g, bounds, order, skip, cursor, shared_heap, writer),
+            )
+            p.start()
+            writer.close()  # the worker now holds the only write end
+            procs.append(p)
+            readers.append(reader)
+        pending = dict(zip(readers, procs))  # until the worker's "done"
+        m_vis = 0
+        scanned = 0
+        while pending:
+            ready = wait([*pending, *(p.sentinel for p in pending.values())])
+            for reader in [r for r in pending if r in ready]:
+                # drain what is buffered: one wait() per message costs more
+                # than a visit
+                while True:
+                    try:
+                        msg = reader.recv()
+                    except EOFError:  # the worker exited; it held the only write end
+                        raise _worker_died(pending[reader]) from None
+                    if msg[0] == "done":
+                        m_vis += msg[1]
+                        scanned += msg[2]
+                        del pending[reader]
+                        break
+                    v, c, f, r, cl = msg
+                    if c == CUT:
+                        cut_level[v] = cl
+                    else:
+                        closeness[v] = c
+                        farness[v] = f
+                        reachable[v] = r
+                        completed[v] = True
+                        heap.push(c)  # parent mirror, used for the final ranking
+                    if not reader.poll():
+                        break
+            for reader, p in pending.items():
+                # exited, nothing left to read, yet no EOF (its write end
+                # outlived it in another process)
+                if p.sentinel in ready and not reader.poll():
+                    raise _worker_died(p)
+    except BaseException:
+        for p in procs:
+            p.terminate()  # the others may wait on a lock the dead one held
+        raise
     finally:
         for p in procs:
             p.join()
-    return m_vis
+        for reader in readers:
+            reader.close()
+    return m_vis, scanned
+
+
+def _worker_died(p) -> RuntimeError:
+    p.join()
+    return RuntimeError(
+        f"top_k worker (pid {p.pid}) exited with code {p.exitcode} before reporting"
+    )

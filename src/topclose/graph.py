@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -35,9 +36,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """Out-degree per vertex, computed once and read-only."""
+        degrees = np.diff(self.offsets)
+        degrees.flags.writeable = False
+        return degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
@@ -132,13 +136,29 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
 
 
 def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Out-neighbours of every vertex in ``frontier``, concatenated in
-    frontier order with repeats; its length is the frontier's arc count."""
+    """Out-neighbours of every vertex in ``frontier`` as int64 ids,
+    concatenated in frontier order with repeats; its length is the
+    frontier's arc count."""
+    if len(frontier) == 1:  # every visit starts here; a slice is far cheaper
+        v = int(frontier[0])
+        return g.targets[g.offsets[v] : g.offsets[v + 1]].astype(np.int64)
     starts = g.offsets[frontier]
     counts = g.offsets[frontier + 1] - starts
     total = int(counts.sum())
     idx = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(total)
-    return g.targets[idx]
+    return g.targets[idx].astype(np.int64)
+
+
+def distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The distinct vertex ids in ``ids``, in no particular order.
+
+    Scatter dedup: every position writes itself into ``slot[id]``, exactly
+    one write per id survives, and that position is kept. ``slot`` is
+    reusable int64 scratch of length n; its contents never matter.
+    """
+    pos = np.arange(len(ids))
+    slot[ids] = pos
+    return ids[slot[ids] == pos]
 
 
 def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
@@ -151,6 +171,7 @@ def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
         raise IndexError(f"source {source} out of range for n={g.n}")
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
+    slot = np.empty(g.n, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     visited = 1
     arcs = 0
@@ -158,7 +179,7 @@ def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
     while frontier.size:
         neigh = frontier_neighbors(g, frontier)
         arcs += len(neigh)
-        new = np.unique(neigh[dist[neigh] < 0])
+        new = distinct(neigh[dist[neigh] < 0], slot)
         d += 1
         dist[new] = d
         visited += len(new)
@@ -186,6 +207,7 @@ def connected_components(g: Graph) -> ComponentMap:
     if g.directed:
         raise ValueError("connected_components requires an undirected graph")
     comp = np.full(g.n, -1, dtype=np.int64)
+    slot = np.empty(g.n, dtype=np.int64)
     sizes: list[int] = []
     for v in range(g.n):
         if comp[v] >= 0:
@@ -196,7 +218,7 @@ def connected_components(g: Graph) -> ComponentMap:
         size = 1
         while frontier.size:
             neigh = frontier_neighbors(g, frontier)
-            new = np.unique(neigh[comp[neigh] < 0])
+            new = distinct(neigh[comp[neigh] < 0], slot)
             comp[new] = cid
             size += len(new)
             frontier = new

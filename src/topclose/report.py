@@ -25,6 +25,7 @@ class StatsInfo:
     performance_ratio: float | None
     preprocessing_seconds: float
     total_seconds: float
+    arcs_scanned: int = 0  # absent from reports written before it existed
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ def build_report(
             performance_ratio=stats.m_vis / mn if mn else None,
             preprocessing_seconds=stats.preprocessing_seconds,
             total_seconds=stats.total_seconds,
+            arcs_scanned=stats.arcs_scanned,
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

@@ -34,6 +34,7 @@ class TestTopkCommand:
         assert report["input"]["n"] == 3
         assert report["stats"]["m_vis"] <= report["stats"]["m_tot"]
         assert report["stats"]["performance_ratio"] is not None
+        assert 0 <= report["stats"]["arcs_scanned"] <= report["stats"]["m_vis"]
         assert len(report["results"]) == 2
 
     def test_empty_graph(self, tmp_path, capsys):
@@ -158,3 +159,11 @@ class TestReportRoundTrip:
         assert RunReport.from_json(report.to_json()) == report
         assert report.k == 3
         assert report.stats is not None
+
+    def test_report_without_arcs_scanned_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        del raw["stats"]["arcs_scanned"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.arcs_scanned == 0
+        assert report.stats.m_vis == raw["stats"]["m_vis"]

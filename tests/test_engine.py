@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from topclose import engine, graph
 from topclose.engine import (
     CUT,
     ThresholdHeap,
@@ -12,7 +18,7 @@ from topclose.engine import (
     top_k,
 )
 from topclose.generators import gnp, path_graph, star_graph
-from topclose.graph import from_edges
+from topclose.graph import bfs, connected_components, from_edges
 from topclose.oracle import exact_closeness_all, top_k_textbook
 from topclose.scc import reachability_for
 
@@ -23,7 +29,19 @@ def three_cycle():
 
 def visit(g, v, threshold, bounds):
     """One pruned BFS with fresh scratch."""
-    return bfs_cut(g, v, lambda: threshold, bounds, np.zeros(g.n, np.int64), 1)
+    return bfs_cut(
+        g, v, lambda: threshold, bounds, np.zeros(g.n, np.int64), 1, np.empty(g.n, np.int64)
+    )
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)], directed=False)
+
+
+def ladder(rungs):
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + s, 2 * i + 2 + s) for i in range(rungs - 1) for s in (0, 1)]
+    return from_edges(2 * rungs, edges, directed=False)
 
 
 class TestBfsCut:
@@ -53,8 +71,6 @@ class TestBfsCut:
                 assert out.closeness == pytest.approx(table.closeness[v], rel=1e-12)
 
     def test_arc_count_matches_plain_bfs_when_complete(self):
-        from topclose.graph import bfs
-
         g = gnp(50, 0.1, 1, directed=True)
         bounds = reachability_for(g)
         for v in range(g.n):
@@ -63,6 +79,60 @@ class TestBfsCut:
             out = visit(g, v, 0.0, bounds)
             _, _, arcs = bfs(g, v)
             assert out.arcs == arcs
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_gathers_only_expanded_levels(self, directed, monkeypatch):
+        # exact r(v): a visit cut at boundary d gathers levels 0..d-1, and a
+        # completed one never gathers its last level; alpha/omega only: the
+        # level at the boundary is gathered too
+        calls = []
+        real = engine.frontier_neighbors
+        monkeypatch.setattr(
+            engine, "frontier_neighbors", lambda g, f: calls.append(1) or real(g, f)
+        )
+        cut_exact = 0
+        for seed in range(3):
+            g = gnp(80, 0.05, seed, directed=directed)
+            bounds = reachability_for(g)
+            table, _ = exact_closeness_all(g)
+            best = float(table.closeness.max())
+            for v in range(g.n):
+                if bounds.alpha[v] <= 1:
+                    continue
+                for x in (0.0, best / 2, best):
+                    calls.clear()
+                    out = visit(g, v, x, bounds)
+                    if out.closeness == CUT:
+                        levels = out.cut_level
+                    else:
+                        levels = int(bfs(g, v)[0].max())  # eccentricity
+                    extra = 0 if bounds.exact[v] else 1
+                    assert len(calls) == levels + extra, (seed, v, x)
+                    cut_exact += out.closeness == CUT and bool(bounds.exact[v])
+        assert cut_exact > 0
+
+    @pytest.mark.parametrize("g", [complete_bipartite(3, 50), ladder(40)], ids=["K3,50", "ladder"])
+    def test_frontiers_hold_no_repeats(self, g, monkeypatch):
+        frontiers = []
+        real = graph.distinct
+
+        def checked(ids, slot):
+            out = real(ids, slot)
+            frontiers.append(out)
+            assert sorted(out.tolist()) == sorted(set(ids.tolist()))
+            return out
+
+        monkeypatch.setattr(engine, "distinct", checked)
+        monkeypatch.setattr(graph, "distinct", checked)
+        bounds = reachability_for(g)
+        table, _ = exact_closeness_all(g)
+        for v in range(g.n):
+            out = visit(g, v, 0.0, bounds)
+            assert (out.farness, out.reachable) == (table.farness[v], table.reachable[v])
+            dist, visited, _ = bfs(g, v)
+            assert visited == np.count_nonzero(dist >= 0) == g.n
+        assert connected_components(g).count == 1
+        assert frontiers and any(len(f) > 1 for f in frontiers)
 
 
 class TestThreshold:
@@ -171,6 +241,11 @@ class TestTopK:
             else:
                 assert g.directed, tag
 
+    def test_arcs_scanned_bounded_by_m_vis(self, suite):
+        for tag, g in suite:
+            _, stats = top_k(g, 10)
+            assert 0 <= stats.arcs_scanned <= stats.m_vis, tag
+
     def test_m_vis_bounded_by_m_tot(self, suite):
         for tag, g in suite[:40]:
             _, stats = top_k(g, 1)
@@ -202,3 +277,56 @@ class TestParallel:
         # every vertex is either completed or carries a cut level
         assert np.all(stats.completed | (stats.cut_level >= 0))
         assert stats.m_vis > 0
+        assert 0 < stats.arcs_scanned <= stats.m_vis
+
+    # a worker that dies must fail the run, not hang it: mid-visit, or while
+    # holding the shared-heap lock the other worker then waits on
+    DYING = {
+        "visit": """
+            real = engine.bfs_cut
+
+            def dying(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return real(*args)
+
+            engine.bfs_cut = dying
+            """,
+        "heap-lock": """
+            real = engine._SharedThresholdHeap.push
+
+            def dying(self, value):
+                if value > 0:
+                    self._lock.acquire()
+                    os._exit(3)
+                real(self, value)
+
+            engine._SharedThresholdHeap.push = dying
+            """,
+    }
+
+    @pytest.mark.parametrize("where", sorted(DYING))
+    def test_dead_worker_raises(self, where):
+        code = textwrap.dedent(
+            """
+            import os
+            from topclose import engine
+            from topclose.generators import gnp
+
+            parent = os.getpid()
+            """
+        ) + textwrap.dedent(self.DYING[where]) + textwrap.dedent(
+            """
+            try:
+                engine.top_k(gnp(60, 0.1, 1, directed=False), 3, workers=2)
+            except RuntimeError as exc:
+                print(exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exited with code 3" in proc.stdout

@@ -74,6 +74,11 @@ class TestCsrInvariants:
             assert v not in nb
             assert len(nb) == len(set(nb))
 
+    def test_degrees_computed_once(self):
+        g = from_edges(4, [(0, 1), (1, 2), (1, 3)], directed=False)
+        assert g.degrees is g.degrees
+        assert g.degrees.tolist() == [1, 3, 1, 1]
+
     def test_undirected_symmetry(self):
         g = from_edges(4, [(0, 1), (1, 2)], directed=False)
         for u in range(g.n):
