@@ -19,13 +19,24 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
 
+def positive_int(text: str) -> int:
+    """An integer >= 1, for -k and --threads."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="edge-list file")
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--directed", action="store_true")
     direction.add_argument("--undirected", action="store_true")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("-k", type=positive_int, default=10)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--stats", action="store_true")
 
@@ -55,9 +66,6 @@ def _multisets_match(a, b) -> bool:
 
 def cmd_topk(args: argparse.Namespace) -> int:
     g = _load(args)
-    if args.k < 1:
-        print("error: -k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     result, stats = engine.top_k(g, args.k, workers=args.threads)
     report = build_report(args.input, g, result, stats, args.threads, args.stats)
     _emit(report, args.format)
@@ -71,9 +79,6 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load(args)
-    if args.k < 1:
-        print("error: -k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     table, m_tot = oracle.exact_closeness_all(g)
     result = table.ranked(g, args.k)
     stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot, arcs_scanned=m_tot)
@@ -84,9 +89,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     g = _load(args)
-    if args.k < 1:
-        print("error: -k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     result, stats = engine.top_k(g, args.k, workers=args.threads)
     table, m_tot = oracle.exact_closeness_all(g)
     expected = table.ranked(g, args.k)
@@ -177,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

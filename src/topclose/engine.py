@@ -4,9 +4,10 @@ process-based parallel scheduler."""
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import multiprocessing as mp
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,32 +153,38 @@ def bfs_cut(
 
 
 class ThresholdHeap:
-    """Size-k min-heap over the closeness values seen so far.
+    """The k biggest closeness values seen so far, in a float64 buffer of k
+    zeros plus one slot that holds the threshold.
 
-    The threshold is the k-th biggest value once k values are present, 0
-    before; it never decreases.
+    Every closeness is >= 0, so the threshold, the k-th biggest value once k
+    values are present and 0 before, is the minimum of the k values; it never
+    decreases. A ``buffer`` in shared memory and a ``lock`` let forked workers
+    push into one heap; reading the threshold takes no lock.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, buffer: np.ndarray | None = None, lock=None):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._heap: list[float] = []
-        self._xk = 0.0
+        self._values = np.zeros(k + 1) if buffer is None else buffer
+        self._lock = nullcontext() if lock is None else lock
 
     def push(self, value: float) -> None:
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, value)
-        elif value > self._heap[0]:
-            heapq.heapreplace(self._heap, value)
-        new_xk = self._heap[0] if len(self._heap) == self.k else 0.0
-        if new_xk < self._xk:
-            raise RuntimeError("threshold must be monotone")
-        self._xk = new_xk
+        values = self._values
+        k = self.k
+        with self._lock:
+            i = int(values[:k].argmin())
+            if value <= values[i]:
+                return
+            values[i] = value
+            new_xk = values[:k].min()
+            if new_xk < values[k]:
+                raise RuntimeError("threshold must be monotone")
+            values[k] = new_xk
 
     @property
     def threshold(self) -> float:
-        return self._xk
+        return float(self._values[self.k])
 
 
 @dataclass(frozen=True)
@@ -205,10 +212,14 @@ class RunStats:
     m_tot: int | None = None
     arcs_scanned: int = 0  # arcs the visit kernel actually gathered (<= m_vis)
     cut_level: np.ndarray | None = None  # -1 where the visit completed
-    completed: np.ndarray | None = None
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
     final_threshold: float = 0.0
+
+    @property
+    def completed(self) -> np.ndarray | None:
+        """True where the visit completed (or the vertex was skipped)."""
+        return None if self.cut_level is None else self.cut_level < 0
 
     @property
     def improvement_factor(self) -> float | None:
@@ -275,6 +286,8 @@ def top_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if recorder is not None and workers > 1:
         raise ValueError("a boundary recorder requires workers=1")
     t0 = time.perf_counter()
@@ -283,51 +296,23 @@ def top_k(
     prep = time.perf_counter() - t0
 
     n = g.n
-    closeness = np.zeros(n, dtype=np.float64)
-    farness = np.zeros(n, dtype=np.int64)
-    reachable = np.ones(n, dtype=np.int64)
-    cut_level = np.full(n, -1, dtype=np.int64)
-    completed = np.zeros(n, dtype=bool)
-    heap = ThresholdHeap(k)
-    m_vis = 0
-    scanned = 0
-
     skip = (bounds.exact & (bounds.r <= 1)) | (bounds.alpha <= 1) | (n <= 1)
-
     if workers > 1 and n:
-        m_vis, scanned = _run_parallel(
-            g, bounds, order, skip, heap, workers,
-            closeness, farness, reachable, cut_level, completed,
-        )
+        heap, results, m_vis, scanned = _run_parallel(g, bounds, order, skip, k, workers)
     else:
-        seen_epoch = np.zeros(n, dtype=np.int64)
-        slot = np.empty(n, dtype=np.int64)
-        for epoch, v in enumerate(order.tolist(), start=1):
-            if skip[v]:
-                completed[v] = True
-                heap.push(0.0)
-                continue
-            out = bfs_cut(
-                g, v, lambda: heap.threshold, bounds, seen_epoch, epoch, slot, recorder
-            )
-            m_vis += out.arcs
-            scanned += out.arcs_scanned
-            if out.closeness == CUT:
-                cut_level[v] = out.cut_level
-            else:
-                closeness[v] = out.closeness
-                farness[v] = out.farness
-                reachable[v] = out.reachable
-                completed[v] = True
-                heap.push(out.closeness)
+        heap = ThresholdHeap(k)
+        results = _results(n, np.zeros)
+        m_vis, scanned = _visit_all(
+            g, bounds, order, skip, heap, itertools.count().__next__, results, recorder
+        )
+    closeness, farness, reachable, cut_level = results
 
-    result = _rank(g, k, closeness, farness, reachable, completed)
+    result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
     stats = RunStats(
         m_vis=int(m_vis),
         arcs_scanned=int(scanned),
         m_tot=exact_m_tot(g, bounds),
         cut_level=cut_level,
-        completed=completed,
         preprocessing_seconds=prep,
         total_seconds=time.perf_counter() - t0,
         final_threshold=heap.threshold,
@@ -335,152 +320,98 @@ def top_k(
     return result, stats
 
 
-class _SharedThresholdHeap:
-    """Size-k min-heap living in shared memory, updated by any worker under a
-    single lock; the threshold is mirrored into a lock-free double for cheap
-    reads at level boundaries."""
-
-    def __init__(self, ctx, k: int):
-        self.k = k
-        self._values = ctx.Array("d", k, lock=False)
-        self._count = ctx.Value("l", 0, lock=False)
-        self._lock = ctx.Lock()
-        self.xk = ctx.Value("d", 0.0, lock=False)
-
-    def push(self, value: float) -> None:
-        with self._lock:
-            heap = self._values
-            count = self._count.value
-            if count < self.k:
-                # sift up
-                i = count
-                heap[i] = value
-                while i > 0:
-                    parent = (i - 1) // 2
-                    if heap[parent] <= heap[i]:
-                        break
-                    heap[parent], heap[i] = heap[i], heap[parent]
-                    i = parent
-                count += 1
-                self._count.value = count
-            elif value > heap[0]:
-                # replace root, sift down
-                heap[0] = value
-                i = 0
-                while True:
-                    left, right = 2 * i + 1, 2 * i + 2
-                    smallest = i
-                    if left < count and heap[left] < heap[smallest]:
-                        smallest = left
-                    if right < count and heap[right] < heap[smallest]:
-                        smallest = right
-                    if smallest == i:
-                        break
-                    heap[smallest], heap[i] = heap[i], heap[smallest]
-                    i = smallest
-            new_xk = heap[0] if count == self.k else 0.0
-            if new_xk < self.xk.value:
-                raise RuntimeError("threshold must be monotone")
-            self.xk.value = new_xk
+def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
+    """Per-vertex (closeness, farness, reachable, cut_level) arrays made by
+    ``zeros(length, dtype)``. A vertex no visit writes to (a skipped one)
+    reads as completed with closeness 0 and only itself reachable."""
+    closeness = zeros(n, np.float64)
+    farness = zeros(n, np.int64)
+    reachable = zeros(n, np.int64)
+    reachable[:] = 1
+    cut_level = zeros(n, np.int64)
+    cut_level[:] = -1
+    return closeness, farness, reachable, cut_level
 
 
-def _worker_loop(g, bounds, order, skip, cursor, shared_heap, conn):
-    """Runs in a forked process: grab the next vertex, visit, publish the
-    closeness through the shared threshold heap, report to the parent."""
-    n = g.n
-    seen_epoch = np.zeros(n, dtype=np.int64)
-    slot = np.empty(n, dtype=np.int64)
+def _visit_all(
+    g, bounds, order, skip, heap, next_index, results, recorder=None
+) -> tuple[int, int]:
+    """The main loop: visit order[i] for each i that ``next_index()`` hands
+    out until it runs past the end, cutting against ``heap``'s threshold and
+    writing each outcome into ``results`` (see _results). Returns (m_vis,
+    arcs_scanned) of the visits made here."""
+    closeness, farness, reachable, cut_level = results
+    seen_epoch = np.zeros(g.n, dtype=np.int64)
+    slot = np.empty(g.n, dtype=np.int64)
+    threshold = lambda: heap.threshold  # re-read at every level boundary
     m_vis = 0
     scanned = 0
-    read_x = lambda: shared_heap.xk.value  # re-read at every level boundary
-    while True:
-        with cursor.get_lock():
-            i = cursor.value
-            cursor.value = i + 1
-        if i >= len(order):
-            break
+    while (i := next_index()) < len(order):
         v = int(order[i])
         if skip[v]:
-            shared_heap.push(0.0)
-            conn.send((v, 0.0, 0, 1, -1))
             continue
-        out = bfs_cut(g, v, read_x, bounds, seen_epoch, i + 1, slot)
+        out = bfs_cut(g, v, threshold, bounds, seen_epoch, i + 1, slot, recorder)
         m_vis += out.arcs
         scanned += out.arcs_scanned
         if out.closeness == CUT:
-            conn.send((v, CUT, 0, 0, out.cut_level))
+            cut_level[v] = out.cut_level
         else:
-            shared_heap.push(out.closeness)
-            conn.send((v, out.closeness, out.farness, out.reachable, -1))
-    conn.send(("done", m_vis, scanned))
-    conn.close()
+            closeness[v] = out.closeness
+            farness[v] = out.farness
+            reachable[v] = out.reachable
+            heap.push(out.closeness)
+    return m_vis, scanned
 
 
-def _run_parallel(
-    g, bounds, order, skip, heap, workers,
-    closeness, farness, reachable, cut_level, completed,
-) -> tuple[int, int]:
-    """Fork worker processes sharing the graph copy-on-write. Workers update
-    the shared k-heap synchronously; a worker may still read a stale (smaller)
-    threshold mid-visit, which can only delay a cut, never cause a wrong one.
+def _run_parallel(g, bounds, order, skip, k, workers):
+    """Fork worker processes sharing the graph copy-on-write. Each runs
+    _visit_all over one threshold heap and one set of result arrays in shared
+    memory, taking vertices one at a time from a shared cursor. A worker may
+    read a stale (smaller) threshold mid-visit, which can only delay a cut,
+    never cause a wrong one.
 
-    Each worker reports over its own pipe. The parent waits on the pipes and
-    the process sentinels together, so a worker that exits before reporting
-    "done" raises RuntimeError (with its exit code) instead of a hang.
-    Returns (m_vis, arcs_scanned) summed over the workers.
+    The parent waits on the process sentinels only; a worker that exits with a
+    nonzero code raises RuntimeError naming the code. Returns the heap, the
+    result arrays and (m_vis, arcs_scanned) summed over the workers.
     """
     # imported here: it costs serial runs about 0.5 MB of peak RSS
     from multiprocessing.connection import wait
 
     ctx = mp.get_context("fork")
+
+    def shared_zeros(length, dtype):
+        raw = ctx.RawArray(np.ctypeslib.as_ctypes_type(dtype), length)
+        return np.frombuffer(raw, dtype=dtype)
+
+    heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
+    results = _results(g.n, shared_zeros)
+    counts = shared_zeros(2 * workers, np.int64).reshape(workers, 2)
     cursor = ctx.Value("l", 0)
-    shared_heap = _SharedThresholdHeap(ctx, heap.k)
-    procs, readers = [], []
+
+    def next_index() -> int:
+        with cursor.get_lock():
+            i = cursor.value
+            cursor.value = i + 1
+        return i
+
+    def work(w: int) -> None:
+        counts[w] = _visit_all(g, bounds, order, skip, heap, next_index, results)
+
+    procs = []
     try:
-        for _ in range(workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            p = ctx.Process(
-                target=_worker_loop,
-                args=(g, bounds, order, skip, cursor, shared_heap, writer),
-            )
+        for w in range(workers):
+            p = ctx.Process(target=work, args=(w,))
             p.start()
-            writer.close()  # the worker now holds the only write end
             procs.append(p)
-            readers.append(reader)
-        pending = dict(zip(readers, procs))  # until the worker's "done"
-        m_vis = 0
-        scanned = 0
-        while pending:
-            ready = wait([*pending, *(p.sentinel for p in pending.values())])
-            for reader in [r for r in pending if r in ready]:
-                # drain what is buffered: one wait() per message costs more
-                # than a visit
-                while True:
-                    try:
-                        msg = reader.recv()
-                    except EOFError:  # the worker exited; it held the only write end
-                        raise _worker_died(pending[reader]) from None
-                    if msg[0] == "done":
-                        m_vis += msg[1]
-                        scanned += msg[2]
-                        del pending[reader]
-                        break
-                    v, c, f, r, cl = msg
-                    if c == CUT:
-                        cut_level[v] = cl
-                    else:
-                        closeness[v] = c
-                        farness[v] = f
-                        reachable[v] = r
-                        completed[v] = True
-                        heap.push(c)  # parent mirror, used for the final ranking
-                    if not reader.poll():
-                        break
-            for reader, p in pending.items():
-                # exited, nothing left to read, yet no EOF (its write end
-                # outlived it in another process)
-                if p.sentinel in ready and not reader.poll():
-                    raise _worker_died(p)
+        running = {p.sentinel: p for p in procs}
+        while running:
+            for sentinel in wait(list(running)):
+                p = running.pop(sentinel)
+                p.join()
+                if p.exitcode != 0:
+                    raise RuntimeError(
+                        f"top_k worker (pid {p.pid}) exited with code {p.exitcode}"
+                    )
     except BaseException:
         for p in procs:
             p.terminate()  # the others may wait on a lock the dead one held
@@ -488,13 +419,5 @@ def _run_parallel(
     finally:
         for p in procs:
             p.join()
-        for reader in readers:
-            reader.close()
-    return m_vis, scanned
-
-
-def _worker_died(p) -> RuntimeError:
-    p.join()
-    return RuntimeError(
-        f"top_k worker (pid {p.pid}) exited with code {p.exitcode} before reporting"
-    )
+    m_vis, scanned = counts.sum(axis=0)
+    return heap, results, int(m_vis), int(scanned)

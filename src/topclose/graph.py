@@ -55,12 +55,13 @@ class Graph:
             raise ValueError("offsets must have length n+1, start at 0 and end at m")
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield stored arcs (u, w); for undirected graphs only u < w once."""
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                w = int(w)
-                if self.directed or u < w:
-                    yield u, w
+        """Stored arcs (u, w) in CSR order; for undirected graphs only u < w once."""
+        sources = np.repeat(np.arange(self.n), self.degrees)
+        targets = self.targets
+        if not self.directed:
+            keep = sources < targets
+            sources, targets = sources[keep], targets[keep]
+        return zip(sources.tolist(), targets.tolist())
 
 
 def from_edges(
@@ -131,8 +132,8 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
     """Canonical writer: header with n/m/direction, then one 'u v' per line."""
     kind = "directed" if g.directed else "undirected"
     sink.write(f"# topclose edge list: n={g.n} m={g.m} {kind}\n")
-    for u, w in g.edges():
-        sink.write(f"{g.labels[u]} {g.labels[w]}\n")
+    labels = g.labels
+    sink.write("".join(f"{labels[u]} {labels[w]}\n" for u, w in g.edges()))
 
 
 def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:

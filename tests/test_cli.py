@@ -61,6 +61,15 @@ class TestTopkCommand:
     def test_bad_k(self, path3, capsys):
         assert main(["topk", "--input", path3, "--undirected", "-k", "0"]) == 2
 
+    @pytest.mark.parametrize("command", ["topk", "oracle", "compare"])
+    @pytest.mark.parametrize("flag", [["-k", "0"], ["--threads", "0"], ["--threads", "-2"]])
+    def test_counts_below_one_rejected_before_load(self, command, flag, capsys):
+        code = main([command, "--input", "/nonexistent/x.txt", "--directed", *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag[0]}: must be >= 1" in err
+        assert "cannot read" not in err
+
     def test_threads_agree(self, tmp_path, capsys):
         from topclose.generators import gnp
         from topclose.graph import write_edge_list

@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -279,10 +280,61 @@ class TestParallel:
         assert stats.m_vis > 0
         assert 0 < stats.arcs_scanned <= stats.m_vis
 
-    # a worker that dies must fail the run, not hang it: mid-visit, or while
-    # holding the shared-heap lock the other worker then waits on
+    def test_rejects_bad_workers(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError):
+                top_k(path_graph(3), 1, workers=workers)
+
+    def test_stress_more_workers_than_cores(self, suite, suite_oracle, monkeypatch):
+        # a write lost from a shared result array or the shared heap breaks
+        # one of these checks
+        workers = min(8, max(4, 2 * (os.cpu_count() or 1)))
+        tags = {
+            "gnp-u-n200-p0.05-s0", "gnp-d-n200-p0.05-s1", "gnp-u-n100-p0.2-s2",
+            "gnp-d-n200-p0.2-s3", "union-u", "union-d", "star-u",
+        }
+        ranked = {}
+        real_rank = engine._rank
+
+        def spy(g, k, closeness, farness, reachable, eligible):
+            ranked.update(closeness=closeness.copy(), farness=farness.copy(),
+                          reachable=reachable.copy())
+            return real_rank(g, k, closeness, farness, reachable, eligible)
+
+        monkeypatch.setattr(engine, "_rank", spy)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("parallel top_k did not finish in 120 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(120)
+        try:
+            checked = 0
+            for tag, g in suite:
+                if tag not in tags:
+                    continue
+                table, _ = suite_oracle[tag]
+                for k in (1, 10):
+                    res, stats = top_k(g, k, workers=workers)
+                    done = stats.completed
+                    assert np.all(done | (stats.cut_level >= 0)), tag
+                    assert not done.all(), tag  # the threshold cut something
+                    for name in ("closeness", "farness", "reachable"):
+                        assert np.array_equal(
+                            ranked[name][done], getattr(table, name)[done]
+                        ), (tag, k, name)
+                    assert stats.final_threshold == res.entries[k - 1].closeness, (tag, k)
+                    checked += 1
+            assert checked == 2 * len(tags)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    # a worker that dies must fail the run, not hang it: mid-visit, while
+    # holding the shared-heap lock the other worker then waits on, or by
+    # raising an exception
     DYING = {
-        "visit": """
+        "visit": (3, """
             real = engine.bfs_cut
 
             def dying(*args):
@@ -291,22 +343,33 @@ class TestParallel:
                 return real(*args)
 
             engine.bfs_cut = dying
-            """,
-        "heap-lock": """
-            real = engine._SharedThresholdHeap.push
+            """),
+        "heap-lock": (3, """
+            real = engine.ThresholdHeap.push
 
             def dying(self, value):
-                if value > 0:
+                if os.getpid() != parent and value > 0:
                     self._lock.acquire()
                     os._exit(3)
                 real(self, value)
 
-            engine._SharedThresholdHeap.push = dying
-            """,
+            engine.ThresholdHeap.push = dying
+            """),
+        "exception": (1, """
+            real = engine.bfs_cut
+
+            def raising(*args):
+                if os.getpid() != parent:
+                    raise ValueError("visit failed")
+                return real(*args)
+
+            engine.bfs_cut = raising
+            """),
     }
 
     @pytest.mark.parametrize("where", sorted(DYING))
     def test_dead_worker_raises(self, where):
+        exitcode, patch = self.DYING[where]
         code = textwrap.dedent(
             """
             import os
@@ -315,7 +378,7 @@ class TestParallel:
 
             parent = os.getpid()
             """
-        ) + textwrap.dedent(self.DYING[where]) + textwrap.dedent(
+        ) + textwrap.dedent(patch) + textwrap.dedent(
             """
             try:
                 engine.top_k(gnp(60, 0.1, 1, directed=False), 3, workers=2)
@@ -329,4 +392,4 @@ class TestParallel:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert "exited with code 3" in proc.stdout
+        assert f"exited with code {exitcode}" in proc.stdout

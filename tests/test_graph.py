@@ -222,3 +222,27 @@ def test_ingestion_idempotent(edges, directed):
     assert stored == {norm(u, w) for u, w in g.edges()}
     assert g2.n == len({v for e in g.edges() for v in e})
     assert g2.m == g.m
+
+
+def loop_edge_list(g):
+    """The per-arc loop that write_edge_list and Graph.edges replaced."""
+    kind = "directed" if g.directed else "undirected"
+    lines = [f"# topclose edge list: n={g.n} m={g.m} {kind}\n"]
+    for u in range(g.n):
+        for w in g.neighbors(u):
+            w = int(w)
+            if g.directed or u < w:
+                lines.append(f"{g.labels[u]} {g.labels[w]}\n")
+    return "".join(lines)
+
+
+def test_write_edge_list_matches_loop(suite):
+    labelled = [
+        ("labels-u", load_lines(["b a", "a c", "c b", "d d"], directed=False)),
+        ("labels-d", load_lines(["b a", "a c", "c b", "a b"], directed=True)),
+        ("empty", from_edges(0, [], directed=False)),
+    ]
+    for tag, g in suite + labelled:
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue() == loop_edge_list(g), tag
