@@ -19,7 +19,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    print("n\tm\ttopk_seconds\tm_vis\tarcs_scanned\tm_tot\timprovement_factor")
+    print("n\tm\ttopk_seconds\tm_vis\tarcs_scanned\tscreened\tm_tot\timprovement_factor")
     for n in (int(s) for s in args.sizes.split(",")):
         g = preferential_attachment(n, args.degree, seed=args.seed)
         t0 = time.perf_counter()
@@ -28,7 +28,7 @@ def main() -> None:
         factor = stats.m_vis / stats.m_tot
         print(
             f"{n}\t{g.m}\t{elapsed:.2f}\t{stats.m_vis}\t{stats.arcs_scanned}"
-            f"\t{stats.m_tot}\t{factor:.6f}"
+            f"\t{stats.screened}\t{stats.m_tot}\t{factor:.6f}"
         )
 
 

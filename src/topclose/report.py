@@ -26,6 +26,7 @@ class StatsInfo:
     preprocessing_seconds: float
     total_seconds: float
     arcs_scanned: int = 0  # absent from reports written before it existed
+    screened: int = 0  # likewise
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ def build_report(
             preprocessing_seconds=stats.preprocessing_seconds,
             total_seconds=stats.total_seconds,
             arcs_scanned=stats.arcs_scanned,
+            screened=stats.screened,
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,7 +8,9 @@ from topclose.engine import (
     closeness_upper_bound,
     farness_lower_bound,
     inverse_closeness_lower_bound,
+    top_k,
 )
+from topclose.scc import reachability_for
 
 
 class TestFarnessLowerBound:
@@ -32,6 +35,10 @@ class TestClosenessUpperBound:
     def test_degenerate_bound_is_infinite(self):
         assert closeness_upper_bound(0, r=5, n=10) == math.inf
         assert closeness_upper_bound(-3, r=5, n=10) == math.inf
+        lam = np.array([0, -3, 4])
+        assert closeness_upper_bound(lam, np.array([5, 5, 5]), 10).tolist() == [
+            math.inf, math.inf, closeness_upper_bound(4, 5, 10)
+        ]
 
     def test_three_cycle_boundary(self):
         # directed 3-cycle from vertex 0, boundary d=0 -> 1
@@ -79,3 +86,40 @@ def test_bound_functions_are_total(d, f_d, n_d, gamma, alpha, extra):
     assert closeness_upper_bound(lam, alpha, n) >= 0
     inv = inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, n)
     assert math.isfinite(inv)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_array_evaluation_matches_scalar_bit_for_bit(suite, suite_oracle):
+    # every boundary top_k evaluates on the suite (criterion 2's records),
+    # with the vertex's true r(v) and its alpha/omega pair
+    checked = 0
+    for tag, g in suite:
+        records = []
+        top_k(g, 10, recorder=lambda *a: records.append(a))
+        if not records:
+            continue
+        table, _ = suite_oracle[tag]
+        bounds = reachability_for(g)
+        v, d, f_d, n_d, gamma = (np.array(c, dtype=np.int64) for c in zip(*records))
+        r = table.reachable[v]
+        alpha, omega = bounds.alpha[v], bounds.omega[v]
+        lam = farness_lower_bound(d, f_d, n_d, gamma, r)
+        scalar_lam = [farness_lower_bound(*a[1:], int(x)) for a, x in zip(records, r)]
+        assert lam.tolist() == scalar_lam, tag
+        assert np.array_equal(
+            bits(closeness_upper_bound(lam, r, g.n)),
+            bits([closeness_upper_bound(lam_, int(x), g.n) for lam_, x in zip(scalar_lam, r)]),
+        ), tag
+        scalar_inv = [
+            inverse_closeness_lower_bound(*a[1:], int(lo), int(hi), g.n)
+            for a, lo, hi in zip(records, alpha, omega)
+        ]
+        assert np.array_equal(
+            bits(inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, g.n)),
+            bits(scalar_inv),
+        ), tag
+        checked += len(records)
+    assert checked == 52_398

@@ -35,6 +35,7 @@ class TestTopkCommand:
         assert report["stats"]["m_vis"] <= report["stats"]["m_tot"]
         assert report["stats"]["performance_ratio"] is not None
         assert 0 <= report["stats"]["arcs_scanned"] <= report["stats"]["m_vis"]
+        assert report["stats"]["screened"] >= 0
         assert len(report["results"]) == 2
 
     def test_empty_graph(self, tmp_path, capsys):
@@ -175,4 +176,12 @@ class TestReportRoundTrip:
         del raw["stats"]["arcs_scanned"]
         report = RunReport.from_json(json.dumps(raw))
         assert report.stats.arcs_scanned == 0
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_screened_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        del raw["stats"]["screened"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.screened == 0
         assert report.stats.m_vis == raw["stats"]["m_vis"]

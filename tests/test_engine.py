@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,10 @@ from topclose.engine import (
     processing_order,
     top_k,
 )
-from topclose.generators import gnp, path_graph, star_graph
+from topclose.generators import gnp, path_graph, preferential_attachment, star_graph
 from topclose.graph import bfs, connected_components, from_edges
 from topclose.oracle import exact_closeness_all, top_k_textbook
-from topclose.scc import reachability_for
+from topclose.scc import ReachabilityBounds, reachability_for
 
 
 def three_cycle():
@@ -33,6 +34,74 @@ def visit(g, v, threshold, bounds):
     return bfs_cut(
         g, v, lambda: threshold, bounds, np.zeros(g.n, np.int64), 1, np.empty(g.n, np.int64)
     )
+
+
+def skipped(g, bounds):
+    """The vertices top_k never visits: nothing but themselves reachable."""
+    return (bounds.exact & (bounds.r <= 1)) | (bounds.alpha <= 1) | (g.n <= 1)
+
+
+def reference_top_k(g, k, recorder=None):
+    """The visit loop without the screen: bfs_cut on every unskipped vertex
+    in processing order over one ThresholdHeap. Returns the ranking, the
+    cut levels, the final threshold, m_vis and the arcs bfs_cut scanned."""
+    bounds = reachability_for(g)
+    skip = skipped(g, bounds)
+    heap = ThresholdHeap(k)
+    closeness, farness, reachable, cut_level = engine._results(g.n, np.zeros)
+    seen_epoch, slot = np.zeros(g.n, np.int64), np.empty(g.n, np.int64)
+    m_vis = scanned = 0
+    for i, v in enumerate(processing_order(g).tolist()):
+        if skip[v]:
+            continue
+        out = bfs_cut(g, v, lambda: heap.threshold, bounds, seen_epoch, i + 1, slot, recorder)
+        m_vis += out.arcs
+        scanned += out.arcs_scanned
+        if out.closeness == CUT:
+            cut_level[v] = out.cut_level
+        else:
+            closeness[v], farness[v], reachable[v] = out.closeness, out.farness, out.reachable
+            heap.push(out.closeness)
+    ranked = engine._rank(g, k, closeness, farness, reachable, cut_level < 0)
+    return ranked, cut_level, heap.threshold, m_vis, scanned
+
+
+def grid(side):
+    cells = np.arange(side * side).reshape(side, side)
+    pairs = np.concatenate([
+        np.stack([cells[:, :-1].ravel(), cells[:, 1:].ravel()], axis=1),
+        np.stack([cells[:-1].ravel(), cells[1:].ravel()], axis=1),
+    ])
+    return from_edges(side * side, pairs.tolist(), directed=False)
+
+
+@contextmanager
+def time_limit(seconds):
+    def timed_out(signum, frame):
+        raise TimeoutError(f"parallel top_k did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The per-vertex arrays top_k hands to _rank, captured on each call."""
+    seen = {}
+    real_rank = engine._rank
+
+    def spy(g, k, closeness, farness, reachable, eligible):
+        seen.update(closeness=closeness.copy(), farness=farness.copy(),
+                    reachable=reachable.copy())
+        return real_rank(g, k, closeness, farness, reachable, eligible)
+
+    monkeypatch.setattr(engine, "_rank", spy)
+    return seen
 
 
 def complete_bipartite(a, b):
@@ -134,6 +203,20 @@ class TestBfsCut:
             assert visited == np.count_nonzero(dist >= 0) == g.n
         assert connected_components(g).count == 1
         assert frontiers and any(len(f) > 1 for f in frontiers)
+
+
+class TestScreen:
+    def test_leaves_arithmetic_float64_cannot_hold_to_bfs_cut(self):
+        g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+        exact = np.array([True, True, False, False])
+        for r, screened in ((2, True), (2**27, False)):  # (2**27 - 1)**2 > 2**53
+            bounds = ReachabilityBounds(
+                alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
+            )
+            screen = engine.Screen.build(g, bounds, np.zeros(4, dtype=bool))
+            assert np.isfinite(screen.ub0[:2]).all() == screened, r
+            assert np.isfinite(screen.inv0[2:]).all() == screened, r
+            assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
 
 
 class TestThreshold:
@@ -262,6 +345,52 @@ class TestTopK:
         for v in cut:
             assert table.closeness[v] <= stats.final_threshold + 1e-12
 
+    def assert_matches_reference(self, g, k, tag, monkeypatch):
+        records, expected, kernel_calls = [], [], []
+        real = engine.bfs_cut
+
+        def spy(g, v, *args):
+            out = real(g, v, *args)
+            kernel_calls.append((v, out.cut_level))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "bfs_cut", spy)
+            res, stats = top_k(g, k, recorder=lambda *a: records.append(a))
+        ref, cut_level, threshold, m_vis, scanned = reference_top_k(
+            g, k, recorder=lambda *a: expected.append(a)
+        )
+        assert res == ref, (tag, k)
+        assert stats.m_vis == m_vis, (tag, k)
+        assert np.array_equal(stats.cut_level, cut_level), (tag, k)
+        assert np.array_equal(stats.completed, cut_level < 0), (tag, k)
+        assert stats.final_threshold == threshold, (tag, k)
+        assert records == expected, (tag, k)
+        # a screened level-0 cut of an alpha/omega visit reads no arcs;
+        # bfs_cut gathers deg(v) of them to learn that level 1 is non-empty
+        bounds = reachability_for(g)
+        unread = g.degrees[(cut_level == 0) & ~bounds.exact].sum()
+        assert stats.arcs_scanned == scanned - unread, (tag, k)
+        # the kernel sees no visit the screen could settle: none cut at
+        # boundary 0, none at 1 with an exact r(v)
+        for v, level in kernel_calls:
+            assert level != 0 and not (level == 1 and bounds.exact[v]), (tag, k, v)
+        # and every visited vertex is settled by exactly one of them
+        assert stats.screened + len(kernel_calls) == np.count_nonzero(~skipped(g, bounds))
+        return stats
+
+    def test_screen_matches_the_visit_loop_without_it(self, suite, monkeypatch):
+        screened = 0
+        for tag, g in suite:
+            for k in (1, 10):
+                screened += self.assert_matches_reference(g, k, tag, monkeypatch).screened
+        assert screened > 0
+
+    def test_screen_settles_a_hub_graph_not_a_grid(self, monkeypatch):
+        pa = preferential_attachment(2000, 3, seed=1)
+        assert self.assert_matches_reference(pa, 10, "pa", monkeypatch).screened > 0
+        assert self.assert_matches_reference(grid(20), 10, "grid", monkeypatch).screened == 0
+
 
 class TestParallel:
     def test_multiset_agreement_across_workers(self):
@@ -285,7 +414,7 @@ class TestParallel:
             with pytest.raises(ValueError):
                 top_k(path_graph(3), 1, workers=workers)
 
-    def test_stress_more_workers_than_cores(self, suite, suite_oracle, monkeypatch):
+    def test_stress_more_workers_than_cores(self, suite, suite_oracle, ranked):
         # a write lost from a shared result array or the shared heap breaks
         # one of these checks
         workers = min(8, max(4, 2 * (os.cpu_count() or 1)))
@@ -293,22 +422,7 @@ class TestParallel:
             "gnp-u-n200-p0.05-s0", "gnp-d-n200-p0.05-s1", "gnp-u-n100-p0.2-s2",
             "gnp-d-n200-p0.2-s3", "union-u", "union-d", "star-u",
         }
-        ranked = {}
-        real_rank = engine._rank
-
-        def spy(g, k, closeness, farness, reachable, eligible):
-            ranked.update(closeness=closeness.copy(), farness=farness.copy(),
-                          reachable=reachable.copy())
-            return real_rank(g, k, closeness, farness, reachable, eligible)
-
-        monkeypatch.setattr(engine, "_rank", spy)
-
-        def timed_out(signum, frame):
-            raise TimeoutError("parallel top_k did not finish in 120 s")
-
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(120)
-        try:
+        with time_limit(120):
             checked = 0
             for tag, g in suite:
                 if tag not in tags:
@@ -326,13 +440,24 @@ class TestParallel:
                     assert stats.final_threshold == res.entries[k - 1].closeness, (tag, k)
                     checked += 1
             assert checked == 2 * len(tags)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_workers_screen_runs(self, ranked):
+        g = preferential_attachment(1000, 3, seed=2)
+        table, _ = exact_closeness_all(g)
+        with time_limit(120):
+            for workers in (2, 4):
+                _, stats = top_k(g, 10, workers=workers)
+                done = stats.completed
+                assert np.all(done | (stats.cut_level >= 0)), workers
+                for name in ("closeness", "farness", "reachable"):
+                    assert np.array_equal(
+                        ranked[name][done], getattr(table, name)[done]
+                    ), (workers, name)
+                assert stats.screened > 0, workers
 
     # a worker that dies must fail the run, not hang it: mid-visit, while
-    # holding the shared-heap lock the other worker then waits on, or by
-    # raising an exception
+    # holding the shared-heap lock or the cursor lock (claiming a run) the
+    # other worker then waits on, or by raising an exception
     DYING = {
         "visit": (3, """
             real = engine.bfs_cut
@@ -354,6 +479,16 @@ class TestParallel:
                 real(self, value)
 
             engine.ThresholdHeap.push = dying
+            """),
+        "run-claim": (3, """
+            real = engine.Screen.run_end
+
+            def dying(self, order, i, x):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return real(self, order, i, x)
+
+            engine.Screen.run_end = dying
             """),
         "exception": (1, """
             real = engine.bfs_cut
