@@ -33,18 +33,12 @@ class Graph:
     directed: bool
     labels: tuple[str, ...]  # dense id -> original token
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     @cached_property
     def degrees(self) -> np.ndarray:
         """Out-degree per vertex, computed once and read-only."""
         degrees = np.diff(self.offsets)
         degrees.flags.writeable = False
         return degrees
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def __post_init__(self):
         if not (
@@ -194,13 +188,6 @@ class ComponentMap:
 
     component_id: np.ndarray  # per vertex
     component_size: np.ndarray  # per component
-
-    @property
-    def count(self) -> int:
-        return len(self.component_size)
-
-    def size_of(self, v: int) -> int:
-        return int(self.component_size[self.component_id[v]])
 
 
 def connected_components(g: Graph) -> ComponentMap:

@@ -7,24 +7,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs, connected_components
+from .graph import Graph, connected_components
 
 
 @dataclass(frozen=True)
 class SccDag:
-    """Weighted condensation DAG of a directed graph.
+    """Weighted condensation DAG of a directed graph, numbered sinks first.
 
-    ``topo_index`` orders components so that every DAG arc goes from a lower
-    index to a higher one. ``dag_adj[c]`` lists the successor components of
-    ``c`` (deduplicated, no self-arcs).
+    Ids follow Tarjan's emission order, which emits a component only after
+    every component it reaches: every DAG arc ``c -> d`` has ``d < c``. The
+    successors of ``c`` are ``targets[offsets[c]:offsets[c + 1]]``, sorted,
+    deduplicated and without self-arcs.
     """
 
     scc_id: np.ndarray  # per vertex
     scc_count: int
     weight: np.ndarray  # per component, member count
-    dag_adj: list[np.ndarray]
-    topo_index: np.ndarray  # per component
-    min_member: np.ndarray  # smallest vertex id per component (tie-breaking)
+    offsets: np.ndarray  # int64, length scc_count + 1
+    targets: np.ndarray  # int64 successor component ids
 
 
 @dataclass(frozen=True)
@@ -39,48 +39,39 @@ class ReachabilityBounds:
 
 def compute_scc_dag(g: Graph) -> SccDag:
     """Tarjan's algorithm with an explicit stack (no recursion), plus the
-    deduplicated condensation DAG.
-
-    Components are emitted in reverse topological order, so the topological
-    index of component c is scc_count - 1 - emit_order(c).
-    """
+    deduplicated condensation DAG in CSR form."""
     if not g.directed:
         raise ValueError("compute_scc_dag requires a directed graph")
     n = g.n
-    offsets, targets = g.offsets, g.targets
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    scc_id = np.full(n, -1, dtype=np.int64)
+    offsets, targets = g.offsets.tolist(), g.targets.tolist()
+    index = [-1] * n
+    lowlink = [0] * n
+    # a vertex is on Tarjan's stack iff it has an index but no component yet
+    scc_id = [-1] * n
     stack: list[int] = []
     next_index = 0
     scc_count = 0
-    weights: list[int] = []
-    min_members: list[int] = []
 
     for root in range(n):
         if index[root] >= 0:
             continue
         # work stack of (vertex, next adjacency position)
-        work = [(root, int(offsets[root]))]
+        work = [(root, offsets[root])]
         index[root] = lowlink[root] = next_index
         next_index += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
             v, pos = work[-1]
             if pos < offsets[v + 1]:
                 work[-1] = (v, pos + 1)
-                w = int(targets[pos])
+                w = targets[pos]
                 if index[w] < 0:
                     index[w] = lowlink[w] = next_index
                     next_index += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, int(offsets[w])))
-                elif on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
+                    work.append((w, offsets[w]))
+                elif scc_id[w] < 0 and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
             else:
                 work.pop()
                 if work:
@@ -88,157 +79,98 @@ def compute_scc_dag(g: Graph) -> SccDag:
                     if lowlink[v] < lowlink[parent]:
                         lowlink[parent] = lowlink[v]
                 if lowlink[v] == index[v]:
-                    size = 0
-                    min_member = v
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
                         scc_id[w] = scc_count
-                        size += 1
-                        if w < min_member:
-                            min_member = w
                         if w == v:
                             break
-                    weights.append(size)
-                    min_members.append(min_member)
                     scc_count += 1
 
-    weight = np.asarray(weights, dtype=np.int64)
-    # emit order is reverse topological: sinks first
-    topo_index = (scc_count - 1) - np.arange(scc_count, dtype=np.int64)
-
-    # condensation arcs, deduplicated, self-arcs dropped
-    if g.m:
-        src_c = scc_id[np.repeat(np.arange(n), np.diff(offsets))]
-        tgt_c = scc_id[targets]
-        keep = src_c != tgt_c
-        arcs = np.unique(np.stack([src_c[keep], tgt_c[keep]], axis=1), axis=0)
-    else:
-        arcs = np.empty((0, 2), dtype=np.int64)
-    dag_adj: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(scc_count)]
-    if len(arcs):
-        order = np.argsort(arcs[:, 0], kind="stable")
-        arcs = arcs[order]
-        splits = np.searchsorted(arcs[:, 0], np.arange(scc_count + 1))
-        for c in range(scc_count):
-            dag_adj[c] = arcs[splits[c] : splits[c + 1], 1]
-
+    sid = np.asarray(scc_id, dtype=np.int64)
+    # condensation arcs as sorted, distinct src*K+tgt keys, self-arcs dropped
+    src, tgt = np.repeat(sid, g.degrees), sid[g.targets]
+    keys = np.unique((src * scc_count + tgt)[src != tgt])
+    dag_offsets = np.zeros(scc_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // scc_count, minlength=scc_count), out=dag_offsets[1:])
     return SccDag(
-        scc_id=scc_id,
+        scc_id=sid,
         scc_count=scc_count,
-        weight=weight,
-        dag_adj=dag_adj,
-        topo_index=topo_index,
-        min_member=np.asarray(min_members, dtype=np.int64),
+        weight=np.bincount(sid, minlength=scc_count),
+        offsets=dag_offsets,
+        targets=keys % scc_count,
     )
 
 
-def _alpha_dp(dag: SccDag, pinned: int = -1, pinned_value: int = 0) -> np.ndarray:
-    """alpha(C) = w(C) + max over successors, sinks-first; optionally pin one
-    component to a fixed exact value."""
-    alpha = np.zeros(dag.scc_count, dtype=np.int64)
-    for c in _reverse_topo(dag):
-        if c == pinned:
-            alpha[c] = pinned_value
-            continue
-        best = 0
-        for d in dag.dag_adj[c]:
-            if alpha[d] > best:
-                best = int(alpha[d])
-        alpha[c] = dag.weight[c] + best
-    return alpha
-
-
-def _reverse_topo(dag: SccDag) -> np.ndarray:
-    # components sorted by decreasing topological index (sinks first)
-    return np.argsort(-dag.topo_index, kind="stable")
-
-
 def compute_alpha_omega(dag: SccDag, g: Graph) -> ReachabilityBounds:
-    """Dynamic program over the condensation DAG in reverse topological order,
-    then the largest-component exactification.
+    """Reachable-count bounds from the condensation DAG, tightened around the
+    heaviest component ``big`` (ties: the one holding the smallest vertex id).
 
-    The exactification runs one BFS from the heaviest component C~ to learn
-    its exact reachable count, reruns the upper-bound recursion on the DAG
-    with everything reachable from C~ removed (adding the exact count back for
-    components that reach C~), and reruns the lower-bound recursion with C~
-    pinned to its exact value. Bounds only ever tighten.
+    Two passes over the sinks-first ids, no BFS. A descending pass from
+    ``big`` marks what it reaches, so its exact count ``r_big`` is their
+    weight sum. An ascending sweep, which meets successors first, then
+    gives alpha: the heaviest-path DP with ``big`` pinned to ``r_big``; and
+    omega: the successors' weight sum, or for a component that reaches
+    ``big``, ``r_big`` plus that sum over the part not downstream of ``big``.
+    Every sum is capped at n as it is built, so none outgrows int64 on
+    graphs with exponentially many paths.
+
+    The pinned sweep makes three passes redundant. The unpinned alpha DP:
+    alpha(big) <= r_big and the DP is monotone. The plain omega of a
+    component that reaches ``big``: it counts every path into the
+    downstream part, at least ``r_big``. Making ``big`` exact: its pinned
+    alpha and omega are both ``r_big``.
     """
     n = g.n
     k = dag.scc_count
-    w = dag.weight
+    offsets, targets, w = dag.offsets.tolist(), dag.targets.tolist(), dag.weight.tolist()
+    sid = dag.scc_id
+    big = int(sid[np.flatnonzero(dag.weight[sid] == dag.weight.max())[0]])
 
-    alpha_c = _alpha_dp(dag)
-    omega_c = np.zeros(k, dtype=np.int64)
-    for c in _reverse_topo(dag):
-        s = int(w[c])
-        for d in dag.dag_adj[c]:
-            s += int(omega_c[d])
-        omega_c[c] = min(s, n)
-
-    # exactification around the heaviest component (ties: smallest member id)
-    order = np.lexsort((dag.min_member, -w))
-    big = int(order[0])
-    dist, r_big, _ = bfs(g, int(dag.min_member[big]))
-    del dist
-
-    # forward reachability from big over the DAG
-    downstream = np.zeros(k, dtype=bool)
+    downstream = [False] * k
     downstream[big] = True
-    for c in np.argsort(dag.topo_index, kind="stable"):  # topological order
+    r_big = 0
+    for c in range(big, -1, -1):
         if downstream[c]:
-            for d in dag.dag_adj[c]:
+            r_big += w[c]
+            for d in targets[offsets[c] : offsets[c + 1]]:
                 downstream[d] = True
 
-    # which components reach big (excluding big itself)
-    reaches = np.zeros(k, dtype=bool)
-    reaches[big] = True
-    for c in _reverse_topo(dag):
-        if not reaches[c]:
-            for d in dag.dag_adj[c]:
-                if reaches[d]:
-                    reaches[c] = True
-                    break
-    reaches[big] = False
-
-    # upper bounds: DP on the DAG minus everything downstream of big,
-    # then add the exact reachable count for components that reach big
-    omega_reduced = np.zeros(k, dtype=np.int64)
-    for c in _reverse_topo(dag):
-        if downstream[c]:
+    alpha = [0] * k
+    omega = [0] * k
+    reduced = [0] * k  # omega over the components not downstream of big; 0 on those
+    reaches = [False] * k  # reaches big, or is big
+    for c in range(k):
+        if c == big:
+            alpha[c] = omega[c] = r_big
+            reaches[c] = True
             continue
-        s = int(w[c])
-        for d in dag.dag_adj[c]:
-            if not downstream[d]:
-                s += int(omega_reduced[d])
-        omega_reduced[c] = s
-    improved_omega = omega_c.copy()
-    improved_omega[big] = r_big
-    sel = reaches.nonzero()[0]
-    improved_omega[sel] = np.minimum(omega_c[sel], np.minimum(omega_reduced[sel] + r_big, n))
+        a = om = red = 0
+        reach = False
+        for d in targets[offsets[c] : offsets[c + 1]]:
+            if alpha[d] > a:
+                a = alpha[d]
+            om += omega[d]
+            red += reduced[d]
+            reach = reach or reaches[d]
+        alpha[c] = w[c] + a
+        if not downstream[c]:
+            reduced[c] = min(w[c] + red, n)
+        reaches[c] = reach
+        omega[c] = min(reduced[c] + r_big, n) if reach else min(w[c] + om, n)
 
-    # lower bounds: same max-recursion with big pinned to its exact value
-    alpha2 = _alpha_dp(dag, pinned=big, pinned_value=r_big)
-    improved_alpha = np.maximum(alpha_c, alpha2)
-
-    exact_c = improved_alpha == improved_omega
-    exact_c[big] = True
-
-    sid = dag.scc_id
-    alpha = improved_alpha[sid]
-    omega = improved_omega[sid]
-    exact = exact_c[sid]
-    r = np.where(exact, omega, 0)
-    r[sid == big] = r_big
-    return ReachabilityBounds(alpha=alpha, omega=omega, exact=exact, r=r)
+    alpha_v = np.asarray(alpha, dtype=np.int64)[sid]
+    omega_v = np.asarray(omega, dtype=np.int64)[sid]
+    exact = alpha_v == omega_v
+    r = np.where(exact, omega_v, 0)
+    return ReachabilityBounds(alpha=alpha_v, omega=omega_v, exact=exact, r=r)
 
 
 def reachability_for(g: Graph) -> ReachabilityBounds:
     """Exact reachable counts where cheap, alpha/omega bounds otherwise.
 
-    Undirected: exact from connected components. Directed with one strongly
-    connected component: exact r(v) = n. Directed in general: the DAG dynamic
-    program with the exactification trick.
+    Undirected: exact from connected components. Directed: the condensation
+    DAG sweep of ``compute_alpha_omega``; on a strongly connected digraph
+    that is exact r(v) = n.
     """
     n = g.n
     if n == 0:
@@ -248,8 +180,4 @@ def reachability_for(g: Graph) -> ReachabilityBounds:
         comps = connected_components(g)
         r = comps.component_size[comps.component_id]
         return ReachabilityBounds(alpha=r, omega=r, exact=np.ones(n, dtype=bool), r=r)
-    dag = compute_scc_dag(g)
-    if dag.scc_count == 1:
-        r = np.full(n, n, dtype=np.int64)
-        return ReachabilityBounds(alpha=r, omega=r, exact=np.ones(n, dtype=bool), r=r)
-    return compute_alpha_omega(dag, g)
+    return compute_alpha_omega(compute_scc_dag(g), g)

@@ -201,7 +201,7 @@ class TestBfsCut:
             assert (out.farness, out.reachable) == (table.farness[v], table.reachable[v])
             dist, visited, _ = bfs(g, v)
             assert visited == np.count_nonzero(dist >= 0) == g.n
-        assert connected_components(g).count == 1
+        assert len(connected_components(g).component_size) == 1
         assert frontiers and any(len(f) > 1 for f in frontiers)
 
 
@@ -316,6 +316,28 @@ class TestTopK:
     def test_recorder_rejects_workers(self):
         with pytest.raises(ValueError):
             top_k(path_graph(3), 1, workers=2, recorder=lambda *a: None)
+
+    def test_never_imports_scipy(self):
+        # importing scipy.sparse.csgraph about doubles the peak memory of
+        # a small run, so the library stays on numpy and plain Python
+        code = textwrap.dedent(
+            """
+            import sys
+            from topclose import top_k
+            from topclose.generators import gnp
+
+            for directed in (False, True):
+                top_k(gnp(200, 0.02, 1, directed), 5)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_exact_m_tot_matches_oracle(self, suite, suite_oracle):
         for tag, g in suite:

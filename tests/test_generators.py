@@ -19,7 +19,7 @@ class TestShapes:
     def test_star(self):
         g = star_graph(5)
         assert all(u == 0 for u, _ in g.edges())
-        assert g.degree(0) == 4
+        assert g.degrees[0] == 4
 
     def test_cycle(self):
         g = cycle_graph(4)
@@ -68,7 +68,7 @@ class TestPreferentialAttachment:
         from topclose.graph import connected_components
 
         g = preferential_attachment(300, 2, 5)
-        assert connected_components(g).count == 1
+        assert len(connected_components(g).component_size) == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestPreferentialAttachment:
 class TestGenerateDispatch:
     def test_models(self):
         assert generate("path", nodes=3).n == 3
-        assert generate("star", nodes=5).degree(0) == 4
+        assert generate("star", nodes=5).degrees[0] == 4
         assert generate("cycle", nodes=4).m == 8
         assert generate("gnp", nodes=20, prob=0.2, seed=1).n == 20
         assert generate("preferential-attachment", nodes=30, degree=2, seed=1).n == 30

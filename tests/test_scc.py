@@ -1,18 +1,37 @@
+import math
+from collections import Counter
+from functools import cache
+
 import numpy as np
 import pytest
 
+from topclose import top_k, top_k_textbook
 from topclose.generators import gnp
-from topclose.graph import bfs, from_edges, load_edge_list
-from topclose.scc import (
-    _alpha_dp,
-    compute_alpha_omega,
-    compute_scc_dag,
-    reachability_for,
-)
+from topclose.graph import bfs, from_edges
+from topclose.scc import compute_alpha_omega, compute_scc_dag, reachability_for
 
 
 def digraph(edges, n):
     return from_edges(n, edges, directed=True)
+
+
+def plain_dp(dag, cap):
+    """Per-component heaviest-path alpha and path-sum omega (capped at
+    ``cap``) without the heaviest-component pass. Memoised recursion over
+    the successor lists, so it relies on no component numbering."""
+    succ = [dag.targets[dag.offsets[c] : dag.offsets[c + 1]].tolist() for c in range(dag.scc_count)]
+    w = dag.weight.tolist()
+
+    @cache
+    def alpha(c):
+        return w[c] + max((alpha(d) for d in succ[c]), default=0)
+
+    @cache
+    def omega(c):
+        return min(w[c] + sum(omega(d) for d in succ[c]), cap)
+
+    ids = range(dag.scc_count)
+    return np.array([alpha(c) for c in ids]), np.array([omega(c) for c in ids])
 
 
 class TestComputeSccDag:
@@ -21,7 +40,8 @@ class TestComputeSccDag:
         dag = compute_scc_dag(g)
         assert dag.scc_count == 1
         assert dag.weight.tolist() == [3]
-        assert len(dag.dag_adj[0]) == 0
+        assert dag.offsets.tolist() == [0, 0]
+        assert len(dag.targets) == 0
 
     def test_chain_of_singletons(self):
         g = digraph([(0, 1), (1, 2)], 3)
@@ -29,7 +49,7 @@ class TestComputeSccDag:
         assert dag.scc_count == 3
         assert dag.weight.tolist() == [1, 1, 1]
         # chain: exactly two DAG arcs
-        assert sum(len(a) for a in dag.dag_adj) == 2
+        assert dag.offsets[-1] == len(dag.targets) == 2
 
     def test_rejects_undirected(self):
         g = from_edges(2, [(0, 1)], directed=False)
@@ -39,7 +59,7 @@ class TestComputeSccDag:
     def test_partition_matches_double_bfs_oracle(self):
         # Kosaraju-style oracle: u,v share an SCC iff mutually reachable
         g = gnp(300, 0.01, 21, directed=True)
-        rev = from_edges(g.n, [(int(w), u) for u in range(g.n) for w in g.neighbors(u)], True)
+        rev = from_edges(g.n, [(w, u) for u, w in g.edges()], True)
         dag = compute_scc_dag(g)
         for v in range(0, g.n, 11):
             fwd, _, _ = bfs(g, v)
@@ -53,12 +73,13 @@ class TestComputeSccDag:
             g = gnp(120, 0.02, seed, directed=True)
             dag = compute_scc_dag(g)
             assert int(dag.weight.sum()) == g.n
+            assert len(dag.offsets) == dag.scc_count + 1
+            assert dag.offsets[0] == 0 and dag.offsets[-1] == len(dag.targets)
             for c in range(dag.scc_count):
-                succ = dag.dag_adj[c].tolist()
-                assert c not in succ
+                succ = dag.targets[dag.offsets[c] : dag.offsets[c + 1]].tolist()
+                # sinks first: every arc goes from a higher id to a lower one
+                assert all(d < c for d in succ)
                 assert len(succ) == len(set(succ))
-                for d in succ:
-                    assert dag.topo_index[c] < dag.topo_index[d]
 
 
 class TestAlphaOmega:
@@ -75,10 +96,7 @@ class TestAlphaOmega:
         # check the plain dynamic program brackets r(a)=4
         g = digraph([(0, 1), (0, 2), (1, 3), (2, 3)], 4)
         dag = compute_scc_dag(g)
-        alpha = _alpha_dp(dag)
-        omega = np.zeros(dag.scc_count, dtype=np.int64)
-        for c in np.argsort(-dag.topo_index):
-            omega[c] = dag.weight[c] + sum(omega[d] for d in dag.dag_adj[c])
+        alpha, omega = plain_dp(dag, math.inf)
         a_scc = dag.scc_id[0]
         assert alpha[a_scc] == 3
         assert omega[a_scc] == 5
@@ -111,14 +129,50 @@ class TestAlphaOmega:
         for seed in range(6):
             g = gnp(150, 0.015, seed, directed=True)
             dag = compute_scc_dag(g)
-            plain_alpha = _alpha_dp(dag)
-            plain_omega = np.zeros(dag.scc_count, dtype=np.int64)
-            for c in np.argsort(-dag.topo_index):
-                s = int(dag.weight[c]) + sum(int(plain_omega[d]) for d in dag.dag_adj[c])
-                plain_omega[c] = min(s, g.n)
+            plain_alpha, plain_omega = plain_dp(dag, g.n)
             b = compute_alpha_omega(dag, g)
             assert np.all(b.alpha >= plain_alpha[dag.scc_id])
             assert np.all(b.omega <= plain_omega[dag.scc_id])
+
+    def test_heaviest_component_pass_by_hand(self):
+        # big = the 3-cycle {0,1,2}, reaching sinks 3 and 4 (r = 5). Vertex 5
+        # reaches big and 3: r = 6, but the plain DP gives alpha 1 + 4 = 5 and
+        # omega 1 + 5 + 1 = 7. Pinning big to 5 and dropping the downstream
+        # part from omega make both 6. Vertex 6 reaches 3 but not big, so it
+        # keeps the plain omega 1 + 1 = 2.
+        g = digraph([(0, 1), (1, 2), (2, 0), (2, 3), (2, 4), (5, 0), (5, 3), (6, 3)], 7)
+        b = compute_alpha_omega(compute_scc_dag(g), g)
+        assert b.alpha.tolist() == [5, 5, 5, 1, 1, 6, 2]
+        assert b.omega.tolist() == [5, 5, 5, 1, 1, 6, 2]
+        assert b.exact.all()
+        assert b.r.tolist() == [5, 5, 5, 1, 1, 6, 2]
+
+    def test_heaviest_tie_goes_to_smallest_vertex_id(self):
+        # two 2-cycles tie; pinning {0,1} to its reach of 4 makes it exact,
+        # where the plain DP gives alpha 2 + 1 = 3
+        g = digraph([(0, 1), (1, 0), (1, 4), (1, 5), (2, 3), (3, 2)], 6)
+        b = compute_alpha_omega(compute_scc_dag(g), g)
+        assert b.alpha.tolist() == b.omega.tolist() == [4, 4, 2, 2, 1, 1]
+        assert b.exact.all()
+
+    def test_reduced_omega_of_exponentially_many_paths(self):
+        # a chain of 62 diamonds into a 3-cycle: 2**62 paths, so the path sum
+        # of the chain's head leaves int64 unless it is capped at n
+        edges = [(0, 1), (1, 2), (2, 0)]
+        t = 3
+        for _ in range(62):
+            edges += [(t, t + 1), (t, t + 2), (t + 1, t + 3), (t + 2, t + 3)]
+            t += 3
+        edges.append((t, 0))
+        g = digraph(edges, t + 1)
+        assert g.n == 190
+        b = reachability_for(g)
+        assert b.alpha[3] == 62 * 2 + 4 and b.omega[3] == 190
+        res, _ = top_k(g, 10)
+        expected = top_k_textbook(g, 10)
+        assert Counter(np.round(res.closeness_values(), 12)) == Counter(
+            np.round(expected.closeness_values(), 12)
+        )
 
     def test_alpha_omega_constant_within_scc(self):
         g = gnp(100, 0.03, 2, directed=True)
