@@ -448,7 +448,7 @@ def top_k(
     prep = time.perf_counter() - t0
 
     n = g.n
-    skip = (bounds.exact & (bounds.r <= 1)) | (bounds.alpha <= 1) | (n <= 1)
+    skip = bounds.alpha <= 1  # alpha(v) = 1 only where v reaches no other vertex
     screen = Screen.build(g, bounds, skip)
     if workers > 1 and n:
         heap, results, counts = _run_parallel(g, bounds, screen, order, k, workers)

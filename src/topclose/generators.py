@@ -26,17 +26,8 @@ def gnp(n: int, p: float, seed: int, directed: bool = False) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a fixed seed."""
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid gnp parameters n={n}, p={p}")
-    rng = np.random.default_rng(seed)
-    if n < 2:
-        return from_edges(n, [], directed)
-    if directed:
-        mask = rng.random((n, n)) < p
-        np.fill_diagonal(mask, False)
-        srcs, tgts = np.nonzero(mask)
-    else:
-        mask = rng.random((n, n)) < p
-        srcs, tgts = np.nonzero(np.triu(mask, k=1))
-    return from_edges(n, zip(srcs.tolist(), tgts.tolist()), directed)
+    mask = np.random.default_rng(seed).random((n, n)) < p  # from_edges drops the diagonal
+    return from_edges(n, np.argwhere(mask if directed else np.triu(mask)), directed)
 
 
 def preferential_attachment(n: int, d: int, seed: int, directed: bool = False) -> Graph:

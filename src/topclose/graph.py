@@ -1,4 +1,4 @@
-"""Immutable CSR graph storage, edge-list I/O, plain BFS and connected components."""
+"""Immutable CSR graph storage and its builder, edge-list I/O, plain BFS, components."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 class EdgeListParseError(ValueError):
@@ -58,43 +59,48 @@ class Graph:
         return zip(sources.tolist(), targets.tolist())
 
 
+def csr_from_arcs(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(offsets, targets)``, both int64, of the arcs ``src[i] -> tgt[i]``
+    over vertices 0..n-1: self-arcs dropped, each row sorted and deduplicated.
+    Sorts ``src*n + tgt`` keys: ``np.unique``'s hash table costs more memory."""
+    keys = np.sort((src * n + tgt)[src != tgt])
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+    return offsets, keys % n
+
+
 def from_edges(
     n: int,
-    edges: Iterable[tuple[int, int]],
+    edges: ArrayLike,
     directed: bool,
     labels: tuple[str, ...] | None = None,
 ) -> Graph:
-    """Build a Graph from integer endpoint pairs; drops self-loops and duplicates.
+    """Build a Graph from integer endpoint pairs: a sequence of (u, w), an
+    (m, 2) array, or a flat sequence u0, w0, u1, w1, ... Self-loops and
+    duplicate arcs are dropped, an undirected edge is stored both ways, and
+    each vertex's targets come out sorted and deduplicated.
 
     Raises ValueError naming the first pair with an endpoint outside [0, n).
     """
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
         i = int(bad[0])
         u, w = (int(x) for x in pairs[i])
         raise ValueError(f"edge {i} ({u}, {w}) has an endpoint outside [0, {n})")
-    if pairs.size:
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if not directed and pairs.size:
+    if not directed:
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    if pairs.size:
-        pairs = np.unique(pairs, axis=0)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        srcs, tgts = pairs[:, 0], pairs[:, 1]
-    else:
-        srcs = tgts = np.empty(0, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, srcs + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    offsets, targets = csr_from_arcs(n, pairs[:, 0], pairs[:, 1])
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     return Graph(
         n=n,
-        m=int(len(tgts)),
+        m=len(targets),
         offsets=offsets,
-        targets=tgts.astype(np.int32),
+        targets=targets.astype(np.int32),
         directed=directed,
         labels=labels,
     )
@@ -107,7 +113,7 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
     and parallel arcs are removed. An empty stream yields the n=0 graph.
     """
     ids: dict[str, int] = {}
-    raw_edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # u0, w0, u1, w1, ...
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,11 +121,10 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}: {line!r}")
-        u = ids.setdefault(parts[0], len(ids))
-        w = ids.setdefault(parts[1], len(ids))
-        raw_edges.append((u, w))
+        ends.append(ids.setdefault(parts[0], len(ids)))
+        ends.append(ids.setdefault(parts[1], len(ids)))
     labels = tuple(ids)  # insertion order
-    return from_edges(len(ids), raw_edges, directed, labels)
+    return from_edges(len(ids), ends, directed, labels)
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
@@ -191,24 +196,23 @@ class ComponentMap:
 
 
 def connected_components(g: Graph) -> ComponentMap:
-    """Label connected components of an undirected graph in linear time."""
+    """Label connected components of an undirected graph by hook-and-jump
+    (Shiloach & Vishkin 1982): each round every root hooks under the smallest
+    root it shares an edge with and pointer jumping flattens the trees, until
+    no edge joins two roots. A parent is never larger than its child, so
+    components are numbered by their smallest member."""
     if g.directed:
         raise ValueError("connected_components requires an undirected graph")
-    comp = np.full(g.n, -1, dtype=np.int64)
-    slot = np.empty(g.n, dtype=np.int64)
-    sizes: list[int] = []
-    for v in range(g.n):
-        if comp[v] >= 0:
-            continue
-        cid = len(sizes)
-        comp[v] = cid
-        frontier = np.array([v], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            neigh = frontier_neighbors(g, frontier)
-            new = distinct(neigh[comp[neigh] < 0], slot)
-            comp[new] = cid
-            size += len(new)
-            frontier = new
-        sizes.append(size)
-    return ComponentMap(component_id=comp, component_size=np.asarray(sizes, dtype=np.int64))
+    label = np.arange(g.n)
+    # arcs between roots; int64 both, as ufunc.at is slow when it must cast
+    a, b = np.repeat(label, g.degrees), g.targets.astype(np.int64)
+    while a.size:
+        np.minimum.at(label, a, b)
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+        a, b = label[a], label[b]
+        cross = a != b
+        a, b = a[cross], b[cross]
+    _, component_id, component_size = np.unique(label, return_inverse=True, return_counts=True)
+    return ComponentMap(component_id=component_id, component_size=component_size)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, csr_from_arcs
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,13 @@ def compute_scc_dag(g: Graph) -> SccDag:
                     scc_count += 1
 
     sid = np.asarray(scc_id, dtype=np.int64)
-    # condensation arcs as sorted, distinct src*K+tgt keys, self-arcs dropped
-    src, tgt = np.repeat(sid, g.degrees), sid[g.targets]
-    keys = np.unique((src * scc_count + tgt)[src != tgt])
-    dag_offsets = np.zeros(scc_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // scc_count, minlength=scc_count), out=dag_offsets[1:])
+    dag_offsets, dag_targets = csr_from_arcs(scc_count, np.repeat(sid, g.degrees), sid[g.targets])
     return SccDag(
         scc_id=sid,
         scc_count=scc_count,
         weight=np.bincount(sid, minlength=scc_count),
         offsets=dag_offsets,
-        targets=keys % scc_count,
+        targets=dag_targets,
     )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topclose.graph import (
@@ -89,6 +89,50 @@ class TestCsrInvariants:
         for u in range(g.n):
             for w in out(g, u):
                 assert u in out(g, int(w))
+
+
+def reference_rows(n, pairs, directed):
+    """Each vertex's out-neighbours as sorted(set(...)), self-loops dropped."""
+    rows = [set() for _ in range(n)]
+    for u, w in pairs:
+        if u != w:
+            rows[u].add(w)
+            if not directed:
+                rows[w].add(u)
+    return [sorted(row) for row in rows]
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """(n, pairs) with n = 0 possible, pairs possibly empty or all self-loops."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    v = st.integers(0, n - 1)
+    return n, draw(st.lists(st.one_of(st.tuples(v, v), v.map(lambda x: (x, x))), max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=endpoint_pairs(),
+    directed=st.booleans(),
+    form=st.sampled_from(["pairs", "array", "array32", "flat"]),
+)
+@example(case=(0, []), directed=False, form="array")
+@example(case=(5, []), directed=True, form="flat")
+@example(case=(3, [(0, 0), (2, 2), (0, 0)]), directed=False, form="pairs")
+def test_from_edges_matches_sorted_set_rows(case, directed, form):
+    n, pairs = case
+    edges = {
+        "pairs": pairs,
+        "array": np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        "array32": np.array(pairs, dtype=np.int32).reshape(-1, 2),
+        "flat": [x for pair in pairs for x in pair],
+    }[form]
+    g = from_edges(n, edges, directed)
+    assert g.offsets.dtype == np.int64 and g.targets.dtype == np.int32
+    assert g.offsets.shape == (n + 1,) and g.m == len(g.targets) == g.offsets[-1]
+    assert [out(g, v).tolist() for v in range(n)] == reference_rows(n, pairs, directed)
 
 
 class TestEndpointValidation:
@@ -203,6 +247,70 @@ class TestConnectedComponents:
         g = load_lines(["0 1"], directed=True)
         with pytest.raises(ValueError):
             connected_components(g)
+
+
+def bfs_labelling(g):
+    """Components by a per-vertex BFS loop, numbered by smallest member."""
+    comp, sizes = [-1] * g.n, []
+    for s in range(g.n):
+        if comp[s] >= 0:
+            continue
+        comp[s] = len(sizes)
+        queue = [s]
+        for u in queue:
+            for w in out(g, u).tolist():
+                if comp[w] < 0:
+                    comp[w] = comp[s]
+                    queue.append(w)
+        sizes.append(len(queue))
+    return comp, sizes
+
+
+def _random_path(n, seed, closed):
+    ids = np.random.default_rng(seed).permutation(n)
+    return from_edges(n, np.column_stack((ids, np.roll(ids, -1)))[: n if closed else n - 1], False)
+
+
+def _bit_reversal_path(bits):
+    ids = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(1 << bits)]
+    return from_edges(len(ids), list(zip(ids, ids[1:])), False)
+
+
+def _reversed_binary_tree(n):
+    # heap position i has id n-1-i, so every parent has a larger id than its children
+    return from_edges(n, [(n - 1 - (i - 1) // 2, n - 1 - i) for i in range(1, n)], False)
+
+
+def _isolated_and_small(n, seed):
+    # components of 1-4 vertices over shuffled ids, many of them isolated vertices
+    rng = np.random.default_rng(seed)
+    ids, edges, i = rng.permutation(n), [], 0
+    while i < n:
+        size = int(rng.choice([1, 1, 1, 2, 3, 4]))
+        part = ids[i : i + size].tolist()
+        edges += [(part[j], part[int(rng.integers(j))]) for j in range(1, len(part))]
+        i += size
+    return from_edges(n, edges, False)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _random_path(500, 1, closed=False),
+        _random_path(500, 2, closed=True),
+        _bit_reversal_path(10),
+        _reversed_binary_tree(1023),
+        _isolated_and_small(600, 3),
+    ],
+    ids=[
+        "random-path", "random-cycle", "bit-reversal-path", "reversed-binary-tree", "isolated-small"
+    ],
+)
+def test_components_match_bfs_labelling(g):
+    comp, sizes = bfs_labelling(g)
+    comps = connected_components(g)
+    assert comps.component_id.tolist() == comp
+    assert comps.component_size.tolist() == sizes
 
 
 @settings(max_examples=40, deadline=None)
