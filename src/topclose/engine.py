@@ -1,6 +1,12 @@
 """Top-k closeness engine: farness/closeness bound functions, the pruned BFS
-visit, the degree-ordered main loop with a rising k-th-best threshold, and a
-process-based parallel scheduler."""
+kernel, the degree-ordered main loop with a rising k-th-best threshold, and a
+process-based parallel scheduler.
+
+The kernel (expand) runs up to 64 visits per call as one bit-parallel BFS
+that records every level boundary; replay then decides each visit against
+the live threshold, boundary by boundary, as the paper's one-at-a-time
+pruned BFS would, so numpy's per-level call cost is paid once per 64
+visits."""
 
 from __future__ import annotations
 
@@ -66,7 +72,10 @@ def _exact_in_float(*values: np.ndarray) -> np.ndarray:
     2**53 in magnitude. Rounding is monotone, so the exact integer is below it
     too and float64 holds it exactly; one rounded division or product of such
     integers then matches Python's integer arithmetic bit for bit."""
-    return np.all([np.abs(a) < 2.0**53 for a in values], axis=0)
+    fits = np.abs(values[0]) < 2.0**53
+    for a in values[1:]:
+        fits &= np.abs(a) < 2.0**53
+    return fits
 
 
 @dataclass
@@ -76,11 +85,244 @@ class VisitOutcome:
     reachable: int  # vertices visited (valid when completed)
     cut_level: int  # -1 if completed
     arcs: int  # arcs out of the expanded levels (the paper's m_vis share)
-    arcs_scanned: int  # arcs the kernel actually gathered (<= arcs)
+    arcs_scanned: int  # arcs a one-source visit gathers (<= arcs); see replay
 
 
 BoundaryRecorder = Callable[[int, int, int, int, int], None]
 # recorder(vertex, d, f_d, n_d, gamma_next) at every evaluated level boundary
+
+BATCH = 64  # sources per kernel call: one bit each of a uint64 mask
+_CHUNK = 8192  # arcs per gather step, masks per count step: 64 kB per temporary
+_BYTE_BASE = np.arange(0, 8 * 256, 256)  # histogram bins of byte j of a mask
+_BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)])  # [byte, t]
+
+
+def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """Write into out[0, s] how many of ``masks`` have bit s set, and into
+    out[1, s] the sum of their ``weights``, for s < 64 (``out`` is a
+    contiguous (2, 64) int64 array). Few masks: unpack their bits and take
+    one small integer matmul. Many: a histogram of each mask byte, then a
+    (256, 8) bit table. No per-bit pass and no float matmul in either."""
+    as_bytes = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    if len(masks) <= 128:
+        w = np.ones((2, len(masks)), dtype=np.int64)
+        w[1] = weights
+        np.matmul(w, np.unpackbits(as_bytes, axis=1, bitorder="little"), out=out)
+        return
+    hist = np.zeros((2, 2048))  # integers, exact below 2**53
+    step = _CHUNK // 8
+    for a in range(0, len(masks), step):
+        bins = (as_bytes[a : a + step] + _BYTE_BASE).ravel()
+        hist[0] += np.bincount(bins, minlength=2048)
+        hist[1] += np.bincount(bins, np.repeat(weights[a : a + step], 8), minlength=2048)
+    np.matmul(hist.astype(np.int64).reshape(16, 256), _BYTE_BITS, out=out.reshape(16, 8))
+
+
+def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Consecutive slices [a, z) covering ``sizes``, each summing to at most
+    ``cap`` or holding a single larger item."""
+    cum = np.cumsum(sizes)
+    if cum[-1] <= cap:
+        return [(0, len(sizes))]
+    spans, a = [], 0
+    while a < len(sizes):
+        z = int(np.searchsorted(cum, (cum[a - 1] if a else 0) + cap, side="right"))
+        spans.append((a, max(z, a + 1)))
+        a = spans[-1][1]
+    return spans
+
+
+def _word(masks: np.ndarray) -> np.uint64:
+    """The OR of an array of uint64 masks."""
+    return np.bitwise_or.reduce(masks, initial=np.uint64(0))
+
+
+@dataclass
+class Scratch:
+    """Buffers expand reuses from call to call."""
+
+    seen: np.ndarray  # uint64 per vertex: the sources that reached it
+    acc: np.ndarray  # uint64 per vertex: masks OR-ed over a level's arcs into it
+    slot: np.ndarray  # int64 per vertex: graph.distinct's dedup slot
+    ints: np.ndarray  # (rows, 3, BATCH) int64: the records of Levels
+    keys: np.ndarray  # (rows, BATCH) float64
+
+    @classmethod
+    def of(cls, n: int) -> "Scratch":
+        """Scratch for a graph of n vertices; seen and acc start (and stay,
+        between calls) all zero."""
+        return cls(
+            np.zeros(n, np.uint64), np.zeros(n, np.uint64), np.empty(n, np.int64),
+            np.empty((16, 3, BATCH), np.int64), np.empty((16, BATCH)),
+        )
+
+    def grow(self) -> None:
+        """Double the level rows."""
+        self.ints = np.concatenate([self.ints, np.empty_like(self.ints)])
+        self.keys = np.concatenate([self.keys, np.empty_like(self.keys)])
+
+
+@dataclass(frozen=True)
+class Levels:
+    """What expand learnt about each source, one row per BFS level: entry
+    [d, ..., s] describes boundary d of the visit from source s, for
+    d < depth[s]. Views into the Scratch, valid until its next expand."""
+
+    ints: np.ndarray  # [d, :, s]: |level d|, arcs out of it, level d+1 non-empty
+    keys: np.ndarray  # [d, s]: the cut key; NaN where float64 is inexact
+    depth: np.ndarray  # rows recorded per source
+    gathered: int  # arcs frontier_neighbors returned, over all levels
+
+
+def expand(
+    g: Graph, sources: np.ndarray, x: float, bounds: ReachabilityBounds, scratch: Scratch
+) -> Levels:
+    """Pruned BFS from up to BATCH distinct sources at once, level by level.
+
+    Each frontier vertex carries a uint64 mask of the sources whose level d
+    holds it, so one frontier_neighbors gather per level serves all of them.
+    At every boundary the kernel records, per source, the level's size and
+    degree sum, whether level d+1 exists and the float cut key, the quantity
+    the cut test compares with the threshold: the closeness upper bound with
+    an exact r(v), the inverse-closeness lower bound with alpha/omega only.
+    The key is NaN where _exact_in_float fails, so that no float rounding
+    decides a cut; the kernel keeps such a source running.
+
+    A source leaves once its visit completes or its cut test fires at x. An
+    exact-r source is tested before the gather (level d+1 exists iff fewer
+    than r(v) vertices are seen) and never gathers the level it throws away;
+    an alpha/omega source is tested after the gather that tells whether level
+    d+1 exists. The threshold only rises, so replaying the record at a
+    threshold >= x (see replay) meets every boundary a one-at-a-time visit
+    would evaluate. Gathers and counts run in chunks of at most _CHUNK arcs
+    or masks, so no temporary outgrows 64 kB per chunk.
+    """
+    seen, acc, slot = scratch.seen, scratch.acc, scratch.slot
+    n, undirected, degrees = g.n, not g.directed, g.degrees
+    b = len(sources)
+    bit = np.left_shift(np.uint64(1), np.arange(b, dtype=np.uint64))
+    exact = bounds.exact[sources]
+    r, alpha, omega = bounds.r[sources], bounds.alpha[sources], bounds.omega[sources]
+    inv_x = 1.0 / x if x > 0 else INF  # every finite key stays below it
+    frontier, masks = np.asarray(sources, dtype=np.int64), bit
+    seen[frontier] = masks
+    live = np.ones(b, dtype=bool)
+    depth = np.zeros(b, dtype=np.int64)
+    f = np.zeros(b, dtype=np.int64)
+    nd = np.zeros(b, dtype=np.int64)
+    gathered = d = 0
+    while frontier.size:
+        if d == len(scratch.keys):
+            scratch.grow()
+        row = scratch.ints[d]
+        deg = degrees[frontier]
+        _per_source(masks, deg, row[:2])
+        c, s = row[0, :b], row[1, :b]
+        f += d * c
+        nd += c
+        # undirected refinement: beyond level 0 one edge per frontier vertex
+        # must point back into the previous level
+        gamma = s - c if (undirected and d >= 1) else s
+        more, key = nd < r, np.nan  # exact r(v); alpha/omega: after the gather
+        leave = live & exact
+        if leave.any():
+            lam = farness_lower_bound(d, f, nd, gamma, r)
+            fits = _exact_in_float((r - 1.0) ** 2, (n - 1.0) * lam)
+            key = np.where(fits, closeness_upper_bound(lam, r, n), np.nan)
+            leave &= ~(more & ~(key <= x))
+            masks = masks & ~_word(bit[leave])
+
+        active = masks != 0
+        frontier, masks = frontier[active], masks[active]
+        if frontier.size:
+            deg, fresh = deg[active], []
+            for a, z in _spans(deg, _CHUNK):
+                neigh = frontier_neighbors(g, frontier[a:z])
+                gathered += len(neigh)
+                arc_masks = np.repeat(masks[a:z], deg[a:z])
+                arc_masks &= ~seen[neigh]
+                hit = arc_masks != 0  # arcs bringing a source to a vertex it has not seen
+                neigh, arc_masks = neigh[hit], arc_masks[hit]
+                fresh.append(distinct(neigh[acc[neigh] == 0], slot))  # new to level d+1
+                np.bitwise_or.at(acc, neigh, arc_masks)
+            frontier = np.concatenate(fresh)
+            masks = acc[frontier]
+            acc[frontier] = 0
+            seen[frontier] |= masks
+
+        ao = live & ~exact
+        if ao.any():
+            more = np.where(exact, more, (_word(masks) & bit) != 0)
+            la = farness_lower_bound(d, f, nd, gamma, alpha)
+            lo = farness_lower_bound(d, f, nd, gamma, omega)
+            fits = _exact_in_float((omega - 1.0) ** 2, la, lo)
+            inv = inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
+            key = np.where(exact, key, np.where(fits, inv, np.nan))
+            ao &= ~(more & ~(key >= inv_x))
+            masks = masks & ~_word(bit[ao])
+            active = masks != 0
+            frontier, masks = frontier[active], masks[active]
+            leave |= ao
+        row[2, :b] = more
+        scratch.keys[d, :b] = key
+        d += 1
+        depth[leave] = d
+        live &= ~leave
+    seen.fill(0)
+    depth[live] = d  # only where the bounds disagree with the graph
+    return Levels(scratch.ints[:d], scratch.keys[:d], depth, gathered)
+
+
+def replay(
+    g: Graph,
+    levels: Levels,
+    s: int,
+    v: int,
+    threshold: Callable[[], float],
+    bounds: ReachabilityBounds,
+    recorder: BoundaryRecorder | None = None,
+) -> VisitOutcome:
+    """The visit from v, source s of ``levels``, decided at the live
+    threshold: its boundaries are walked in order, the threshold is re-read
+    at each, and the first cut test that fires ends the visit, exactly as a
+    one-at-a-time pruned BFS would. Where the key is NaN the scalar bound
+    functions decide in integer arithmetic. ``recorder``, if given, sees each
+    evaluated boundary just before the cut test.
+
+    arcs_scanned counts the arcs the one-source visit gathers: levels 0..d-1
+    with an exact r(v), levels 0..d with alpha/omega only (that gather tells
+    whether level d+1 exists)."""
+    n, undirected = g.n, not g.directed
+    exact = bool(bounds.exact[v])
+    r, alpha, omega = int(bounds.r[v]), int(bounds.alpha[v]), int(bounds.omega[v])
+    depth = int(levels.depth[s])
+    counts, deg_sums, more = levels.ints[:depth, :, s].T.tolist()
+    keys = levels.keys[:depth, s].tolist()
+    f = nd = arcs = 0
+    for d in range(depth):
+        c, deg_sum = counts[d], deg_sums[d]
+        f += d * c
+        nd += c
+        arcs += deg_sum
+        scanned = arcs - deg_sum if exact else arcs
+        if not more[d]:
+            return _completed(nd, f, n, arcs, scanned)
+        gamma = deg_sum - c if (undirected and d >= 1) else deg_sum
+        if recorder is not None:
+            recorder(v, d, f, nd, gamma)
+        x = threshold()
+        key = keys[d]
+        if exact:
+            if key != key:  # NaN
+                key = closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n)
+            cut = key <= x
+        else:
+            if key != key:
+                key = inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
+            cut = x > 0 and key >= 1.0 / x
+        if cut:
+            return VisitOutcome(CUT, f, nd, d, arcs, scanned)
+    raise RuntimeError(f"the visit from {v} outran its reachability bounds")
 
 
 def bfs_cut(
@@ -88,86 +330,13 @@ def bfs_cut(
     v: int,
     threshold: Callable[[], float],
     bounds: ReachabilityBounds,
-    seen_epoch: np.ndarray,
-    epoch: int,
-    slot: np.ndarray,
     recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
-    """Level-synchronous pruned BFS from v.
-
-    At every level boundary d -> d+1 (level d expanded, level d+1 non-empty)
-    the regime bound is evaluated against the current threshold x: with an
-    exact reachable count the closeness upper bound, otherwise the
-    inverse-closeness lower bound from alpha/omega. Returns CUT as soon as
-    closeness <= x is certain. ``recorder``, if given, sees each evaluated
-    boundary just before the cut test.
-
-    With an exact r(v) the boundary needs only degrees (level d+1 is
-    non-empty iff fewer than r(v) vertices are seen), so the cut test runs
-    before level d's out-arcs are gathered and a cut visit never gathers the
-    level it throws away. With alpha/omega only, level d is gathered first
-    to learn whether level d+1 exists.
-
-    top_k calls it only for the vertices its Screen cannot settle: those
-    not cut at boundary 0 (nor at boundary 1, with an exact r(v)) whose
-    level 2 may be non-empty.
-
-    ``seen_epoch`` is reusable scratch of length n: a vertex is visited in
-    this call iff seen_epoch[w] == epoch (avoids clearing between visits), so
-    ``epoch`` must differ from every value already stored in it. ``slot`` is
-    reusable dedup scratch of length n (see graph.distinct).
-    """
-    n = g.n
-    degrees = g.degrees
-    exact_r = bool(bounds.exact[v])
-    r_v = int(bounds.r[v]) if exact_r else 0
-    alpha = int(bounds.alpha[v])
-    omega = int(bounds.omega[v])
-    undirected = not g.directed
-    seen_epoch[v] = epoch
-    frontier = np.array([v], dtype=np.int64)
-    d = 0
-    f = 0
-    nd = 0
-    arcs = 0
-    scanned = 0
-    while True:
-        fsize = len(frontier)
-        f += d * fsize
-        nd += fsize
-        if exact_r:
-            deg_sum = int(degrees[frontier].sum())
-            more = nd < r_v  # level d+1 exists iff r(v) is not yet reached
-        else:
-            neigh = frontier_neighbors(g, frontier)
-            deg_sum = len(neigh)
-            scanned += deg_sum
-            new = neigh[seen_epoch[neigh] != epoch]
-            more = new.size > 0
-        arcs += deg_sum
-        if not more:
-            break
-        # undirected refinement: beyond level 0 one edge per frontier vertex
-        # must point back into the previous level
-        gamma_next = deg_sum - fsize if (undirected and d >= 1) else deg_sum
-        if recorder is not None:
-            recorder(v, d, f, nd, gamma_next)
-        x = threshold()
-        if exact_r:
-            lam = farness_lower_bound(d, f, nd, gamma_next, r_v)
-            if closeness_upper_bound(lam, r_v, n) <= x:
-                return VisitOutcome(CUT, f, nd, d, arcs, scanned)
-            neigh = frontier_neighbors(g, frontier)
-            scanned += deg_sum
-            new = neigh[seen_epoch[neigh] != epoch]
-        else:
-            inv = inverse_closeness_lower_bound(d, f, nd, gamma_next, alpha, omega, n)
-            if x > 0 and inv >= 1.0 / x:
-                return VisitOutcome(CUT, f, nd, d, arcs, scanned)
-        frontier = distinct(new, slot)
-        seen_epoch[frontier] = epoch
-        d += 1
-    return _completed(nd, f, n, arcs, scanned)
+    """Level-synchronous pruned BFS from v: expand with v as its only source
+    at the current threshold, then replay (see both). Returns CUT with the
+    cut level as soon as closeness <= x is certain at a level boundary."""
+    levels = expand(g, np.array([v]), threshold(), bounds, Scratch.of(g.n))
+    return replay(g, levels, 0, v, threshold, bounds, recorder)
 
 
 def _completed(r: int, f: int, n: int, arcs: int, scanned: int) -> VisitOutcome:
@@ -184,10 +353,10 @@ class Screen:
     At those boundaries a visit from v knows only deg(v), the degree sum S1(v)
     over N(v), and r(v) or alpha/omega, none of which depends on the
     threshold x. So the bounds are computed once per top_k, by the same bound
-    functions bfs_cut calls, and a visit they cut at x, or one whose level 2
-    is provably empty, is settled without a BFS. A vertex is screened only
-    where the array arithmetic matches bfs_cut's bit for bit
-    (_exact_in_float); the others always go to bfs_cut.
+    functions the cut test calls, and a visit they cut at x, or one whose
+    level 2 is provably empty, is settled without a BFS. A vertex is screened
+    only where the array arithmetic matches the scalar one bit for bit
+    (_exact_in_float); the others always go to the kernel.
     """
 
     n: int
@@ -217,7 +386,7 @@ class Screen:
         ex = np.flatnonzero(bounds.exact & ~skip)
         d, r = deg[ex], bounds.r[ex]
         lam0 = farness_lower_bound(0, 0, 1, d, r)
-        gamma1 = s1[ex] - d if not g.directed else s1[ex]  # as bfs_cut refines it
+        gamma1 = s1[ex] - d if not g.directed else s1[ex]  # as the kernel refines it
         lam1 = farness_lower_bound(1, d, 1 + d, gamma1, r)
         deeper = 1 + d < r  # level 2 exists
         fits = _exact_in_float(
@@ -239,43 +408,42 @@ class Screen:
         return cls(n, not g.directed, skip, deg, s1, ub0, ub1, inv0, ends)
 
     def _cut0(self, vs, x: float):
-        """Whether bfs_cut would cut the visits from vs (an index or an
-        array) at boundary 0 under threshold x."""
+        """Whether the visits from vs (an index or an array) are cut at
+        boundary 0 under threshold x."""
         return (self.ub0[vs] <= x) | (self.inv0[vs] >= (1.0 / x if x > 0 else INF))
 
     def _settled(self, vs, x: float):
         """Whether the vertices vs are skipped or cut at boundary 0 or 1."""
         return self.skip[vs] | self._cut0(vs, x) | (self.ub1[vs] <= x)
 
-    def run_end(self, order: np.ndarray, i: int, x: float) -> int:
-        """The first position j >= i whose vertex the screen can neither skip
-        nor cut at threshold x, or len(order): order[i:j] is settled.
-
-        The vertex at i is tested alone first, since on a graph the screen
-        cannot prune that is all it costs; then windows of doubling width."""
+    def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
+        """The positions >= i of the first BATCH vertices the screen can
+        neither skip nor cut at threshold x, and the position just past the
+        last of them (len(order) if fewer remain): every other position
+        before it is settled. Windows of doubling width, one vector test
+        each."""
         end = len(order)
-        if i >= end or not self._settled(order[i], x):
-            return min(i, end)
-        i += 1
-        width = 8
-        while i < end:
-            settled = self._settled(order[i : i + width], x)
-            if not settled.all():
-                return i + int(settled.argmin())
+        found, got, width = [], 0, BATCH
+        while i < end and got < BATCH:
+            window = order[i : i + width]
+            pos = np.flatnonzero(~self._settled(window, x))[: BATCH - got] + i
+            found.append(pos)
+            got += len(pos)
             i += width
             width *= 2
-        return end
+        pos = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+        return pos, int(pos[-1]) + 1 if got == BATCH else end
 
     def settle(
         self, vs: np.ndarray, x: float, cut_level: np.ndarray,
         recorder: BoundaryRecorder | None,
     ) -> tuple[int, int, int]:
         """Write the cut level of every unskipped vertex of a run (vertices
-        run_end found settled at x) and replay its boundaries to ``recorder``.
-        Returns (m_vis, arcs_scanned, settled vertices) as bfs_cut would
-        count them, except that a settled visit scans only the arcs its cut
-        test reads: none at level 0, the deg(v) arcs summed into S1(v) at
-        level 1."""
+        the screen settles at x) and replay its boundaries to ``recorder``.
+        Returns (m_vis, arcs_scanned, settled vertices) as a one-source
+        visit would count them, except that a settled visit scans only the
+        arcs its cut test reads: none at level 0, the deg(v) arcs summed into
+        S1(v) at level 1."""
         vs = vs[~self.skip[vs]]
         deep = ~self._cut0(vs, x)  # cut at level 1
         cut_level[vs] = deep
@@ -329,7 +497,7 @@ class ThresholdHeap:
 
     @property
     def threshold(self) -> float:
-        return float(self._values[self.k])
+        return self._values.item(self.k)
 
 
 @dataclass(frozen=True)
@@ -355,11 +523,14 @@ class TopKResult:
 class RunStats:
     m_vis: int = 0  # the paper's arc count: out-arcs of every expanded level
     m_tot: int | None = None
-    # arcs actually read (<= m_vis): those bfs_cut gathered, and for a
-    # screened visit the arcs its cut test reads (0 at level 0, deg(v) summed
-    # into S1(v) at level 1)
+    # arcs a one-at-a-time visit reads (<= m_vis): those its gathers return,
+    # and for a screened visit the arcs its cut test reads (0 at level 0,
+    # deg(v) summed into S1(v) at level 1)
     arcs_scanned: int = 0
-    screened: int = 0  # visits settled without a bfs_cut call
+    screened: int = 0  # visits settled without the kernel
+    # arcs the multi-source kernel really gathered, once per frontier vertex
+    # per level per batch; with 64 visits per gather it may exceed m_vis
+    arcs_gathered: int = 0
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -430,11 +601,12 @@ def top_k(
     Vertices are processed in decreasing degree order; each visit may be cut
     once its closeness provably cannot exceed the current k-th best value.
     Visits settled at boundary 0 or 1 are settled in bulk from per-vertex
-    degree statistics (see Screen); only the others run bfs_cut. ``workers``
-    > 1 forks that many processes. ``recorder`` sees every boundary a serial
-    visit evaluates (see bfs_cut), replayed for the screened ones; it cannot
-    be combined with ``workers`` > 1, because a forked worker cannot call
-    back into the parent.
+    degree statistics (see Screen); the others run in the multi-source kernel,
+    64 at a time, and are decided by replay. ``workers`` > 1 forks that many
+    processes. ``recorder`` sees every boundary a serial visit evaluates (see
+    replay), replayed from the stats for the screened ones; it cannot be
+    combined with ``workers`` > 1, because a forked worker cannot call back
+    into the parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -459,7 +631,7 @@ def top_k(
         counts = _visit_all(
             g, bounds, screen, order, heap, cursor, nullcontext(), results, recorder
         )
-    m_vis, scanned, screened = counts
+    m_vis, scanned, screened, gathered = counts
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
@@ -467,6 +639,7 @@ def top_k(
         m_vis=int(m_vis),
         arcs_scanned=int(scanned),
         screened=int(screened),
+        arcs_gathered=int(gathered),
         m_tot=exact_m_tot(g, bounds),
         cut_level=cut_level,
         preprocessing_seconds=prep,
@@ -490,62 +663,87 @@ def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
 
 
 def _visit_all(
-    g, bounds, screen, order, heap, cursor, lock, results, recorder=None
-) -> tuple[int, int, int]:
+    g, bounds, screen, order, heap, cursor, lock, results, recorder=None, warmup=False
+) -> tuple[int, int, int, int]:
     """The main loop. Under one hold of ``lock`` it claims, from the position
-    ``cursor[0]``, the run of vertices the screen settles at the current
-    threshold x plus the vertex j that ends the run, and moves the cursor past
-    j. It writes the run's cut levels in bulk, then settles j from the screen
-    if j's visit ends at level 1, or else runs bfs_cut from j (the only
-    vertices bfs_cut sees); a completed visit's closeness goes into ``heap``,
-    which is what raises x. Outcomes go into ``results`` (see _results) until
-    the cursor runs past the end. Returns (m_vis, arcs_scanned, screened) of
-    the vertices settled here."""
+    ``cursor[0]``, the span up to and including the next BATCH vertices the
+    screen leaves at the current threshold x0, and moves the cursor past it.
+    expand runs those whose visit does not end at level 1 together at x0.
+    Then the span is walked in order at the live threshold, as a loop of one
+    visit at a time would walk it: runs of settled vertices are settled in
+    bulk, a claimed vertex the risen threshold now settles joins the run, an
+    ``ends`` vertex is completed from the screen and any other is decided by
+    replay (the only visits the kernel sees). A completed visit's closeness
+    goes into ``heap``, which is what raises x. Outcomes go into ``results``
+    (see _results) until the cursor runs past the end or, with ``warmup``,
+    until the threshold is positive. Returns (m_vis, arcs_scanned, screened,
+    arcs_gathered) of the vertices settled here."""
     closeness, farness, reachable, cut_level = results
-    seen_epoch = np.zeros(g.n, dtype=np.int64)
-    slot = np.empty(g.n, dtype=np.int64)
+    scratch = Scratch.of(g.n)
     threshold = lambda: heap.threshold  # re-read at every level boundary
     end = len(order)
-    m_vis = scanned = screened = 0
-    while True:
+    m_vis = scanned = screened = gathered = 0
+
+    def settle(vs: np.ndarray) -> None:
+        nonlocal m_vis, scanned, screened
+        arcs, read, count = screen.settle(vs, heap.threshold, cut_level, recorder)
+        m_vis += arcs
+        scanned += read
+        screened += count
+
+    while not (warmup and heap.threshold > 0):
         with lock:
             i = int(cursor[0])
-            x = heap.threshold
-            j = screen.run_end(order, i, x)
-            cursor[0] = j + 1
-        if j > i:
-            arcs, read, count = screen.settle(order[i:j], x, cut_level, recorder)
-            m_vis += arcs
-            scanned += read
-            screened += count
-        if j >= end:
-            return m_vis, scanned, screened
-        v = int(order[j])
-        if screen.ends[v]:
-            out = screen.complete(v, recorder)
-            screened += 1
-        else:
-            out = bfs_cut(g, v, threshold, bounds, seen_epoch, j + 1, slot, recorder)
-        m_vis += out.arcs
-        scanned += out.arcs_scanned
-        if out.closeness == CUT:
-            cut_level[v] = out.cut_level
-        else:
-            closeness[v] = out.closeness
-            farness[v] = out.farness
-            reachable[v] = out.reachable
-            heap.push(out.closeness)
+            x0 = heap.threshold
+            claimed, stop = screen.claim(order, i, x0)
+            cursor[0] = stop
+        if i >= end:
+            return m_vis, scanned, screened, gathered
+        vs = order[claimed]
+        sources = vs[~screen.ends[vs]]
+        if sources.size:
+            levels = expand(g, sources, x0, bounds, scratch)
+            gathered += levels.gathered
+        col = 0
+        for p, v in zip(claimed.tolist(), vs.tolist()):
+            ends = bool(screen.ends[v])
+            if heap.threshold > x0 and screen._settled(v, heap.threshold):
+                col += not ends
+                continue  # settled with the run it now belongs to
+            if p > i:
+                settle(order[i:p])
+            i = p + 1
+            if ends:
+                out = screen.complete(v, recorder)
+                screened += 1
+            else:
+                out = replay(g, levels, col, v, threshold, bounds, recorder)
+                col += 1
+            m_vis += out.arcs
+            scanned += out.arcs_scanned
+            if out.closeness == CUT:
+                cut_level[v] = out.cut_level
+            else:
+                closeness[v] = out.closeness
+                farness[v] = out.farness
+                reachable[v] = out.reachable
+                heap.push(out.closeness)
+        if stop > i:
+            settle(order[i:stop])
+    return m_vis, scanned, screened, gathered
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
     """Fork worker processes sharing the graph and the screen copy-on-write.
     Each runs _visit_all over one threshold heap, one cursor and one set of
-    result arrays in shared memory. A worker may read a stale (smaller)
-    threshold, which can only delay a cut, never cause a wrong one.
+    result arrays in shared memory, once the parent has run the batches
+    claimed at threshold 0. A worker may read a stale (smaller) threshold,
+    which can only delay a cut, never cause a wrong one.
 
     The parent waits on the process sentinels only; a worker that exits with a
     nonzero code raises RuntimeError naming the code. Returns the heap, the
-    result arrays and (m_vis, arcs_scanned, screened) summed over the workers.
+    result arrays and (m_vis, arcs_scanned, screened, arcs_gathered) summed
+    over the parent and the workers.
     """
     # imported here: it costs serial runs about 0.5 MB of peak RSS
     from multiprocessing.connection import wait
@@ -558,9 +756,15 @@ def _run_parallel(g, bounds, screen, order, k, workers):
 
     heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
     results = _results(g.n, shared_zeros)
-    counts = shared_zeros(3 * workers, np.int64).reshape(workers, 3)
+    counts = shared_zeros(4 * (workers + 1), np.int64).reshape(workers + 1, 4)
     cursor = shared_zeros(1, np.int64)
     lock = ctx.Lock()
+    # until k visits have completed the threshold is 0 and every visit a
+    # worker replays completes: run those batches here, in order, so that no
+    # worker fills the heap with the weaker visits of a later batch
+    counts[workers] = _visit_all(
+        g, bounds, screen, order, heap, cursor, lock, results, warmup=True
+    )
 
     def work(w: int) -> None:
         counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results)

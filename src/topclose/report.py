@@ -27,6 +27,7 @@ class StatsInfo:
     total_seconds: float
     arcs_scanned: int = 0  # absent from reports written before it existed
     screened: int = 0  # likewise
+    arcs_gathered: int = 0  # likewise
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ def build_report(
             total_seconds=stats.total_seconds,
             arcs_scanned=stats.arcs_scanned,
             screened=stats.screened,
+            arcs_gathered=stats.arcs_gathered,
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

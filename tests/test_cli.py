@@ -36,6 +36,7 @@ class TestTopkCommand:
         assert report["stats"]["performance_ratio"] is not None
         assert 0 <= report["stats"]["arcs_scanned"] <= report["stats"]["m_vis"]
         assert report["stats"]["screened"] >= 0
+        assert report["stats"]["arcs_gathered"] >= 0
         assert len(report["results"]) == 2
 
     def test_empty_graph(self, tmp_path, capsys):
@@ -176,6 +177,14 @@ class TestReportRoundTrip:
         del raw["stats"]["arcs_scanned"]
         report = RunReport.from_json(json.dumps(raw))
         assert report.stats.arcs_scanned == 0
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_arcs_gathered_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        del raw["stats"]["arcs_gathered"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.arcs_gathered == 0
         assert report.stats.m_vis == raw["stats"]["m_vis"]
 
     def test_report_without_screened_loads(self, path3, capsys):

@@ -1,8 +1,10 @@
+import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from topclose import engine, graph
 from topclose.engine import (
     CUT,
+    INF,
     ThresholdHeap,
     bfs_cut,
     exact_m_tot,
@@ -30,10 +33,55 @@ def three_cycle():
 
 
 def visit(g, v, threshold, bounds):
-    """One pruned BFS with fresh scratch."""
-    return bfs_cut(
-        g, v, lambda: threshold, bounds, np.zeros(g.n, np.int64), 1, np.empty(g.n, np.int64)
-    )
+    """One pruned BFS at a fixed threshold."""
+    return bfs_cut(g, v, lambda: threshold, bounds)
+
+
+def scalar_visit(g, v, threshold, bounds, recorder=None):
+    """The pruned BFS one source at a time, in Python integers: the
+    reference the multi-source kernel and its replay must match. At every
+    boundary d it tests the scalar bound at the threshold read there; with
+    an exact r(v) before gathering level d, else after."""
+    exact, n = bool(bounds.exact[v]), g.n
+    r, alpha, omega = int(bounds.r[v]), int(bounds.alpha[v]), int(bounds.omega[v])
+    seen, slot = np.zeros(n, bool), np.empty(n, np.int64)
+    seen[v] = True
+    frontier = np.array([v], np.int64)
+    d = f = nd = arcs = scanned = 0
+    while True:
+        f += d * len(frontier)
+        nd += len(frontier)
+        if exact:
+            deg_sum = int(g.degrees[frontier].sum())
+            more = nd < r
+        else:
+            neigh = graph.frontier_neighbors(g, frontier)
+            deg_sum = len(neigh)
+            scanned += deg_sum
+            new = neigh[~seen[neigh]]
+            more = new.size > 0
+        arcs += deg_sum
+        if not more:
+            c = engine.closeness_upper_bound(f, nd, n) if nd > 1 else 0.0
+            return engine.VisitOutcome(c, f, nd, -1, arcs, scanned)
+        gamma = deg_sum - len(frontier) if (not g.directed and d >= 1) else deg_sum
+        if recorder is not None:
+            recorder(v, d, f, nd, gamma)
+        x = threshold()
+        if exact:
+            lam = engine.farness_lower_bound(d, f, nd, gamma, r)
+            if engine.closeness_upper_bound(lam, r, n) <= x:
+                return engine.VisitOutcome(CUT, f, nd, d, arcs, scanned)
+            neigh = graph.frontier_neighbors(g, frontier)
+            scanned += deg_sum
+            new = neigh[~seen[neigh]]
+        else:
+            inv = engine.inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
+            if x > 0 and inv >= 1.0 / x:
+                return engine.VisitOutcome(CUT, f, nd, d, arcs, scanned)
+        frontier = graph.distinct(new, slot)
+        seen[frontier] = True
+        d += 1
 
 
 def skipped(g, bounds):
@@ -42,19 +90,19 @@ def skipped(g, bounds):
 
 
 def reference_top_k(g, k, recorder=None):
-    """The visit loop without the screen: bfs_cut on every unskipped vertex
-    in processing order over one ThresholdHeap. Returns the ranking, the
-    cut levels, the final threshold, m_vis and the arcs bfs_cut scanned."""
+    """The visit loop without the screen and without batches: scalar_visit
+    on every unskipped vertex in processing order over one ThresholdHeap.
+    Returns the ranking, the cut levels, the final threshold, m_vis and the
+    arcs the visits scanned."""
     bounds = reachability_for(g)
     skip = skipped(g, bounds)
     heap = ThresholdHeap(k)
     closeness, farness, reachable, cut_level = engine._results(g.n, np.zeros)
-    seen_epoch, slot = np.zeros(g.n, np.int64), np.empty(g.n, np.int64)
     m_vis = scanned = 0
-    for i, v in enumerate(processing_order(g).tolist()):
+    for v in processing_order(g).tolist():
         if skip[v]:
             continue
-        out = bfs_cut(g, v, lambda: heap.threshold, bounds, seen_epoch, i + 1, slot, recorder)
+        out = scalar_visit(g, v, lambda: heap.threshold, bounds, recorder)
         m_vis += out.arcs
         scanned += out.arcs_scanned
         if out.closeness == CUT:
@@ -66,13 +114,14 @@ def reference_top_k(g, k, recorder=None):
     return ranked, cut_level, heap.threshold, m_vis, scanned
 
 
-def grid(side):
-    cells = np.arange(side * side).reshape(side, side)
+def grid(side, cols=None):
+    cols = side if cols is None else cols
+    cells = np.arange(side * cols).reshape(side, cols)
     pairs = np.concatenate([
         np.stack([cells[:, :-1].ravel(), cells[:, 1:].ravel()], axis=1),
         np.stack([cells[:-1].ravel(), cells[1:].ravel()], axis=1),
     ])
-    return from_edges(side * side, pairs.tolist(), directed=False)
+    return from_edges(side * cols, pairs.tolist(), directed=False)
 
 
 @contextmanager
@@ -203,6 +252,92 @@ class TestBfsCut:
             assert visited == np.count_nonzero(dist >= 0) == g.n
         assert len(connected_components(g).component_size) == 1
         assert frontiers and any(len(f) > 1 for f in frontiers)
+
+
+class TestKernel:
+    CYCLE = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+
+    @staticmethod
+    def bounds(r):
+        # vertices 0 and 1 with an exact r, 2 and 3 with alpha = 2, omega = r
+        exact = np.array([True, True, False, False])
+        return ReachabilityBounds(
+            alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
+        )
+
+    def test_inexact_keys_keep_sources_running(self):
+        g = self.CYCLE
+        for r, inexact in ((4, False), (2**27, True)):  # (2**27 - 1)**2 > 2**53
+            levels = engine.expand(g, np.arange(4), 1e300, self.bounds(r), engine.Scratch.of(4))
+            assert np.isnan(levels.keys[0, :4]).all() == inexact, r
+            assert np.isfinite(levels.keys[0, :4]).all() == (not inexact), r
+            if inexact:  # at x = 1e300 every finite key cuts at level 0
+                assert np.isnan(levels.keys[:, :4]).all()
+                assert levels.depth.tolist() == [4, 4, 4, 4]
+            else:
+                assert levels.depth.tolist() == [1, 1, 1, 1]
+
+    def test_replay_decides_inexact_keys_in_integers(self):
+        # each threshold sits on, or one ulp below, a boundary's scalar
+        # bound, so a float key one ulp off would move the cut level
+        g, n = self.CYCLE, 4
+        bounds = self.bounds(2**27)
+        xs = []
+        for v in range(4):
+            records = []
+
+            def record(v, d, f, nd, gamma):
+                if d == 4:  # the cycle has 4 levels only
+                    raise StopIteration
+                records.append((d, f, nd, gamma))
+
+            try:  # no cut at a tiny threshold: alpha/omega visits complete
+                scalar_visit(g, v, lambda: 1e-300, bounds, record)
+            except StopIteration:
+                pass
+            for d, f, nd, gamma in records:
+                if bounds.exact[v]:
+                    lam = engine.farness_lower_bound(d, f, nd, gamma, 2**27)
+                    key = engine.closeness_upper_bound(lam, 2**27, n)
+                else:  # the cut test is inv >= 1 / x
+                    inv = engine.inverse_closeness_lower_bound(d, f, nd, gamma, 2, 2**27, n)
+                    key = 1 / inv if inv > 0 else 1.0
+                xs += [key, np.nextafter(key, 0.0), np.nextafter(key, INF)]
+        checked = 0
+        for x in sorted(set(xs)):
+            for v in range(4):
+                try:
+                    expected = scalar_visit(g, v, lambda: x, bounds, record)
+                except StopIteration:  # the kernel's record ends there
+                    with pytest.raises(RuntimeError, match="outran"):
+                        visit(g, v, x, bounds)
+                    continue
+                assert visit(g, v, x, bounds) == expected, (v, x)
+                checked += expected.closeness == CUT
+        assert checked > 0
+
+    def test_gathers_and_counts_in_chunks(self, monkeypatch):
+        # a small chunk size splits the gathers and the per-source counts
+        # of big levels; the outcome must not change
+        g = preferential_attachment(600, 4, seed=3)
+        expected = top_k(g, 5)
+        monkeypatch.setattr(engine, "_CHUNK", 64)
+        res, stats = top_k(g, 5)
+        assert res == expected[0]
+        assert stats.m_vis == expected[1].m_vis
+        assert np.array_equal(stats.cut_level, expected[1].cut_level)
+        assert stats.arcs_gathered == expected[1].arcs_gathered
+
+    def test_arcs_gathered_counts_the_kernel_gathers(self, monkeypatch):
+        gathered = []
+        real = engine.frontier_neighbors
+        monkeypatch.setattr(
+            engine, "frontier_neighbors", lambda g, f: gathered.append(len(f := real(g, f))) or f
+        )
+        for g in (grid(9), gnp(150, 0.03, 42, directed=True)):
+            gathered.clear()
+            _, stats = top_k(g, 10)
+            assert stats.arcs_gathered == sum(gathered) > 0
 
 
 class TestScreen:
@@ -369,15 +504,15 @@ class TestTopK:
 
     def assert_matches_reference(self, g, k, tag, monkeypatch):
         records, expected, kernel_calls = [], [], []
-        real = engine.bfs_cut
+        real = engine.replay
 
-        def spy(g, v, *args):
-            out = real(g, v, *args)
+        def spy(g, levels, s, v, *args):
+            out = real(g, levels, s, v, *args)
             kernel_calls.append((v, out.cut_level))
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "bfs_cut", spy)
+            m.setattr(engine, "replay", spy)
             res, stats = top_k(g, k, recorder=lambda *a: records.append(a))
         ref, cut_level, threshold, m_vis, scanned = reference_top_k(
             g, k, recorder=lambda *a: expected.append(a)
@@ -388,8 +523,9 @@ class TestTopK:
         assert np.array_equal(stats.completed, cut_level < 0), (tag, k)
         assert stats.final_threshold == threshold, (tag, k)
         assert records == expected, (tag, k)
-        # a screened level-0 cut of an alpha/omega visit reads no arcs;
-        # bfs_cut gathers deg(v) of them to learn that level 1 is non-empty
+        # a screened level-0 cut of an alpha/omega visit reads no arcs; a
+        # one-source visit gathers deg(v) of them to learn that level 1 is
+        # non-empty
         bounds = reachability_for(g)
         unread = g.degrees[(cut_level == 0) & ~bounds.exact].sum()
         assert stats.arcs_scanned == scanned - unread, (tag, k)
@@ -413,6 +549,34 @@ class TestTopK:
         assert self.assert_matches_reference(pa, 10, "pa", monkeypatch).screened > 0
         assert self.assert_matches_reference(grid(20), 10, "grid", monkeypatch).screened == 0
 
+    @pytest.mark.parametrize("rows, cols", [(7, 9), (8, 8), (5, 13), (3, 43)])
+    def test_batches_of_64_visits(self, rows, cols, monkeypatch):
+        # 63, 64, 65 and 129 visits reach the kernel: one batch short of
+        # mask bit 63, one full, one spilling one visit into a second batch,
+        # and two full batches plus one
+        g = grid(rows, cols)
+        batches, claims = [], []
+        real_expand, real_claim = engine.expand, engine.Screen.claim
+
+        def expand(g, sources, *args):
+            batches.append(len(sources))
+            return real_expand(g, sources, *args)
+
+        def claim(self, *args):
+            claims.append(args[1])
+            return real_claim(self, *args)
+
+        monkeypatch.setattr(engine, "expand", expand)
+        monkeypatch.setattr(engine.Screen, "claim", claim)
+        for k in (1, 10):
+            batches.clear()
+            claims.clear()
+            stats = self.assert_matches_reference(g, k, f"grid-{rows}x{cols}", monkeypatch)
+            assert stats.screened == 0
+            full, rest = divmod(g.n, engine.BATCH)
+            assert batches == [engine.BATCH] * full + [rest] * (rest > 0)
+            assert len(claims) == len(batches) + 1  # one claim per batch, one at the end
+
 
 class TestParallel:
     def test_multiset_agreement_across_workers(self):
@@ -430,6 +594,60 @@ class TestParallel:
         assert np.all(stats.completed | (stats.cut_level >= 0))
         assert stats.m_vis > 0
         assert 0 < stats.arcs_scanned <= stats.m_vis
+        assert stats.arcs_gathered > 0
+
+    def test_workers_start_from_a_positive_threshold(self, monkeypatch):
+        # the parent runs the batches claimed at threshold 0, so no worker
+        # fills the heap with the weaker visits of a later batch
+        pushes = np.frombuffer(mp.get_context("fork").RawArray("q", 2), dtype=np.int64)
+        parent, real = os.getpid(), ThresholdHeap.push
+
+        def push(self, value):
+            if os.getpid() != parent:
+                pushes[0] += 1
+                pushes[1] += self.threshold == 0
+            real(self, value)
+
+        monkeypatch.setattr(ThresholdHeap, "push", push)
+        with time_limit(120):
+            _, stats = top_k(path_graph(200), 3, workers=2)
+        assert pushes[0] > 0  # the workers completed visits
+        assert pushes[1] == 0
+        assert stats.final_threshold == top_k(path_graph(200), 3)[1].final_threshold
+
+    def test_threshold_rises_during_a_replay(self, ranked, monkeypatch):
+        # slow threshold reads keep each worker inside its replays while
+        # the other pushes; a replay must act on the risen threshold
+        rose = np.frombuffer(mp.get_context("fork").RawArray("q", 1), dtype=np.int64)
+        real = engine.replay
+
+        def watched(g, levels, s, v, threshold, *args):
+            earlier = []
+
+            def reading():
+                x = threshold()
+                rose[0] += bool(earlier) and x > earlier[-1]
+                earlier.append(x)
+                time.sleep(0.0005)
+                return x
+
+            return real(g, levels, s, v, reading, *args)
+
+        monkeypatch.setattr(engine, "replay", watched)
+        for side in range(12, 17):  # a push lands mid-replay on almost every try
+            g = grid(side)
+            table, _ = exact_closeness_all(g)
+            with time_limit(120):
+                res, stats = top_k(g, 1, workers=2)
+            done = stats.completed
+            assert np.all(done | (stats.cut_level >= 0)), side
+            for name in ("closeness", "farness", "reachable"):
+                assert np.array_equal(ranked[name][done], getattr(table, name)[done]), name
+            assert stats.final_threshold == res.entries[0].closeness == table.closeness.max()
+            assert (table.closeness[~done] <= stats.final_threshold).all(), side
+            if rose[0]:
+                break
+        assert rose[0] > 0
 
     def test_rejects_bad_workers(self):
         for workers in (0, -2):
@@ -482,14 +700,14 @@ class TestParallel:
     # other worker then waits on, or by raising an exception
     DYING = {
         "visit": (3, """
-            real = engine.bfs_cut
+            real = engine.replay
 
             def dying(*args):
                 if os.getpid() != parent:
                     os._exit(3)
                 return real(*args)
 
-            engine.bfs_cut = dying
+            engine.replay = dying
             """),
         "heap-lock": (3, """
             real = engine.ThresholdHeap.push
@@ -503,24 +721,24 @@ class TestParallel:
             engine.ThresholdHeap.push = dying
             """),
         "run-claim": (3, """
-            real = engine.Screen.run_end
+            real = engine.Screen.claim
 
             def dying(self, order, i, x):
                 if os.getpid() != parent:
                     os._exit(3)
                 return real(self, order, i, x)
 
-            engine.Screen.run_end = dying
+            engine.Screen.claim = dying
             """),
         "exception": (1, """
-            real = engine.bfs_cut
+            real = engine.replay
 
             def raising(*args):
                 if os.getpid() != parent:
                     raise ValueError("visit failed")
                 return real(*args)
 
-            engine.bfs_cut = raising
+            engine.replay = raising
             """),
     }
 
@@ -531,14 +749,16 @@ class TestParallel:
             """
             import os
             from topclose import engine
-            from topclose.generators import gnp
+            from topclose.generators import path_graph
 
             parent = os.getpid()
             """
         ) + textwrap.dedent(patch) + textwrap.dedent(
             """
             try:
-                engine.top_k(gnp(60, 0.1, 1, directed=False), 3, workers=2)
+                # the parent runs the first batch; the path's centre, in
+                # the second, completes in a worker
+                engine.top_k(path_graph(200), 3, workers=2)
             except RuntimeError as exc:
                 print(exc)
             """
