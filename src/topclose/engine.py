@@ -41,9 +41,8 @@ def closeness_upper_bound(lam, r, n: int):
     """Closeness upper bound from a farness lower bound and the exact
     reachable count. Returns +inf when the bound degenerates (lam <= 0).
 
-    ``lam`` and ``r`` may be integer numpy arrays (evaluated elementwise).
-    The array result is bit-identical to the integer one wherever (r-1)**2
-    and (n-1)*lam are below 2**53 (see _exact_in_float).
+    ``lam`` and ``r`` may be integer numpy arrays (evaluated elementwise);
+    cut_keys says where the array result matches the integer one.
     """
     num, den = (r - 1) ** 2, (n - 1) * lam
     if isinstance(lam, np.ndarray):
@@ -67,15 +66,36 @@ def inverse_closeness_lower_bound(
     return (n - 1) * low(la / (alpha - 1) ** 2, lo / (omega - 1) ** 2)
 
 
-def _exact_in_float(*values: np.ndarray) -> np.ndarray:
-    """True where every value, computed in float64 from integers, is below
-    2**53 in magnitude. Rounding is monotone, so the exact integer is below it
-    too and float64 holds it exactly; one rounded division or product of such
-    integers then matches Python's integer arithmetic bit for bit."""
-    fits = np.abs(values[0]) < 2.0**53
-    for a in values[1:]:
-        fits &= np.abs(a) < 2.0**53
-    return fits
+def cut_keys(d, f_d, n_d, gamma_next, exact, r, alpha, omega, n: int) -> np.ndarray:
+    """The cut key of each visit at boundary d, elementwise over integer
+    arrays: closeness_upper_bound where r(v) is ``exact``, else
+    inverse_closeness_lower_bound. NaN wherever a float64 intermediate,
+    (r-1)**2 and (n-1)*lam or (omega-1)**2 and both farness bounds, reaches
+    2**53 in magnitude. Below it float64 holds those integers exactly (as
+    rounding is monotone), and one rounded division or product of them
+    matches Python's integer arithmetic: a finite key is the scalar value.
+    """
+    some = np.count_nonzero(exact)  # far cheaper than any() on a small array
+    key, big = np.zeros(len(exact)), np.zeros(len(exact))
+    if some:
+        lam = farness_lower_bound(d, f_d, n_d, gamma_next, r)
+        key = closeness_upper_bound(lam, r, n)
+        big = np.maximum((r - 1.0) ** 2, np.abs((n - 1.0) * lam))
+    if some < len(exact):
+        la, lo = (farness_lower_bound(d, f_d, n_d, gamma_next, a) for a in (alpha, omega))
+        inv = inverse_closeness_lower_bound(d, f_d, n_d, gamma_next, alpha, omega, n)
+        ao_big = np.maximum((omega - 1.0) ** 2, np.maximum(abs(la), abs(lo)))
+        key = np.where(exact, key, inv) if some else inv
+        big = np.where(exact, big, ao_big) if some else ao_big
+    key[big >= 2.0**53] = np.nan
+    return key
+
+
+def cut_at(keys: np.ndarray, exact: np.ndarray, x: float) -> np.ndarray:
+    """Where the cut test fires at threshold x, elementwise over cut_keys'
+    keys: a closeness upper bound <= x, an inverse-closeness lower bound
+    >= 1/x (never while x = 0). A NaN key never cuts."""
+    return exact & (keys <= x) | ~exact & (keys >= (1.0 / x if x > 0 else INF))
 
 
 @dataclass
@@ -182,11 +202,10 @@ def expand(
     Each frontier vertex carries a uint64 mask of the sources whose level d
     holds it, so one frontier_neighbors gather per level serves all of them.
     At every boundary the kernel records, per source, the level's size and
-    degree sum, whether level d+1 exists and the float cut key, the quantity
-    the cut test compares with the threshold: the closeness upper bound with
-    an exact r(v), the inverse-closeness lower bound with alpha/omega only.
-    The key is NaN where _exact_in_float fails, so that no float rounding
-    decides a cut; the kernel keeps such a source running.
+    degree sum, whether level d+1 exists and the cut key (see cut_keys),
+    computed once per level before the gather. A NaN key never cuts, so
+    that no float rounding decides one; the kernel keeps such a source
+    running.
 
     A source leaves once its visit completes or its cut test fires at x. An
     exact-r source is tested before the gather (level d+1 exists iff fewer
@@ -203,7 +222,6 @@ def expand(
     bit = np.left_shift(np.uint64(1), np.arange(b, dtype=np.uint64))
     exact = bounds.exact[sources]
     r, alpha, omega = bounds.r[sources], bounds.alpha[sources], bounds.omega[sources]
-    inv_x = 1.0 / x if x > 0 else INF  # every finite key stays below it
     frontier, masks = np.asarray(sources, dtype=np.int64), bit
     seen[frontier] = masks
     live = np.ones(b, dtype=bool)
@@ -223,13 +241,11 @@ def expand(
         # undirected refinement: beyond level 0 one edge per frontier vertex
         # must point back into the previous level
         gamma = s - c if (undirected and d >= 1) else s
-        more, key = nd < r, np.nan  # exact r(v); alpha/omega: after the gather
-        leave = live & exact
-        if leave.any():
-            lam = farness_lower_bound(d, f, nd, gamma, r)
-            fits = _exact_in_float((r - 1.0) ** 2, (n - 1.0) * lam)
-            key = np.where(fits, closeness_upper_bound(lam, r, n), np.nan)
-            leave &= ~(more & ~(key <= x))
+        key = cut_keys(d, f, nd, gamma, exact, r, alpha, omega, n)
+        cut = cut_at(key, exact, x)
+        more = nd < r  # exact r(v); alpha/omega: after the gather
+        leave = live & exact & (cut | ~more)
+        if np.count_nonzero(leave):
             masks = masks & ~_word(bit[leave])
 
         active = masks != 0
@@ -251,14 +267,9 @@ def expand(
             seen[frontier] |= masks
 
         ao = live & ~exact
-        if ao.any():
+        if np.count_nonzero(ao):
             more = np.where(exact, more, (_word(masks) & bit) != 0)
-            la = farness_lower_bound(d, f, nd, gamma, alpha)
-            lo = farness_lower_bound(d, f, nd, gamma, omega)
-            fits = _exact_in_float((omega - 1.0) ** 2, la, lo)
-            inv = inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
-            key = np.where(exact, key, np.where(fits, inv, np.nan))
-            ao &= ~(more & ~(key >= inv_x))
+            ao &= cut | ~more
             masks = masks & ~_word(bit[ao])
             active = masks != 0
             frontier, masks = frontier[active], masks[active]
@@ -312,15 +323,12 @@ def replay(
             recorder(v, d, f, nd, gamma)
         x = threshold()
         key = keys[d]
-        if exact:
-            if key != key:  # NaN
-                key = closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n)
-            cut = key <= x
-        else:
-            if key != key:
-                key = inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
-            cut = x > 0 and key >= 1.0 / x
-        if cut:
+        if key != key:  # NaN: the scalar bound, in Python integers
+            key = (
+                closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n) if exact
+                else inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
+            )
+        if key <= x if exact else x > 0 and key >= 1.0 / x:
             return VisitOutcome(CUT, f, nd, d, arcs, scanned)
     raise RuntimeError(f"the visit from {v} outran its reachability bounds")
 
@@ -352,21 +360,20 @@ class Screen:
 
     At those boundaries a visit from v knows only deg(v), the degree sum S1(v)
     over N(v), and r(v) or alpha/omega, none of which depends on the
-    threshold x. So the bounds are computed once per top_k, by the same bound
-    functions the cut test calls, and a visit they cut at x, or one whose
-    level 2 is provably empty, is settled without a BFS. A vertex is screened
-    only where the array arithmetic matches the scalar one bit for bit
-    (_exact_in_float); the others always go to the kernel.
+    threshold x. So the cut keys (see cut_keys) are computed once per top_k,
+    and a visit they cut at x, or one whose level 2 is provably empty, is
+    settled without a BFS. A vertex whose boundary-0 key is NaN is never
+    screened; it always goes to the kernel. At boundary 1 only exact-r
+    vertices whose level 2 exists are screened.
     """
 
     n: int
     undirected: bool
     skip: np.ndarray  # bool: never visited (r(v) or alpha(v) <= 1)
+    exact: np.ndarray  # bool: r(v) is known
     degrees: np.ndarray
     s1: np.ndarray  # degree sum over N(v): the arcs out of level 1
-    ub0: np.ndarray  # closeness upper bound at boundary 0; +inf if not screened
-    ub1: np.ndarray  # at boundary 1; +inf if level 2 is empty or not screened
-    inv0: np.ndarray  # 1/closeness lower bound at boundary 0 (alpha/omega); else -inf
+    keys: np.ndarray  # [d, v]: the cut key at boundary d; NaN where not screened
     ends: np.ndarray  # bool: the visit completes at level 1 unless cut at 0
 
     @classmethod
@@ -378,43 +385,29 @@ class Screen:
         np.cumsum(summed, out=summed)
         s1 = summed[g.offsets[1:]] - summed[g.offsets[:-1]]
         del summed
-        ub0 = np.full(n, INF)
-        ub1 = np.full(n, INF)
-        inv0 = np.full(n, -INF)
+        keys = np.full((2, n), np.nan)
         ends = np.zeros(n, dtype=bool)
 
-        ex = np.flatnonzero(bounds.exact & ~skip)
-        d, r = deg[ex], bounds.r[ex]
-        lam0 = farness_lower_bound(0, 0, 1, d, r)
-        gamma1 = s1[ex] - d if not g.directed else s1[ex]  # as the kernel refines it
-        lam1 = farness_lower_bound(1, d, 1 + d, gamma1, r)
-        deeper = 1 + d < r  # level 2 exists
-        fits = _exact_in_float(
-            (r - 1.0) ** 2, (n - 1.0) * lam0, (n - 1.0) * np.where(deeper, lam1, 0)
-        )
-        ex, d, r, lam0, lam1, deeper = (a[fits] for a in (ex, d, r, lam0, lam1, deeper))
-        ub0[ex] = closeness_upper_bound(lam0, r, n)
-        ub1[ex[deeper]] = closeness_upper_bound(lam1[deeper], r[deeper], n)
-        ends[ex] = ~deeper
-
-        ao = np.flatnonzero(~bounds.exact & ~skip)
-        d, alpha, omega = deg[ao], bounds.alpha[ao], bounds.omega[ao]
-        # this suffices: the farness bounds are at most deg(v) + 2 omega
-        # <= 3 omega in magnitude, as N(v) is reachable
-        fits = _exact_in_float((omega - 1.0) ** 2)
-        ao, d, alpha, omega = (a[fits] for a in (ao, d, alpha, omega))
-        inv0[ao] = inverse_closeness_lower_bound(0, 0, 1, d, alpha, omega, n)
-        ends[ao] = s1[ao] == 0
-        return cls(n, not g.directed, skip, deg, s1, ub0, ub1, inv0, ends)
-
-    def _cut0(self, vs, x: float):
-        """Whether the visits from vs (an index or an array) are cut at
-        boundary 0 under threshold x."""
-        return (self.ub0[vs] <= x) | (self.inv0[vs] >= (1.0 / x if x > 0 else INF))
+        vs = np.flatnonzero(~skip)
+        exact, r = bounds.exact[vs], bounds.r[vs]
+        alpha, omega = bounds.alpha[vs], bounds.omega[vs]
+        d, s = deg[vs], s1[vs]
+        key0 = cut_keys(0, 0, 1, d, exact, r, alpha, omega, n)
+        screened = key0 == key0
+        # level 2 exists (exact r), or may exist (alpha/omega: some arc leaves level 1)
+        deeper = np.where(exact, 1 + d < r, s > 0)
+        keys[0, vs] = key0
+        ends[vs] = screened & ~deeper
+        one = screened & exact & deeper  # screened at boundary 1
+        vs, d, s, r, exact = vs[one], d[one], s[one], r[one], exact[one]
+        gamma1 = s - d if not g.directed else s  # as the kernel refines it
+        keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, exact, r, alpha[one], omega[one], n)
+        return cls(n, not g.directed, skip, bounds.exact, deg, s1, keys, ends)
 
     def _settled(self, vs, x: float):
         """Whether the vertices vs are skipped or cut at boundary 0 or 1."""
-        return self.skip[vs] | self._cut0(vs, x) | (self.ub1[vs] <= x)
+        exact, keys = self.exact[vs], self.keys
+        return self.skip[vs] | cut_at(keys[0][vs], exact, x) | cut_at(keys[1][vs], exact, x)
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
         """The positions >= i of the first BATCH vertices the screen can
@@ -445,7 +438,7 @@ class Screen:
         arcs its cut test reads: none at level 0, the deg(v) arcs summed into
         S1(v) at level 1."""
         vs = vs[~self.skip[vs]]
-        deep = ~self._cut0(vs, x)  # cut at level 1
+        deep = ~cut_at(self.keys[0][vs], self.exact[vs], x)  # cut at level 1
         cut_level[vs] = deep
         deg, s1 = self.degrees[vs], self.s1[vs]
         if recorder is not None:

@@ -139,7 +139,8 @@ def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     """Out-neighbours of every vertex in ``frontier`` as int64 ids,
     concatenated in frontier order with repeats; its length is the
     frontier's arc count."""
-    if len(frontier) == 1:  # every visit starts here; a slice is far cheaper
+    # a BFS root, a one-vertex level or a hub alone in a gather span: a slice is cheaper
+    if len(frontier) == 1:
         v = int(frontier[0])
         return g.targets[g.offsets[v] : g.offsets[v + 1]].astype(np.int64)
     starts = g.offsets[frontier]

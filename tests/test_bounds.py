@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from topclose.engine import (
     closeness_upper_bound,
+    cut_at,
+    cut_keys,
     farness_lower_bound,
     inverse_closeness_lower_bound,
     top_k,
@@ -123,3 +125,92 @@ def test_array_evaluation_matches_scalar_bit_for_bit(suite, suite_oracle):
         ), tag
         checked += len(records)
     assert checked == 52_398
+
+
+def random_boundary_states(seed, count):
+    """Integer boundary states whose float64 intermediates fall on both
+    sides of 2**53: log-uniform sizes up to 2**30 and sums up to 2**45, plus
+    r - 1 and omega - 1 on either side of sqrt(2**53) = 94906265.6."""
+    rng = np.random.default_rng(seed)
+
+    def logs(high, size=count):
+        return np.exp(rng.uniform(0, np.log(high), size)).astype(np.int64)
+
+    alpha = 2 + logs(2**30)
+    omega = alpha + logs(2**20)
+    exact = rng.random(count) < 0.5
+    r = np.where(exact, omega, 0)
+    n = omega + logs(2**30)
+    n_d = 1 + rng.integers(0, omega)
+    f_d, gamma = logs(2**45), logs(2**45)
+    d = rng.integers(0, 60, count)
+    # (omega - 1)**2 just below and just above 2**53, with farness bounds
+    # small enough that they alone decide: an exact r = omega one vertex
+    # away at level 0, and alpha = 2 at the start of a visit
+    edge = slice(0, 8)
+    omega[edge] = 94906266 + np.arange(8) % 2
+    exact[edge] = np.arange(8) < 4
+    alpha[edge], r[edge], n[edge] = 2, np.where(exact[edge], omega[edge], 0), omega[edge] + 1
+    n_d[edge] = np.where(exact[edge], omega[edge] - 1, 1)
+    d[edge], f_d[edge], gamma[edge] = 0, 0, 0
+    # (n-1)*lam = 2**53 + 1, which float64 rounds to 2**53
+    exact[8], r[8], alpha[8], omega[8], n[8] = True, 4, 4, 4, 4
+    d[8], n_d[8], gamma[8], f_d[8] = 0, 1, 0, 3002399751580331 - 6
+    # at level 2**26 only the alpha farness bound reaches -2**53
+    exact[9], r[9], alpha[9], omega[9], n[9] = False, 0, 2, 2**26, 2**27
+    d[9], n_d[9], gamma[9], f_d[9] = 2**26, 1, 2**53 + 2**27, 0
+    return d, f_d, n_d, gamma, exact, r, alpha, omega, n
+
+
+def scalar_key(d, f_d, n_d, gamma, exact, r, alpha, omega, n):
+    """The cut key in Python integers, and its integer intermediates."""
+    if exact:
+        lam = farness_lower_bound(d, f_d, n_d, gamma, r)
+        return closeness_upper_bound(lam, r, n), [(r - 1) ** 2, (n - 1) * lam]
+    la = farness_lower_bound(d, f_d, n_d, gamma, alpha)
+    lo = farness_lower_bound(d, f_d, n_d, gamma, omega)
+    key = inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, n)
+    return key, [(alpha - 1) ** 2, (omega - 1) ** 2, la, lo]
+
+
+def keys_one_by_one(states, n):
+    """cut_keys called on one state at a time: one kind per call."""
+    cols = [np.asarray(c) for c in states]
+    return np.concatenate([
+        cut_keys(*(c[i : i + 1] for c in cols), int(n[i])) for i in range(len(cols[0]))
+    ])
+
+
+def test_cut_keys_and_cut_at_match_the_scalar_bounds():
+    *states, n = random_boundary_states(0, 3000)
+    keys = keys_one_by_one(states, n)
+    exact = states[4]
+    checked = {True: [0, 0], False: [0, 0]}  # [NaN keys, finite keys] per kind
+    for i, state in enumerate(zip(*states, n)):
+        state = [bool(v) if isinstance(v, np.bool_) else int(v) for v in state]
+        ex, one = state[4], slice(i, i + 1)
+        key, terms = scalar_key(*state)
+        inexact = max(abs(t) for t in terms) >= 2**53
+        assert np.isnan(keys[i]) == inexact, state
+        checked[ex][not inexact] += 1
+        if inexact:  # a NaN key never cuts
+            assert not cut_at(keys[one], exact[one], 1e300)[0]
+            assert not cut_at(keys[one], exact[one], 1e-300)[0]
+            continue
+        assert bits([keys[i]]) == bits([key]), state
+        # thresholds on the key, on 1/key (the alpha/omega test is
+        # key >= 1/x), and one ulp either side of each
+        xs = [0.0] + [
+            y for c in (key, 1 / key if key else 0.0) if 0 < c < math.inf
+            for y in (np.nextafter(c, 0.0), c, np.nextafter(c, math.inf))
+        ]
+        for x in xs:
+            expected = key <= x if ex else x > 0 and key >= 1.0 / x
+            assert bool(cut_at(keys[one], exact[one], float(x))[0]) == expected, (state, x)
+    for ex in (True, False):
+        assert min(checked[ex]) >= 100, checked
+    # one call over both kinds gives the keys of the calls one kind at a time
+    n_all = np.full(len(n), 2**31)
+    assert np.array_equal(
+        cut_keys(*states, 2**31), keys_one_by_one(states, n_all), equal_nan=True
+    )

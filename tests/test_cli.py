@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,23 @@ class TestOracleAndCompare:
         monkeypatch.setattr(oracle, "exact_closeness_all", counting)
         assert main([command, "--input", cycle3, "--directed", "-k", "2"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_oracle_stats_count_its_arcs_and_time(self, command, cycle3, capsys, monkeypatch):
+        # three full BFSes over the three arcs of the cycle: m_tot = 9
+        real = oracle.exact_closeness_all
+
+        def slow(g):
+            time.sleep(0.05)
+            return real(g)
+
+        monkeypatch.setattr(oracle, "exact_closeness_all", slow)
+        assert main([command, "--input", cycle3, "--directed", "-k", "2", "--stats"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        stats = report["stats"] if command == "oracle" else report["oracle"]["stats"]
+        counts = ("m_vis", "m_tot", "arcs_scanned", "arcs_gathered")
+        assert [stats[c] for c in counts] == [9] * 4
+        assert stats["total_seconds"] >= 0.05
 
     def test_compare_match_verdict(self, cycle3, capsys):
         assert main(["compare", "--input", cycle3, "--directed", "-k", "1"]) == 0

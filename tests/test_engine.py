@@ -349,8 +349,8 @@ class TestScreen:
                 alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
             )
             screen = engine.Screen.build(g, bounds, np.zeros(4, dtype=bool))
-            assert np.isfinite(screen.ub0[:2]).all() == screened, r
-            assert np.isfinite(screen.inv0[2:]).all() == screened, r
+            assert np.isfinite(screen.keys[0][:2]).all() == screened, r
+            assert np.isfinite(screen.keys[0][2:]).all() == screened, r
             assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
 
 
