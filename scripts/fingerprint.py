@@ -4,11 +4,14 @@ changes no output.
 
 It runs top_k at k = 1 and 10 with a boundary recorder on every instance of
 tests/conftest.build_suite(), on PA(2000), a 30x30 grid and sparse directed
-gnp graphs (n = 800 and 1,500, two seeds each). The digest covers the
+gnp graphs (n = 800 and 1,500, two seeds each). The first digest covers the
 ranking, every RunStats counter (m_vis, m_tot, arcs_scanned, screened,
-arcs_gathered, final_threshold, the cut level of each vertex) and every
-recorded boundary. Timers are left out. Run it on two commits and compare
-the last line.
+arcs_gathered, final_threshold, the cut level of each vertex, and
+kernel_levels and source_levels where RunStats has them) and every recorded
+boundary. Timers are left out. The second digest leaves out the counters of
+kernel work (arcs_gathered, kernel_levels, source_levels): a change to how
+the kernel schedules its visits moves those, and only those. Run it on two
+commits (PYTHONPATH pointing at each one's src/) and compare the digests.
 
 Usage: PYTHONPATH=src python scripts/fingerprint.py [--verbose]
 """
@@ -44,39 +47,46 @@ def instances():
             yield f"gnp-d-n{n}-s{seed}", gnp(n, 2.0 / n, seed, directed=True)
 
 
-def run_digest(g, k: int) -> tuple[str, int]:
-    """The digest of one top_k run and its boundary count."""
-    h = hashlib.sha256()
+KERNEL_WORK = ("arcs_gathered", "kernel_levels", "source_levels")
+
+
+def run_digests(g, k: int) -> tuple[str, str, int]:
+    """The digests of one top_k run, with and without the kernel-work
+    counters, and its boundary count. A counter RunStats lacks is left out."""
+    full, outputs = hashlib.sha256(), hashlib.sha256()
     boundaries = []
     result, stats = top_k(g, k, recorder=lambda *a: boundaries.append(a))
-    for e in result.entries:
-        h.update(repr((e.rank, e.vertex, e.closeness.hex(), e.farness, e.reachable)).encode())
-    counters = (
-        stats.m_vis, stats.m_tot, stats.arcs_scanned, stats.screened,
-        stats.arcs_gathered, float(stats.final_threshold).hex(),
-    )
-    h.update(repr(counters).encode())
-    h.update(np.ascontiguousarray(stats.cut_level, dtype=np.int64).tobytes())
-    h.update(np.array(boundaries, dtype=np.int64).tobytes())
-    return h.hexdigest(), len(boundaries)
+    work = [getattr(stats, name) for name in KERNEL_WORK if hasattr(stats, name)]
+    counters = [stats.m_vis, stats.m_tot, stats.arcs_scanned, stats.screened]
+    threshold = float(stats.final_threshold).hex()
+    for h, fields in ((full, counters + work[:1] + [threshold] + work[1:]),
+                      (outputs, counters + [threshold])):
+        for e in result.entries:
+            h.update(repr((e.rank, e.vertex, e.closeness.hex(), e.farness, e.reachable)).encode())
+        h.update(repr(tuple(fields)).encode())
+        h.update(np.ascontiguousarray(stats.cut_level, dtype=np.int64).tobytes())
+        h.update(np.array(boundaries, dtype=np.int64).tobytes())
+    return full.hexdigest(), outputs.hexdigest(), len(boundaries)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--verbose", action="store_true", help="print one digest per run")
     args = ap.parse_args()
-    total = hashlib.sha256()
+    total, outputs = hashlib.sha256(), hashlib.sha256()
     runs = boundaries = 0
     for tag, g in instances():
         for k in (1, 10):
-            digest, count = run_digest(g, k)
+            digest, output_digest, count = run_digests(g, k)
             total.update(f"{tag}/{k}:{digest}\n".encode())
+            outputs.update(f"{tag}/{k}:{output_digest}\n".encode())
             runs += 1
             boundaries += count
             if args.verbose:
-                print(f"{tag}\tk={k}\t{count}\t{digest}")
+                print(f"{tag}\tk={k}\t{count}\t{digest}\t{output_digest}")
     print(f"{runs} runs, {boundaries} boundaries")
     print(total.hexdigest())
+    print(f"{outputs.hexdigest()} without {', '.join(KERNEL_WORK)}")
 
 
 if __name__ == "__main__":

@@ -2,19 +2,21 @@
 kernel, the degree-ordered main loop with a rising k-th-best threshold, and a
 process-based parallel scheduler.
 
-The kernel (expand) runs up to 64 visits per call as one bit-parallel BFS
-that records every level boundary; replay then decides each visit against
-the live threshold, boundary by boundary, as the paper's one-at-a-time
-pruned BFS would, so numpy's per-level call cost is paid once per 64
-visits."""
+The kernel runs up to 64 visits as one bit-parallel BFS, one level per step,
+and records every level boundary. A visit that leaves hands its bit to the
+next claimed vertex at once, so the kernel stays full and numpy's per-level
+call cost is shared by 64 visits. Between steps replay decides the visits
+that left, in processing order, against the live threshold, boundary by
+boundary, as the paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,12 @@ def inverse_closeness_lower_bound(
     """
     la = farness_lower_bound(d, f_d, n_d, gamma_next, alpha)
     lo = farness_lower_bound(d, f_d, n_d, gamma_next, omega)
+    return _inverse_bound(la, lo, alpha, omega, n)
+
+
+def _inverse_bound(la, lo, alpha: int, omega: int, n: int):
+    """inverse_closeness_lower_bound from the farness bounds at alpha (la)
+    and at omega (lo)."""
     low = np.minimum if isinstance(la, np.ndarray) else min
     return (n - 1) * low(la / (alpha - 1) ** 2, lo / (omega - 1) ** 2)
 
@@ -83,7 +91,7 @@ def cut_keys(d, f_d, n_d, gamma_next, exact, r, alpha, omega, n: int) -> np.ndar
         big = np.maximum((r - 1.0) ** 2, np.abs((n - 1.0) * lam))
     if some < len(exact):
         la, lo = (farness_lower_bound(d, f_d, n_d, gamma_next, a) for a in (alpha, omega))
-        inv = inverse_closeness_lower_bound(d, f_d, n_d, gamma_next, alpha, omega, n)
+        inv = _inverse_bound(la, lo, alpha, omega, n)
         ao_big = np.maximum((omega - 1.0) ** 2, np.maximum(abs(la), abs(lo)))
         key = np.where(exact, key, inv) if some else inv
         big = np.where(exact, big, ao_big) if some else ao_big
@@ -111,10 +119,12 @@ class VisitOutcome:
 BoundaryRecorder = Callable[[int, int, int, int, int], None]
 # recorder(vertex, d, f_d, n_d, gamma_next) at every evaluated level boundary
 
-BATCH = 64  # sources per kernel call: one bit each of a uint64 mask
+BATCH = 64  # live visits per kernel: one bit each of a uint64 mask
 _CHUNK = 8192  # arcs per gather step, masks per count step: 64 kB per temporary
 _BYTE_BASE = np.arange(0, 8 * 256, 256)  # histogram bins of byte j of a mask
-_BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)])  # [byte, t]
+_BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)], float)  # [byte, t]
+_SLOTS = np.arange(BATCH)
+_BIT = np.left_shift(np.uint64(1), _SLOTS.astype(np.uint64))  # the mask bit of each slot
 
 
 def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
@@ -122,7 +132,8 @@ def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None
     out[1, s] the sum of their ``weights``, for s < 64 (``out`` is a
     contiguous (2, 64) int64 array). Few masks: unpack their bits and take
     one small integer matmul. Many: a histogram of each mask byte, then a
-    (256, 8) bit table. No per-bit pass and no float matmul in either."""
+    float64 matmul with a (256, 8) bit table, exact as every product and
+    partial sum is an integer below 2**53. No per-bit pass in either."""
     as_bytes = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     if len(masks) <= 128:
         w = np.ones((2, len(masks)), dtype=np.int64)
@@ -135,7 +146,7 @@ def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None
         bins = (as_bytes[a : a + step] + _BYTE_BASE).ravel()
         hist[0] += np.bincount(bins, minlength=2048)
         hist[1] += np.bincount(bins, np.repeat(weights[a : a + step], 8), minlength=2048)
-    np.matmul(hist.astype(np.int64).reshape(16, 256), _BYTE_BITS, out=out.reshape(16, 8))
+    out.reshape(16, 8)[:] = hist.reshape(16, 256) @ _BYTE_BITS
 
 
 def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -157,109 +168,135 @@ def _word(masks: np.ndarray) -> np.uint64:
     return np.bitwise_or.reduce(masks, initial=np.uint64(0))
 
 
-@dataclass
-class Scratch:
-    """Buffers expand reuses from call to call."""
+class Levels(NamedTuple):
+    """What the kernel learnt about one visit: entry d of each list describes
+    boundary d, for every level the visit was live in."""
 
-    seen: np.ndarray  # uint64 per vertex: the sources that reached it
-    acc: np.ndarray  # uint64 per vertex: masks OR-ed over a level's arcs into it
-    slot: np.ndarray  # int64 per vertex: graph.distinct's dedup slot
-    ints: np.ndarray  # (rows, 3, BATCH) int64: the records of Levels
-    keys: np.ndarray  # (rows, BATCH) float64
-
-    @classmethod
-    def of(cls, n: int) -> "Scratch":
-        """Scratch for a graph of n vertices; seen and acc start (and stay,
-        between calls) all zero."""
-        return cls(
-            np.zeros(n, np.uint64), np.zeros(n, np.uint64), np.empty(n, np.int64),
-            np.empty((16, 3, BATCH), np.int64), np.empty((16, BATCH)),
-        )
-
-    def grow(self) -> None:
-        """Double the level rows."""
-        self.ints = np.concatenate([self.ints, np.empty_like(self.ints)])
-        self.keys = np.concatenate([self.keys, np.empty_like(self.keys)])
+    counts: list[int]  # |level d|
+    arcs: list[int]  # arcs out of level d
+    more: list[int]  # 1 where level d+1 is non-empty
+    keys: list[float]  # the cut key; NaN where float64 is inexact
 
 
-@dataclass(frozen=True)
-class Levels:
-    """What expand learnt about each source, one row per BFS level: entry
-    [d, ..., s] describes boundary d of the visit from source s, for
-    d < depth[s]. Views into the Scratch, valid until its next expand."""
+class Kernel:
+    """Pruned BFS from up to BATCH live sources at once, one level per step.
 
-    ints: np.ndarray  # [d, :, s]: |level d|, arcs out of it, level d+1 non-empty
-    keys: np.ndarray  # [d, s]: the cut key; NaN where float64 is inexact
-    depth: np.ndarray  # rows recorded per source
-    gathered: int  # arcs frontier_neighbors returned, over all levels
+    Each visit holds a slot whose bit marks it in uint64 masks: a frontier
+    vertex carries the mask of the visits whose current level holds it, so
+    one frontier_neighbors gather per step serves all of them. A visit
+    started between steps begins at the next one, and its level d (given to
+    cut_keys and to the undirected refinement of gamma), farness and counts
+    run from its own start. Each step records every visit's boundary: the
+    level's size and degree sum, whether the next level exists, and the cut
+    key (see cut_keys; a NaN key never cuts, so no float rounding decides).
 
-
-def expand(
-    g: Graph, sources: np.ndarray, x: float, bounds: ReachabilityBounds, scratch: Scratch
-) -> Levels:
-    """Pruned BFS from up to BATCH distinct sources at once, level by level.
-
-    Each frontier vertex carries a uint64 mask of the sources whose level d
-    holds it, so one frontier_neighbors gather per level serves all of them.
-    At every boundary the kernel records, per source, the level's size and
-    degree sum, whether level d+1 exists and the cut key (see cut_keys),
-    computed once per level before the gather. A NaN key never cuts, so
-    that no float rounding decides one; the kernel keeps such a source
-    running.
-
-    A source leaves once its visit completes or its cut test fires at x. An
-    exact-r source is tested before the gather (level d+1 exists iff fewer
-    than r(v) vertices are seen) and never gathers the level it throws away;
-    an alpha/omega source is tested after the gather that tells whether level
-    d+1 exists. The threshold only rises, so replaying the record at a
-    threshold >= x (see replay) meets every boundary a one-at-a-time visit
-    would evaluate. Gathers and counts run in chunks of at most _CHUNK arcs
-    or masks, so no temporary outgrows 64 kB per chunk.
+    A visit leaves once it completes, its cut test fires at the step's
+    threshold x, or (where the bounds disagree with the graph) its next
+    level is empty. An exact-r visit is tested before the gather (level d+1
+    exists iff fewer than r(v) vertices are seen) and never gathers the
+    level it throws away; an alpha/omega visit is tested after the gather
+    that tells whether level d+1 exists. Gathers and counts run in chunks of
+    at most _CHUNK arcs or masks, so no temporary outgrows 64 kB.
     """
-    seen, acc, slot = scratch.seen, scratch.acc, scratch.slot
-    n, undirected, degrees = g.n, not g.directed, g.degrees
-    b = len(sources)
-    bit = np.left_shift(np.uint64(1), np.arange(b, dtype=np.uint64))
-    exact = bounds.exact[sources]
-    r, alpha, omega = bounds.r[sources], bounds.alpha[sources], bounds.omega[sources]
-    frontier, masks = np.asarray(sources, dtype=np.int64), bit
-    seen[frontier] = masks
-    live = np.ones(b, dtype=bool)
-    depth = np.zeros(b, dtype=np.int64)
-    f = np.zeros(b, dtype=np.int64)
-    nd = np.zeros(b, dtype=np.int64)
-    gathered = d = 0
-    while frontier.size:
-        if d == len(scratch.keys):
-            scratch.grow()
-        row = scratch.ints[d]
-        deg = degrees[frontier]
+
+    def __init__(self, g: Graph, bounds: ReachabilityBounds):
+        n = g.n
+        self.g, self.bounds = g, bounds
+        self.seen = np.zeros(n, np.uint64)  # per vertex: the visits that reached it
+        self.acc = np.zeros(n, np.uint64)  # masks OR-ed over a level's arcs into it
+        self.slot = np.empty(n, np.int64)  # graph.distinct's dedup slot
+        self.stale = np.uint64(0)  # bits of left visits, maybe still in seen
+        self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
+        self.source = np.full(BATCH, -1)  # per slot: the visit's source; -1 where free
+        self.d = np.zeros(BATCH, np.int64)  # its level, from its own start
+        self.f = np.zeros(BATCH, np.int64)
+        self.nd = np.zeros(BATCH, np.int64)
+        # a free slot keeps valid bounds, so that its (unused) key raises nothing
+        self.exact = np.ones(BATCH, bool)
+        self.r, self.alpha, self.omega = (np.full(BATCH, 2) for _ in range(3))
+        # the boundary rows of the last len(keys) steps, step t at row t % len(keys)
+        self.ints = np.empty((16, 3, BATCH), np.int64)  # [t, :, slot]: see Levels
+        self.keys = np.empty((16, BATCH))
+        self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
+
+    @property
+    def free(self) -> int:
+        return int(np.count_nonzero(self.source < 0))
+
+    def start(self, vs: np.ndarray) -> None:
+        """Give each vertex of vs (distinct, none running, at most ``free``)
+        a free slot and a visit that begins at the next step."""
+        slots = np.flatnonzero(self.source < 0)[: len(vs)]
+        if self.stale:
+            self.seen &= ~self.stale
+            self.stale = np.uint64(0)
+        b, bits = self.bounds, _BIT[slots]
+        self.source[slots] = vs
+        self.f[slots] = self.nd[slots] = 0
+        self.exact[slots], self.r[slots] = b.exact[vs], b.r[vs]
+        self.alpha[slots], self.omega[slots] = b.alpha[vs], b.omega[vs]
+        self.seen[vs] |= bits
+        # a vertex on the frontier already joins it again: the masks are
+        # disjoint, so only its gather is repeated
+        self.frontier = np.concatenate([self.frontier, vs])
+        self.masks = np.concatenate([self.masks, bits])
+
+    def drop(self, v: int) -> None:
+        """End the visit from v, if one is running, without a record."""
+        slot = self.source == v
+        self.masks &= ~_word(_BIT[slot])
+        self._free(slot)
+
+    def _free(self, slots: np.ndarray) -> None:
+        self.source[slots] = -1
+        self.d[slots] = 0
+        self.stale |= _word(_BIT[slots])
+
+    def step(self, x: float) -> list[tuple[int, Levels]]:
+        """Expand every running visit by one level at threshold x. Returns
+        (source, record) for each visit that left."""
+        g, frontier, masks = self.g, self.frontier, self.masks
+        d, f, nd, exact, r = self.d, self.f, self.nd, self.exact, self.r
+        live = self.source >= 0
+        self.source_levels += int(np.count_nonzero(live))
+        t, rows = self.levels, len(self.keys)
+        if d.max() == rows:  # a visit needs more rows than the ring holds
+            kept = np.arange(t - rows, t)
+            for name in ("ints", "keys"):
+                ring = getattr(self, name)
+                grown = np.empty((2 * rows, *ring.shape[1:]), ring.dtype)
+                grown[kept % (2 * rows)] = ring[kept % rows]
+                setattr(self, name, grown)
+            rows *= 2
+        row = self.ints[t % rows]
+        deg = g.degrees[frontier]
         _per_source(masks, deg, row[:2])
-        c, s = row[0, :b], row[1, :b]
+        c, s = row[:2]
         f += d * c
         nd += c
         # undirected refinement: beyond level 0 one edge per frontier vertex
         # must point back into the previous level
-        gamma = s - c if (undirected and d >= 1) else s
-        key = cut_keys(d, f, nd, gamma, exact, r, alpha, omega, n)
+        gamma = np.where(d >= 1, s - c, s) if not g.directed else s
+        key = cut_keys(d, f, nd, gamma, exact, r, self.alpha, self.omega, g.n)
         cut = cut_at(key, exact, x)
         more = nd < r  # exact r(v); alpha/omega: after the gather
         leave = live & exact & (cut | ~more)
         if np.count_nonzero(leave):
-            masks = masks & ~_word(bit[leave])
+            masks = masks & ~_word(_BIT[leave])
 
         active = masks != 0
         frontier, masks = frontier[active], masks[active]
         if frontier.size:
+            seen, acc, slot = self.seen, self.acc, self.slot
             deg, fresh = deg[active], []
             for a, z in _spans(deg, _CHUNK):
                 neigh = frontier_neighbors(g, frontier[a:z])
-                gathered += len(neigh)
+                self.gathered += len(neigh)
                 arc_masks = np.repeat(masks[a:z], deg[a:z])
                 arc_masks &= ~seen[neigh]
-                hit = arc_masks != 0  # arcs bringing a source to a vertex it has not seen
+                hit = arc_masks != 0  # arcs bringing a visit to a vertex it has not seen
                 neigh, arc_masks = neigh[hit], arc_masks[hit]
-                fresh.append(distinct(neigh[acc[neigh] == 0], slot))  # new to level d+1
+                fresh.append(distinct(neigh[acc[neigh] == 0], slot))  # new to the next level
                 np.bitwise_or.at(acc, neigh, arc_masks)
             frontier = np.concatenate(fresh)
             masks = acc[frontier]
@@ -268,32 +305,42 @@ def expand(
 
         ao = live & ~exact
         if np.count_nonzero(ao):
-            more = np.where(exact, more, (_word(masks) & bit) != 0)
+            more = np.where(exact, more, (_word(masks) & _BIT) != 0)
             ao &= cut | ~more
-            masks = masks & ~_word(bit[ao])
+            masks = masks & ~_word(_BIT[ao])
             active = masks != 0
             frontier, masks = frontier[active], masks[active]
-            leave |= ao
-        row[2, :b] = more
-        scratch.keys[d, :b] = key
-        d += 1
-        depth[leave] = d
-        live &= ~leave
-    seen.fill(0)
-    depth[live] = d  # only where the bounds disagree with the graph
-    return Levels(scratch.ints[:d], scratch.keys[:d], depth, gathered)
+        row[2] = more
+        self.keys[t % rows] = key
+        d += live
+        self.levels += 1
+        self.frontier, self.masks = frontier, masks
+        gone = live & ((_word(masks) & _BIT) == 0)
+        if not np.count_nonzero(gone):
+            return []
+        depth = d[gone]
+        z = np.cumsum(depth)
+        at = (np.arange(z[-1]) + np.repeat(t + 1 - z, depth)) % rows  # their rows, in order
+        slots = np.repeat(_SLOTS[gone], depth)
+        sizes, arcs, deeper = self.ints[at, :, slots].T.tolist()
+        keys = self.keys[at, slots].tolist()
+        out = [
+            (v, Levels(sizes[a:b], arcs[a:b], deeper[a:b], keys[a:b]))
+            for v, a, b in zip(self.source[gone].tolist(), (z - depth).tolist(), z.tolist())
+        ]
+        self._free(gone)
+        return out
 
 
 def replay(
     g: Graph,
     levels: Levels,
-    s: int,
     v: int,
     threshold: Callable[[], float],
     bounds: ReachabilityBounds,
     recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
-    """The visit from v, source s of ``levels``, decided at the live
+    """The visit from v, recorded in ``levels``, decided at the live
     threshold: its boundaries are walked in order, the threshold is re-read
     at each, and the first cut test that fires ends the visit, exactly as a
     one-at-a-time pruned BFS would. Where the key is NaN the scalar bound
@@ -306,11 +353,9 @@ def replay(
     n, undirected = g.n, not g.directed
     exact = bool(bounds.exact[v])
     r, alpha, omega = int(bounds.r[v]), int(bounds.alpha[v]), int(bounds.omega[v])
-    depth = int(levels.depth[s])
-    counts, deg_sums, more = levels.ints[:depth, :, s].T.tolist()
-    keys = levels.keys[:depth, s].tolist()
+    counts, deg_sums, more, keys = levels
     f = nd = arcs = 0
-    for d in range(depth):
+    for d in range(len(keys)):
         c, deg_sum = counts[d], deg_sums[d]
         f += d * c
         nd += c
@@ -340,11 +385,16 @@ def bfs_cut(
     bounds: ReachabilityBounds,
     recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
-    """Level-synchronous pruned BFS from v: expand with v as its only source
-    at the current threshold, then replay (see both). Returns CUT with the
-    cut level as soon as closeness <= x is certain at a level boundary."""
-    levels = expand(g, np.array([v]), threshold(), bounds, Scratch.of(g.n))
-    return replay(g, levels, 0, v, threshold, bounds, recorder)
+    """Level-synchronous pruned BFS from v: a Kernel running v alone,
+    stepped at the live threshold until it leaves, then replay (see both).
+    Returns CUT with the cut level as soon as closeness <= x is certain at a
+    level boundary."""
+    kernel = Kernel(g, bounds)
+    kernel.start(np.array([v]))
+    left = []
+    while not left:
+        left = kernel.step(threshold())
+    return replay(g, left[0][1], v, threshold, bounds, recorder)
 
 
 def _completed(r: int, f: int, n: int, arcs: int, scanned: int) -> VisitOutcome:
@@ -410,8 +460,9 @@ class Screen:
         return self.skip[vs] | cut_at(keys[0][vs], exact, x) | cut_at(keys[1][vs], exact, x)
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
-        """The positions >= i of the first BATCH vertices the screen can
-        neither skip nor cut at threshold x, and the position just past the
+        """The positions >= i of the vertices the screen can neither skip
+        nor cut at threshold x, up to and including the BATCH-th of them
+        whose visit does not end at level 1, and the position just past the
         last of them (len(order) if fewer remain): every other position
         before it is settled. Windows of doubling width, one vector test
         each."""
@@ -419,9 +470,11 @@ class Screen:
         found, got, width = [], 0, BATCH
         while i < end and got < BATCH:
             window = order[i : i + width]
-            pos = np.flatnonzero(~self._settled(window, x))[: BATCH - got] + i
-            found.append(pos)
-            got += len(pos)
+            pos = np.flatnonzero(~self._settled(window, x))
+            kernel = np.cumsum(~self.ends[window[pos]])  # visits up to each
+            pos = pos[: np.searchsorted(kernel, BATCH - got) + 1]
+            found.append(pos + i)
+            got += int(kernel[len(pos) - 1]) if len(pos) else 0
             i += width
             width *= 2
         pos = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
@@ -522,8 +575,12 @@ class RunStats:
     arcs_scanned: int = 0
     screened: int = 0  # visits settled without the kernel
     # arcs the multi-source kernel really gathered, once per frontier vertex
-    # per level per batch; with 64 visits per gather it may exceed m_vis
+    # per kernel step; with 64 visits per gather it may exceed m_vis
     arcs_gathered: int = 0
+    # kernel steps, and visits summed over them: the kernel's occupancy is
+    # source_levels / (64 * kernel_levels)
+    kernel_levels: int = 0
+    source_levels: int = 0
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -595,7 +652,7 @@ def top_k(
     once its closeness provably cannot exceed the current k-th best value.
     Visits settled at boundary 0 or 1 are settled in bulk from per-vertex
     degree statistics (see Screen); the others run in the multi-source kernel,
-    64 at a time, and are decided by replay. ``workers`` > 1 forks that many
+    up to 64 at a time, and are decided by replay. ``workers`` > 1 forks that many
     processes. ``recorder`` sees every boundary a serial visit evaluates (see
     replay), replayed from the stats for the screened ones; it cannot be
     combined with ``workers`` > 1, because a forked worker cannot call back
@@ -624,7 +681,7 @@ def top_k(
         counts = _visit_all(
             g, bounds, screen, order, heap, cursor, nullcontext(), results, recorder
         )
-    m_vis, scanned, screened, gathered = counts
+    m_vis, scanned, screened, gathered, kernel_levels, source_levels = counts
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
@@ -633,6 +690,8 @@ def top_k(
         arcs_scanned=int(scanned),
         screened=int(screened),
         arcs_gathered=int(gathered),
+        kernel_levels=int(kernel_levels),
+        source_levels=int(source_levels),
         m_tot=exact_m_tot(g, bounds),
         cut_level=cut_level,
         preprocessing_seconds=prep,
@@ -657,61 +716,78 @@ def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
 
 def _visit_all(
     g, bounds, screen, order, heap, cursor, lock, results, recorder=None, warmup=False
-) -> tuple[int, int, int, int]:
-    """The main loop. Under one hold of ``lock`` it claims, from the position
-    ``cursor[0]``, the span up to and including the next BATCH vertices the
-    screen leaves at the current threshold x0, and moves the cursor past it.
-    expand runs those whose visit does not end at level 1 together at x0.
-    Then the span is walked in order at the live threshold, as a loop of one
-    visit at a time would walk it: runs of settled vertices are settled in
-    bulk, a claimed vertex the risen threshold now settles joins the run, an
-    ``ends`` vertex is completed from the screen and any other is decided by
-    replay (the only visits the kernel sees). A completed visit's closeness
-    goes into ``heap``, which is what raises x. Outcomes go into ``results``
-    (see _results) until the cursor runs past the end or, with ``warmup``,
-    until the threshold is positive. Returns (m_vis, arcs_scanned, screened,
-    arcs_gathered) of the vertices settled here."""
+) -> tuple[int, ...]:
+    """The main loop: one Kernel kept full from a stream of claims, and its
+    visits decided in processing order as they leave it.
+
+    Between kernel steps it walks, as a loop of one visit at a time would,
+    the claimed vertices up to the first one still in the kernel: runs the
+    screen settles are settled in bulk (a claimed vertex the risen threshold
+    now settles joins the run and leaves the kernel), an ``ends`` vertex is
+    completed from the screen and any other is decided by replay. Completed
+    visits push into ``heap``, which is what raises x; outcomes go into
+    ``results`` (see _results). Then every free slot takes the next claimed
+    visit; when those run short, it claims, under one hold of ``lock``, the
+    span from ``cursor[0]`` up to and including the next BATCH visits the
+    screen leaves at the live threshold (``ends`` vertices need no slot).
+    The kernel reads the live threshold at every step and a replay later
+    reads one no lower, so a record holds every boundary that a
+    one-at-a-time visit evaluates.
+
+    Returns (m_vis, arcs_scanned, screened, arcs_gathered, kernel_levels,
+    source_levels) of the vertices settled here, once the cursor has passed
+    the end and all are decided. With ``warmup`` it claims BATCH visits at a
+    time, the next only once all before are decided, and only while the
+    threshold is 0.
+    """
     closeness, farness, reachable, cut_level = results
-    scratch = Scratch.of(g.n)
+    kernel = Kernel(g, bounds)
     threshold = lambda: heap.threshold  # re-read at every level boundary
     end = len(order)
-    m_vis = scanned = screened = gathered = 0
+    # (a, p, v, x, ends): settle order[a:p], then decide v (if >= 0), claimed
+    # at x, whose visit ends at level 1 if ``ends``
+    queue = deque()
+    left = {}  # vertex -> Levels of a visit that left the kernel
+    ready = np.zeros(0, np.int64)  # claimed visits waiting for a free slot
+    run_a = run_z = 0  # order[run_a:run_z]: settled by the screen, not yet counted
+    m_vis = scanned = screened = 0
+    more = True
 
-    def settle(vs: np.ndarray) -> None:
+    def settle(a: int, z: int) -> None:
         nonlocal m_vis, scanned, screened
-        arcs, read, count = screen.settle(vs, heap.threshold, cut_level, recorder)
-        m_vis += arcs
-        scanned += read
-        screened += count
+        if z > a:
+            arcs, read, count = screen.settle(order[a:z], heap.threshold, cut_level, recorder)
+            m_vis += arcs
+            scanned += read
+            screened += count
 
-    while not (warmup and heap.threshold > 0):
-        with lock:
-            i = int(cursor[0])
-            x0 = heap.threshold
-            claimed, stop = screen.claim(order, i, x0)
-            cursor[0] = stop
-        if i >= end:
-            return m_vis, scanned, screened, gathered
-        vs = order[claimed]
-        sources = vs[~screen.ends[vs]]
-        if sources.size:
-            levels = expand(g, sources, x0, bounds, scratch)
-            gathered += levels.gathered
-        col = 0
-        for p, v in zip(claimed.tolist(), vs.tolist()):
-            ends = bool(screen.ends[v])
-            if heap.threshold > x0 and screen._settled(v, heap.threshold):
-                col += not ends
-                continue  # settled with the run it now belongs to
-            if p > i:
-                settle(order[i:p])
-            i = p + 1
+    while True:
+        while queue:
+            a, p, v, x_claim, ends = queue[0]
+            x = heap.threshold
+            dropped = v >= 0 and x > x_claim and bool(screen._settled(v, x))
+            if not (v < 0 or dropped or ends or v in left):
+                break  # still in the kernel
+            queue.popleft()
+            if a != run_z:  # another worker claimed the span between
+                settle(run_a, run_z)
+                run_a = a
+            run_z = p
+            if v < 0:
+                continue
+            if dropped:  # settled with the run it now belongs to
+                kernel.drop(v)
+                left.pop(v, None)
+                ready = ready[ready != v]
+                run_z = p + 1
+                continue
+            settle(run_a, p)
+            run_a = run_z = p + 1
             if ends:
                 out = screen.complete(v, recorder)
                 screened += 1
             else:
-                out = replay(g, levels, col, v, threshold, bounds, recorder)
-                col += 1
+                out = replay(g, left.pop(v), v, threshold, bounds, recorder)
             m_vis += out.arcs
             scanned += out.arcs_scanned
             if out.closeness == CUT:
@@ -721,22 +797,50 @@ def _visit_all(
                 farness[v] = out.farness
                 reachable[v] = out.reachable
                 heap.push(out.closeness)
-        if stop > i:
-            settle(order[i:stop])
-    return m_vis, scanned, screened, gathered
+        free = kernel.free
+        if warmup and heap.threshold > 0:
+            more = False  # the workers claim the rest
+        # a threshold of 0 prunes nothing, so the warm-up claims batch by batch
+        if free > ready.size and more and not (warmup and queue):
+            with lock:
+                i = int(cursor[0])
+                x = heap.threshold
+                pos, stop = screen.claim(order, i, x)
+                cursor[0] = stop
+            more = stop < end
+            vs = order[pos]
+            ending = screen.ends[vs]
+            for p, v, e in zip(pos.tolist(), vs.tolist(), ending.tolist()):
+                queue.append((i, p, v, x, e))
+                i = p + 1
+            if stop > i:
+                queue.append((i, stop, -1, x, False))
+            ready = np.concatenate([ready, vs[~ending]])
+        if free and ready.size:
+            kernel.start(ready[:free])
+            ready = ready[free:]
+        if kernel.free < BATCH:
+            left.update(kernel.step(heap.threshold))
+        elif not (queue or more):
+            settle(run_a, run_z)
+            return m_vis, scanned, screened, kernel.gathered, kernel.levels, kernel.source_levels
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
     """Fork worker processes sharing the graph and the screen copy-on-write.
     Each runs _visit_all over one threshold heap, one cursor and one set of
-    result arrays in shared memory, once the parent has run the batches
-    claimed at threshold 0. A worker may read a stale (smaller) threshold,
-    which can only delay a cut, never cause a wrong one.
+    result arrays in shared memory. A worker may read a stale (smaller)
+    threshold, which can only delay a cut, never cause a wrong one.
+
+    Before it forks, the parent runs _visit_all's warm-up: it claims and
+    decides 64 visits at a time while the threshold is 0, and stops once it
+    is positive. No worker then fills the heap with weaker visits that a
+    threshold of 0 cannot prune.
 
     The parent waits on the process sentinels only; a worker that exits with a
     nonzero code raises RuntimeError naming the code. Returns the heap, the
-    result arrays and (m_vis, arcs_scanned, screened, arcs_gathered) summed
-    over the parent and the workers.
+    result arrays and _visit_all's counts summed over the parent and the
+    workers.
     """
     # imported here: it costs serial runs about 0.5 MB of peak RSS
     from multiprocessing.connection import wait
@@ -749,12 +853,9 @@ def _run_parallel(g, bounds, screen, order, k, workers):
 
     heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
     results = _results(g.n, shared_zeros)
-    counts = shared_zeros(4 * (workers + 1), np.int64).reshape(workers + 1, 4)
+    counts = shared_zeros(6 * (workers + 1), np.int64).reshape(workers + 1, 6)
     cursor = shared_zeros(1, np.int64)
     lock = ctx.Lock()
-    # until k visits have completed the threshold is 0 and every visit a
-    # worker replays completes: run those batches here, in order, so that no
-    # worker fills the heap with the weaker visits of a later batch
     counts[workers] = _visit_all(
         g, bounds, screen, order, heap, cursor, lock, results, warmup=True
     )

@@ -28,6 +28,8 @@ class StatsInfo:
     arcs_scanned: int = 0  # absent from reports written before it existed
     screened: int = 0  # likewise
     arcs_gathered: int = 0  # likewise
+    kernel_levels: int = 0  # likewise
+    source_levels: int = 0  # likewise
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ def build_report(
             arcs_scanned=stats.arcs_scanned,
             screened=stats.screened,
             arcs_gathered=stats.arcs_gathered,
+            kernel_levels=stats.kernel_levels,
+            source_levels=stats.source_levels,
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

@@ -38,6 +38,8 @@ class TestTopkCommand:
         assert 0 <= report["stats"]["arcs_scanned"] <= report["stats"]["m_vis"]
         assert report["stats"]["screened"] >= 0
         assert report["stats"]["arcs_gathered"] >= 0
+        levels, source_levels = report["stats"]["kernel_levels"], report["stats"]["source_levels"]
+        assert 0 < levels <= source_levels <= 64 * levels
         assert len(report["results"]) == 2
 
     def test_empty_graph(self, tmp_path, capsys):
@@ -203,6 +205,15 @@ class TestReportRoundTrip:
         del raw["stats"]["arcs_gathered"]
         report = RunReport.from_json(json.dumps(raw))
         assert report.stats.arcs_gathered == 0
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_kernel_levels_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        assert raw["stats"]["kernel_levels"] > 0
+        del raw["stats"]["kernel_levels"], raw["stats"]["source_levels"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert (report.stats.kernel_levels, report.stats.source_levels) == (0, 0)
         assert report.stats.m_vis == raw["stats"]["m_vis"]
 
     def test_report_without_screened_loads(self, path3, capsys):

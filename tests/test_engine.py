@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topclose import engine, graph
 from topclose.engine import (
@@ -265,17 +267,29 @@ class TestKernel:
             alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
         )
 
+    @staticmethod
+    def run_kernel(g, sources, x, bounds):
+        """The record of each visit of a Kernel that runs ``sources`` to the
+        end at threshold x."""
+        kernel = engine.Kernel(g, bounds)
+        kernel.start(np.asarray(sources))
+        records = {}
+        while kernel.free < engine.BATCH:
+            records.update(kernel.step(x))
+        return [records[v] for v in sources]
+
     def test_inexact_keys_keep_sources_running(self):
         g = self.CYCLE
         for r, inexact in ((4, False), (2**27, True)):  # (2**27 - 1)**2 > 2**53
-            levels = engine.expand(g, np.arange(4), 1e300, self.bounds(r), engine.Scratch.of(4))
-            assert np.isnan(levels.keys[0, :4]).all() == inexact, r
-            assert np.isfinite(levels.keys[0, :4]).all() == (not inexact), r
+            records = self.run_kernel(g, [0, 1, 2, 3], 1e300, self.bounds(r))
+            keys0 = np.array([levels.keys[0] for levels in records])
+            assert np.isnan(keys0).all() == inexact, r
+            assert np.isfinite(keys0).all() == (not inexact), r
             if inexact:  # at x = 1e300 every finite key cuts at level 0
-                assert np.isnan(levels.keys[:, :4]).all()
-                assert levels.depth.tolist() == [4, 4, 4, 4]
+                assert all(np.isnan(levels.keys).all() for levels in records)
+                assert [len(levels.keys) for levels in records] == [4, 4, 4, 4]
             else:
-                assert levels.depth.tolist() == [1, 1, 1, 1]
+                assert [len(levels.keys) for levels in records] == [1, 1, 1, 1]
 
     def test_replay_decides_inexact_keys_in_integers(self):
         # each threshold sits on, or one ulp below, a boundary's scalar
@@ -338,6 +352,72 @@ class TestKernel:
             gathered.clear()
             _, stats = top_k(g, 10)
             assert stats.arcs_gathered == sum(gathered) > 0
+
+    @staticmethod
+    def spy_steps(monkeypatch):
+        """Per kernel step: x and {source: level} of the visits it expands."""
+        steps = []
+        real = engine.Kernel.step
+
+        def step(self, x):
+            live = self.source >= 0
+            steps.append((x, dict(zip(self.source[live].tolist(), self.d[live].tolist()))))
+            return real(self, x)
+
+        monkeypatch.setattr(engine.Kernel, "step", step)
+        return steps
+
+    GRAPHS = [
+        ("gnp-d-400", gnp(400, 2.5 / 400, 1, directed=True)),
+        ("gnp-d-800", gnp(800, 1.5 / 800, 2, directed=True)),
+        ("pa-1500", preferential_attachment(1500, 2, seed=4)),
+        ("grid-20", grid(20)),
+    ]
+
+    @pytest.mark.parametrize("tag, g", GRAPHS, ids=[tag for tag, _ in GRAPHS])
+    def test_refill_keeps_the_kernel_full(self, tag, g, monkeypatch):
+        # a step with a free slot comes only once the order is used up, so
+        # those steps are at most the longest visit
+        steps = self.spy_steps(monkeypatch)
+        for k in (1, 10):
+            steps.clear()
+            _, stats = top_k(g, k)
+            depth = max(level for _, live in steps for level in live.values()) + 1
+            assert stats.kernel_levels == len(steps) > 0, tag
+            assert stats.source_levels == sum(len(live) for _, live in steps), tag
+            assert max(len(live) for _, live in steps) <= engine.BATCH
+            full = -(-stats.source_levels // engine.BATCH)
+            assert stats.kernel_levels <= full + depth, (tag, k, stats.kernel_levels, depth)
+
+    @pytest.mark.parametrize("tag, g", GRAPHS, ids=[tag for tag, _ in GRAPHS])
+    def test_kernel_tests_no_higher_than_the_replay(self, tag, g, monkeypatch):
+        # at every boundary a replay evaluates, the kernel tested that
+        # visit's level at a threshold no higher than the one the replay read
+        steps = self.spy_steps(monkeypatch)
+        reads = {}
+        real = engine.replay
+
+        def replay(g, levels, v, threshold, *args):
+            def reading():
+                reads[v, len(seen)] = x = threshold()
+                seen.append(x)
+                return x
+
+            seen = []
+            return real(g, levels, v, reading, *args)
+
+        monkeypatch.setattr(engine, "replay", replay)
+        rose = 0
+        for k in (1, 10):
+            steps.clear()
+            reads.clear()
+            top_k(g, k)
+            tested = {(v, level): x for x, live in steps for v, level in live.items()}
+            assert reads and set(reads) <= set(tested), (tag, k)
+            for boundary, x in reads.items():
+                assert tested[boundary] <= x, (tag, k, boundary)
+            rose += sum(tested[b] < x for b, x in reads.items())
+        assert rose > 0, tag  # the threshold rose between a test and its replay
 
 
 class TestScreen:
@@ -506,8 +586,8 @@ class TestTopK:
         records, expected, kernel_calls = [], [], []
         real = engine.replay
 
-        def spy(g, levels, s, v, *args):
-            out = real(g, levels, s, v, *args)
+        def spy(g, levels, v, *args):
+            out = real(g, levels, v, *args)
             kernel_calls.append((v, out.cut_level))
             return out
 
@@ -551,31 +631,74 @@ class TestTopK:
 
     @pytest.mark.parametrize("rows, cols", [(7, 9), (8, 8), (5, 13), (3, 43)])
     def test_batches_of_64_visits(self, rows, cols, monkeypatch):
-        # 63, 64, 65 and 129 visits reach the kernel: one batch short of
-        # mask bit 63, one full, one spilling one visit into a second batch,
-        # and two full batches plus one
+        # 63, 64, 65 and 129 visits reach the kernel: one short of mask bit
+        # 63, one full kernel, and one or 65 visits that wait for a freed bit
         g = grid(rows, cols)
-        batches, claims = [], []
-        real_expand, real_claim = engine.expand, engine.Screen.claim
+        started, live, claims = [], [], []
+        real_start, real_step, real_claim = (
+            engine.Kernel.start, engine.Kernel.step, engine.Screen.claim
+        )
 
-        def expand(g, sources, *args):
-            batches.append(len(sources))
-            return real_expand(g, sources, *args)
+        def start(self, vs):
+            started.extend(vs.tolist())
+            return real_start(self, vs)
+
+        def step(self, x):
+            live.append(np.count_nonzero(self.source >= 0))
+            return real_step(self, x)
 
         def claim(self, *args):
             claims.append(args[1])
             return real_claim(self, *args)
 
-        monkeypatch.setattr(engine, "expand", expand)
+        monkeypatch.setattr(engine.Kernel, "start", start)
+        monkeypatch.setattr(engine.Kernel, "step", step)
         monkeypatch.setattr(engine.Screen, "claim", claim)
         for k in (1, 10):
-            batches.clear()
+            started.clear()
+            live.clear()
             claims.clear()
             stats = self.assert_matches_reference(g, k, f"grid-{rows}x{cols}", monkeypatch)
             assert stats.screened == 0
-            full, rest = divmod(g.n, engine.BATCH)
-            assert batches == [engine.BATCH] * full + [rest] * (rest > 0)
-            assert len(claims) == len(batches) + 1  # one claim per batch, one at the end
+            # every vertex enters the kernel once, in processing order
+            assert started == processing_order(g).tolist()
+            assert 0 < max(live) <= engine.BATCH
+            assert len(live) == stats.kernel_levels and sum(live) == stats.source_levels
+            assert len(claims) == -(-g.n // engine.BATCH)  # one claim per 64 visits
+
+
+@st.composite
+def mixed_depth_graphs(draw):
+    """A random deep tree of 100-160 vertices plus a few chords: the visits
+    it sends to the kernel (most of them) reach many different depths. Directed
+    graphs orient a third of the edges one way, the others both ways."""
+    n = draw(st.integers(100, 160))
+    directed = draw(st.booleans())
+    # vertex i + 1 hangs off one of the 6 before it: long branching paths
+    back = draw(st.lists(st.integers(0, 5), min_size=n - 1, max_size=n - 1))
+    edges = [(max(i - b, 0), i + 1) for i, b in enumerate(back)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    if directed:  # way 0: u -> w, 1: w -> u, else both
+        ways = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+        arcs = [(u, w) for (u, w), way in zip(edges, ways) if way != 1]
+        edges = arcs + [(w, u) for (u, w), way in zip(edges, ways) if way != 0]
+    return from_edges(n, edges, directed=directed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mixed_depth_graphs())
+def test_mixed_depth_visits_match_the_oracle(g):
+    # more than 64 visits reach the kernel, so freed bits are refilled
+    bounds = reachability_for(g)
+    visited = np.count_nonzero(~skipped(g, bounds))
+    for k in (1, 10):
+        expected = Counter(np.round(top_k_textbook(g, k).closeness_values(), 12))
+        for workers in (1, 2):
+            with time_limit(120):
+                res, stats = top_k(g, k, workers=workers)
+            if workers == 1:
+                assume(visited - stats.screened > engine.BATCH)
+            assert Counter(np.round(res.closeness_values(), 12)) == expected, (k, workers)
 
 
 class TestParallel:
@@ -597,10 +720,11 @@ class TestParallel:
         assert stats.arcs_gathered > 0
 
     def test_workers_start_from_a_positive_threshold(self, monkeypatch):
-        # the parent runs the batches claimed at threshold 0, so no worker
-        # fills the heap with the weaker visits of a later batch
+        # the parent runs the visits claimed at threshold 0, so no worker
+        # fills the heap with the weaker visits of a later claim
         pushes = np.frombuffer(mp.get_context("fork").RawArray("q", 2), dtype=np.int64)
-        parent, real = os.getpid(), ThresholdHeap.push
+        parent, real, real_claim = os.getpid(), ThresholdHeap.push, engine.Screen.claim
+        claims = []
 
         def push(self, value):
             if os.getpid() != parent:
@@ -608,11 +732,20 @@ class TestParallel:
                 pushes[1] += self.threshold == 0
             real(self, value)
 
+        def claim(self, order, i, x):
+            if os.getpid() == parent:
+                claims.append(x)
+            return real_claim(self, order, i, x)
+
         monkeypatch.setattr(ThresholdHeap, "push", push)
+        monkeypatch.setattr(engine.Screen, "claim", claim)
         with time_limit(120):
             _, stats = top_k(path_graph(200), 3, workers=2)
         assert pushes[0] > 0  # the workers completed visits
         assert pushes[1] == 0
+        # one batch decides 64 visits, which raises the threshold: no refill
+        # and no second claim at threshold 0
+        assert claims == [0.0]
         assert stats.final_threshold == top_k(path_graph(200), 3)[1].final_threshold
 
     def test_threshold_rises_during_a_replay(self, ranked, monkeypatch):
@@ -621,7 +754,7 @@ class TestParallel:
         rose = np.frombuffer(mp.get_context("fork").RawArray("q", 1), dtype=np.int64)
         real = engine.replay
 
-        def watched(g, levels, s, v, threshold, *args):
+        def watched(g, levels, v, threshold, *args):
             earlier = []
 
             def reading():
@@ -631,7 +764,7 @@ class TestParallel:
                 time.sleep(0.0005)
                 return x
 
-            return real(g, levels, s, v, reading, *args)
+            return real(g, levels, v, reading, *args)
 
         monkeypatch.setattr(engine, "replay", watched)
         for side in range(12, 17):  # a push lands mid-replay on almost every try
