@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Mutation check: each catalogued mutant must fail the tests named for it.
+
+A mutant is (file under src/, old text, new text, the fast tests expected
+to fail). The script first runs every named test on an unmutated copy of
+src/; they must pass there. Then, for each mutant, it copies src/ to a
+temporary directory, replaces the old text (which must occur exactly once)
+and runs the mutant's tests against the copy. A mutant whose tests still
+pass survived: some guard has no test that needs it. The script lists the
+survivors and exits 1. It exits 2 when the catalogue no longer matches the
+code or the tests fail without any mutant.
+
+Later changes to the cut test and the scheduler add their mutants to
+MUTANTS beside the loader's.
+
+Usage: python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+GRAPH = "topclose/graph.py"
+BULK = "tests/test_graph.py::TestBulkRoute"
+
+MUTANTS = (
+    Mutant(
+        "loader: accept any byte, not only digits, '-' and whitespace",
+        GRAPH,
+        "if np.count_nonzero(digit) + np.count_nonzero(minus) + blank != len(a):",
+        "if False:",
+        (f"{BULK}::test_edge_token",),
+    ),
+    Mutant(
+        "loader: drop the two-tokens-per-line check",
+        GRAPH,
+        'if b"\\0\\0\\0" in runs or b"\\1\\0\\1" in runs:',
+        "if False:",
+        (f"{BULK}::test_line_shapes",),
+    ),
+    Mutant(
+        "loader: drop the canonical sign check",
+        GRAPH,
+        "if np.count_nonzero(signed) != np.count_nonzero(minus):",
+        "if False:",
+        (f"{BULK}::test_edge_token",),
+    ),
+    Mutant(
+        "loader: drop the canonical leading-zero check",
+        GRAPH,
+        "if (start[:-1] & (a[:-1] == 48) & ~space[1:]).any():",
+        "if False:",
+        (f"{BULK}::test_edge_token",),
+    ),
+    Mutant(
+        "loader: drop the int64-edge guard",
+        GRAPH,
+        "if vals.min() == _INT64.min or vals.max() == _INT64.max:",
+        "if False:",
+        (f"{BULK}::test_edge_token",),
+    ),
+    Mutant(
+        "loader: accept numpy's parse whatever its length",
+        GRAPH,
+        "if len(vals) != count:",
+        "if False:",
+        (f"{BULK}::test_line_shapes",),
+    ),
+    Mutant(
+        "loader: read a '#' after a token as a comment",
+        GRAPH,
+        'if data[data.rfind(b"\\n", 0, at) + 1 : at].strip():',
+        "if False:",
+        (f"{BULK}::test_line_shapes",),
+    ),
+    Mutant(
+        "loader: ids in sorted order, not first appearance",
+        GRAPH,
+        "keys = key[is_first]",
+        "keys = np.unique(key)",
+        (f"{BULK}::test_first_appearance_order",
+         f"{BULK}::test_sparse_labels_sorted_by_first_appearance"),
+    ),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
+    """Whether the tests pass with ``src`` as the package source."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for m in MUTANTS:
+            count = (ROOT / "src" / m.file).read_text().count(m.old)
+            if count != 1:
+                print(f"stale: {m.name}: old text found {count} times in src/{m.file}")
+                return 2
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if not run_tests(src, tests):
+            print("the named tests fail on the unmutated source")
+            return 2
+        survivors = []
+        for m in MUTANTS:
+            path = src / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            killed = not run_tests(src, m.tests)
+            path.write_text(original)
+            print(f"{'killed' if killed else 'SURVIVED'}\t{m.name}")
+            if not killed:
+                survivors.append(m)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed "
+          f"in {time.perf_counter() - t0:.1f} s")
+    for m in survivors:
+        print(f"missing test: nothing in {', '.join(m.tests)} fails when {m.name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,16 +42,19 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats", action="store_true")
 
 
-def _load(args: argparse.Namespace) -> Graph:
+def _load(args: argparse.Namespace) -> tuple[Graph, float]:
+    """The input graph and the seconds its load took."""
+    t0 = time.perf_counter()
     try:
         with open(args.input) as fh:
-            return load_edge_list(fh, directed=args.directed)
+            g = load_edge_list(fh, directed=args.directed)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
-    except EdgeListParseError as exc:
+    except (EdgeListParseError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    return g, time.perf_counter() - t0
 
 
 def _emit(report, fmt: str) -> None:
@@ -66,8 +69,9 @@ def _multisets_match(a, b) -> bool:
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, load_seconds = _load(args)
     result, stats = engine.top_k(g, args.k, workers=args.threads)
+    stats.load_seconds = load_seconds
     report = build_report(args.input, g, result, stats, args.threads, args.stats)
     _emit(report, args.format)
     if args.check:
@@ -89,18 +93,20 @@ def _run_oracle(g: Graph, k: int) -> tuple[engine.TopKResult, engine.RunStats]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, load_seconds = _load(args)
     result, stats = _run_oracle(g, args.k)
+    stats.load_seconds = load_seconds
     report = build_report(args.input, g, result, stats, 1, args.stats)
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, load_seconds = _load(args)
     result, stats = engine.top_k(g, args.k, workers=args.threads)
     expected, expected_stats = _run_oracle(g, args.k)
     stats.m_tot = expected_stats.m_tot
+    stats.load_seconds = expected_stats.load_seconds = load_seconds
     match = _multisets_match(result.closeness_values(), expected.closeness_values())
     improvement = stats.improvement_factor
     engine_report = build_report(args.input, g, result, stats, args.threads, True)

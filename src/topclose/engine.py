@@ -584,6 +584,7 @@ class RunStats:
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
+    load_seconds: float = 0.0  # the edge-list load, when the caller (the CLI) times it
     final_threshold: float = 0.0
 
     @property

@@ -111,10 +111,36 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
 
     Dense ids are assigned in first-appearance order of tokens. Self-loops
     and parallel arcs are removed. An empty stream yields the n=0 graph.
+
+    A text file (anything with ``read``) is read whole, once. When every
+    token in it is a canonical decimal int64 ("0", "17", "-3"; not "007",
+    "+1", "-0" or past int64), numpy parses it in bulk. Any other text (other
+    labels, non-ASCII text, a malformed line) and any other iterable of lines
+    go through a per-line loop, which gives the same result and raises
+    EdgeListParseError with the 1-based number of the first bad line.
     """
+    ends, labels = _parse(source)
+    return from_edges(len(labels), ends, directed, labels)
+
+
+def _parse(source: IO[str] | Iterable[str]) -> tuple[ArrayLike, tuple[str, ...]]:
+    """Endpoint ids u0, w0, u1, w1, ... and the labels. The text is freed on
+    return, before the CSR build."""
+    if not hasattr(source, "read"):
+        return _parse_lines(source)
+    text = source.read()
+    if text.isascii():
+        parsed = _parse_bulk(text)
+        if parsed is not None:
+            return parsed
+    return _parse_lines(text.split("\n"))
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[list[int], tuple[str, ...]]:
+    """Endpoint ids u0, w0, u1, w1, ... and the labels, one line at a time."""
     ids: dict[str, int] = {}
-    ends: list[int] = []  # u0, w0, u1, w1, ...
-    for lineno, raw in enumerate(source, start=1):
+    ends: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,8 +149,99 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
             raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}: {line!r}")
         ends.append(ids.setdefault(parts[0], len(ids)))
         ends.append(ids.setdefault(parts[1], len(ids)))
-    labels = tuple(ids)  # insertion order
-    return from_edges(len(ids), ends, directed, labels)
+    return ends, tuple(ids)  # insertion order
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_bulk(text: str) -> tuple[np.ndarray, tuple[str, ...]] | None:
+    """What ``_parse_lines`` returns for ASCII ``text``, computed by
+    whole-array passes, or None unless every token is a canonical decimal
+    int64 and every data line holds two tokens."""
+    data = text.encode("ascii") + b"\n"  # so that a newline follows every token
+    if b"#" in data:
+        data = _drop_comments(data)
+        if data is None:
+            return None
+    a = np.frombuffer(data, dtype=np.uint8)
+    digit = (a - 48) < 10  # uint8 wraps below '0'
+    minus = a == 45
+    # only digits, '-' and the whitespace that str.split and numpy both skip: \t\n\v\f\r ' '
+    blank = np.count_nonzero((a - 9) < 5) + np.count_nonzero(a == 32)
+    if np.count_nonzero(digit) + np.count_nonzero(minus) + blank != len(a):
+        return None
+    space = a <= 32
+    start = ~space  # the first byte of each token
+    start[1:] &= space[:-1]
+    # starts and newlines in text order: every run of starts has length 2
+    newline = a == 10
+    runs = b"\1" + newline[start | newline].tobytes()
+    if b"\0\0\0" in runs or b"\1\0\1" in runs:
+        return None
+    # canonical: a '-' opens a token and precedes 1-9; a leading 0 is the whole token
+    signed = minus[:-1] & start[:-1] & digit[1:] & (a[1:] != 48)
+    if np.count_nonzero(signed) != np.count_nonzero(minus):
+        return None
+    if (start[:-1] & (a[:-1] == 48) & ~space[1:]).any():
+        return None
+    count = np.count_nonzero(start)
+    del a, digit, minus, space, start, newline, signed  # before numpy allocates the values
+    vals = np.fromstring(data, dtype=np.int64, sep=" ")
+    del data
+    if len(vals) != count:  # numpy reads blank text as one 0
+        return None
+    if not count:
+        return vals, ()
+    if vals.min() == _INT64.min or vals.max() == _INT64.max:  # where numpy clamps overflow
+        return None
+    return _first_appearance_ids(vals)
+
+
+def _drop_comments(data: bytes) -> bytes | None:
+    """``data`` without the text of its comment lines (their newlines stay),
+    or None if a '#' follows a token on its line."""
+    view, pieces, done, at = memoryview(data), [], 0, data.find(b"#")
+    while at >= 0:
+        if data[data.rfind(b"\n", 0, at) + 1 : at].strip():
+            return None
+        pieces.append(view[done:at])
+        done = data.find(b"\n", at)
+        at = data.find(b"#", done)
+    pieces.append(view[done:])
+    return b"".join(pieces)
+
+
+def _first_appearance_ids(vals: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense ids of ``vals`` in first-appearance order, and the labels;
+    overwrites ``vals``.
+
+    Each value gets a key in a small range: itself less the minimum when the
+    value range is at most twice the token count, else its rank among the
+    distinct values (by a sort), so memory never grows with a sparse label
+    range. A table over the keys then finds each key's first position.
+    """
+    lo = int(vals.min())
+    span = int(vals.max()) - lo + 1
+    if span <= 2 * len(vals):
+        key, distinct = np.subtract(vals, lo, out=vals), None
+    else:
+        order = np.argsort(vals)
+        ordered = vals[order]
+        new = np.ones(len(vals), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct = ordered[new]
+        key = vals
+        key[order] = np.cumsum(new) - 1
+        span = len(distinct)
+    first = np.full(span, len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first[first < len(key)]] = True
+    keys = key[is_first]  # in first-appearance order
+    first[keys] = np.arange(len(keys))
+    labels = keys + lo if distinct is None else distinct[keys]
+    return first[key], tuple(map(str, labels.tolist()))
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:

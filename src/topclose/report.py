@@ -30,6 +30,7 @@ class StatsInfo:
     arcs_gathered: int = 0  # likewise
     kernel_levels: int = 0  # likewise
     source_levels: int = 0  # likewise
+    load_seconds: float = 0.0  # likewise
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ def build_report(
             arcs_gathered=stats.arcs_gathered,
             kernel_levels=stats.kernel_levels,
             source_levels=stats.source_levels,
+            load_seconds=stats.load_seconds,
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

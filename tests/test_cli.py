@@ -40,6 +40,7 @@ class TestTopkCommand:
         assert report["stats"]["arcs_gathered"] >= 0
         levels, source_levels = report["stats"]["kernel_levels"], report["stats"]["source_levels"]
         assert 0 < levels <= source_levels <= 64 * levels
+        assert report["stats"]["load_seconds"] > 0
         assert len(report["results"]) == 2
 
     def test_empty_graph(self, tmp_path, capsys):
@@ -62,6 +63,16 @@ class TestTopkCommand:
         code = main(["topk", "--input", str(p), "--directed"])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["topk", "oracle", "compare"])
+    def test_non_utf8_input(self, command, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 2\n\xff\xfe 3\n")
+        assert main([command, "--input", str(p), "--undirected"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.err.count("\n") == 1
 
     def test_bad_k(self, path3, capsys):
         assert main(["topk", "--input", path3, "--undirected", "-k", "0"]) == 2
@@ -222,4 +233,12 @@ class TestReportRoundTrip:
         del raw["stats"]["screened"]
         report = RunReport.from_json(json.dumps(raw))
         assert report.stats.screened == 0
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_load_seconds_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        del raw["stats"]["load_seconds"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.load_seconds == 0.0
         assert report.stats.m_vis == raw["stats"]["m_vis"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topclose import graph as graph_module
 from topclose.graph import (
     EdgeListParseError,
     Graph,
@@ -59,6 +60,187 @@ class TestLoadEdgeList:
     def test_first_appearance_order(self):
         g = load_lines(["z y", "y x"], directed=True)
         assert g.labels == ("z", "y", "x")
+
+
+def loop_load_edge_list(source, directed):
+    """The per-line loader that the bulk route must match: the reference."""
+    ids, ends = {}, []
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}: {line!r}")
+        ends.append(ids.setdefault(parts[0], len(ids)))
+        ends.append(ids.setdefault(parts[1], len(ids)))
+    return from_edges(len(ids), ends, directed, tuple(ids))
+
+
+def outcome(load, source, directed):
+    """What a loader makes of ``source``: the graph's arrays, or the error."""
+    try:
+        g = load(source, directed)
+    except EdgeListParseError as exc:
+        return "error", exc.line_number, str(exc)
+    return g.labels, g.offsets.tolist(), g.targets.tolist(), g.offsets.dtype, g.targets.dtype
+
+
+def assert_loads_like_loop(text):
+    """load_edge_list on a text stream equals the reference loop on its lines."""
+    for directed in (False, True):
+        expected = outcome(loop_load_edge_list, io.StringIO(text), directed)
+        assert outcome(load_edge_list, io.StringIO(text), directed) == expected
+
+
+EDGE_TOKENS = [
+    "9223372036854775807",
+    "9223372036854775808",
+    "-9223372036854775808",
+    "-9223372036854775809",
+    "99999999999999999999",
+    "007",
+    "+1",
+    "-0",
+    "-",
+    "0",
+]
+
+
+class TestBulkRoute:
+    """The bulk integer route against the per-line reference loop."""
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    @pytest.mark.parametrize("place", ["first", "second"])
+    def test_edge_token(self, token, place):
+        edge = f"{token} 5" if place == "first" else f"5 {token}"
+        assert_loads_like_loop(f"# header\n3 5\n{edge}\n5 7\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2 3\n4\n",
+            "1 2\n1 2 3\n4\n",
+            "1\t2\n2 \t 3\n",
+            "1\x0b2\n2\x0c3\n",
+            "1\x1c2\n2 3\n",
+            "1 2\x1c\n",
+            "1 2\r\n2 3\r\n",
+            "1 2\r3 4\n",
+            "  # indented\n\t# tab\n1 2\n",
+            "1 2 # inline\n",
+            "1 #\n",
+            "1 2\n# c 3 4 5\n#\n3 4\n",
+            "\n\n1 2\n\n\n2 3\n\n",
+            "1 2\n2 3",
+            "1 2\n3",
+            "1000000000000000 999999999999999\n999999999999999 -1000000000000000\n",
+            "-3 -1\n-1 2\n2 -3\n",
+            "5 3\n3 1\n1 5\n",
+            "",
+            "\n",
+            "   \n\t\n",
+            "# only a comment",
+            "1 2\n\x00 3\n",
+            "a b\n1 2\n",
+            "1 2\n\u00e9 3\n",
+        ],
+    )
+    def test_line_shapes(self, text):
+        assert_loads_like_loop(text)
+
+    def test_first_appearance_order(self):
+        g = load_edge_list(io.StringIO("5 3\n3 1\n1 5\n"), directed=True)
+        assert g.labels == ("5", "3", "1")
+        assert out(g, 0).tolist() == [1]
+
+    def test_sparse_labels_sorted_by_first_appearance(self):
+        # a label range far wider than the token count takes the sort route
+        text = "1000000000000000 7\n7 -1000000000000000\n-1000000000000000 42\n"
+        g = load_edge_list(io.StringIO(text), directed=True)
+        assert g.labels == ("1000000000000000", "7", "-1000000000000000", "42")
+        assert_loads_like_loop(text)
+
+    def test_integer_labels_take_the_bulk_route(self, monkeypatch):
+        def no_loop(lines):
+            raise AssertionError("the per-line loop ran")
+
+        monkeypatch.setattr(graph_module, "_parse_lines", no_loop)
+        text = "# header\n  # indented\n3\t5\r\n\n-5 0\n10 3"
+        g = load_edge_list(io.StringIO(text), directed=True)
+        assert g.labels == ("3", "5", "-5", "0", "10")
+
+    @pytest.mark.parametrize("data", [b"# c\r\n1 2\r\n2 -3\r\n", b"1 2\r\n007 1\r\n"])
+    def test_file_with_crlf_line_ends(self, tmp_path, data):
+        p = tmp_path / "crlf.txt"
+        p.write_bytes(data)
+        with open(p) as fh, open(p) as ref:
+            assert outcome(load_edge_list, fh, False) == outcome(loop_load_edge_list, ref, False)
+
+    def test_source_is_read_once(self):
+        class Once:
+            def __init__(self, lines):
+                self.lines, self.passes = lines, 0
+
+            def __iter__(self):
+                self.passes += 1
+                return iter(self.lines)
+
+        for text in ("1 2\n2 3\n", "a b\nb c\n", "1 2\n1 2 3\n"):
+            source = Once(list(io.StringIO(text)))
+            assert outcome(load_edge_list, source, False) == outcome(
+                loop_load_edge_list, io.StringIO(text), False
+            )
+            assert source.passes == 1
+
+    def test_generated_graph_round_trip(self):
+        from topclose.generators import preferential_attachment
+
+        buf = io.StringIO()
+        write_edge_list(preferential_attachment(3000, 4, seed=2), buf)
+        assert_loads_like_loop(buf.getvalue())
+
+
+int_tokens = st.one_of(st.integers(-20, 20), st.integers(-(2**63) - 2, 2**63 + 1)).map(str)
+odd_tokens = st.sampled_from(EDGE_TOKENS + ["a", "#", "1-2", "00", "-01"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: mostly two integer tokens per line, with comments,
+    blank lines, odd token counts, odd separators and line ends. Half the
+    texts use integer tokens and the whitespace numpy skips only."""
+    if draw(st.booleans()):
+        line_tokens, spaces = int_tokens, " \t\x0b\x0c\r"
+    else:
+        line_tokens, spaces = st.one_of(int_tokens, odd_tokens), " \t\x0b\x0c\x1c\r"
+    separators = st.text(alphabet=spaces, min_size=1, max_size=3)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["edge", "edge", "edge", "blank", "comment", "tokens"]))
+        if shape == "blank":
+            line = draw(st.text(alphabet=" \t", max_size=2))
+        elif shape == "comment":
+            line = draw(st.text(alphabet=" \t", max_size=2)) + "#" + draw(st.text(max_size=5))
+        else:
+            count = 2 if shape == "edge" else draw(st.integers(0, 3))
+            tokens = [draw(line_tokens) for _ in range(count)]
+            line = draw(separators).join(tokens) if tokens else ""
+            line = draw(st.sampled_from(["", " ", "\t"])) + line
+        lines.append(line.replace("\n", " ") + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edge_list_texts())
+@example(text="3 99999999999999999999\n")
+@example(text="1 2 3\n4\n")
+@example(text="+1 2\n")
+@example(text="1\x1c2 3\n")
+def test_load_matches_per_line_loop(text):
+    assert_loads_like_loop(text)
 
 
 class TestCsrInvariants:
