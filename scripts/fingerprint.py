@@ -5,9 +5,9 @@ changes no output.
 It runs top_k at k = 1 and 10 with a boundary recorder on every instance of
 tests/conftest.build_suite(), on PA(2000), a 30x30 grid and sparse directed
 gnp graphs (n = 800 and 1,500, two seeds each). The first digest covers the
-ranking, every RunStats counter (m_vis, m_tot, arcs_scanned, screened,
-arcs_gathered, final_threshold, the cut level of each vertex, and
-kernel_levels and source_levels where RunStats has them) and every recorded
+ranking, every RunStats counter (m_vis, m_tot, screened, arcs_gathered,
+final_threshold, the cut level of each vertex, and kernel_levels and
+source_levels where RunStats has them) and every recorded
 boundary. Timers are left out. The second digest leaves out the counters of
 kernel work (arcs_gathered, kernel_levels, source_levels): a change to how
 the kernel schedules its visits moves those, and only those. Run it on two
@@ -57,7 +57,7 @@ def run_digests(g, k: int) -> tuple[str, str, int]:
     boundaries = []
     result, stats = top_k(g, k, recorder=lambda *a: boundaries.append(a))
     work = [getattr(stats, name) for name in KERNEL_WORK if hasattr(stats, name)]
-    counters = [stats.m_vis, stats.m_tot, stats.arcs_scanned, stats.screened]
+    counters = [stats.m_vis, stats.m_tot, stats.screened]
     threshold = float(stats.final_threshold).hex()
     for h, fields in ((full, counters + work[:1] + [threshold] + work[1:]),
                       (outputs, counters + [threshold])):

@@ -10,8 +10,9 @@ pass survived: some guard has no test that needs it. The script lists the
 survivors and exits 1. It exits 2 when the catalogue no longer matches the
 code or the tests fail without any mutant.
 
-Later changes to the cut test and the scheduler add their mutants to
-MUTANTS beside the loader's.
+The catalogue holds the loader's guards, the cut test's and the visit
+decision's; a later change that adds a cut or scheduling path adds its
+mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -41,6 +42,9 @@ class Mutant:
 
 GRAPH = "topclose/graph.py"
 BULK = "tests/test_graph.py::TestBulkRoute"
+ENGINE = "topclose/engine.py"
+KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
+HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
 
 MUTANTS = (
     Mutant(
@@ -99,6 +103,55 @@ MUTANTS = (
         "keys = np.unique(key)",
         (f"{BULK}::test_first_appearance_order",
          f"{BULK}::test_sparse_labels_sorted_by_first_appearance"),
+    ),
+    Mutant(
+        "decision: at the threshold of the claim, not the live one",
+        ENGINE,
+        "took, arcs = decide(g, bounds, heap, x, results, rec, recorder)",
+        'took, arcs = decide(g, bounds, heap, span["x"][0], results, rec, recorder)',
+        (HUB,),
+    ),
+    Mutant(
+        "decision: go on after a push that raises the threshold",
+        ENGINE,
+        "if heap.threshold > x:",
+        "if False:",
+        (HUB,),
+    ),
+    Mutant(
+        "decision: never drop a running visit that the risen threshold cuts",
+        ENGINE,
+        'drop = (x > claimed["x"][sent]) & screen._settled(vs, x)',
+        "drop = np.zeros(len(sent), bool)",
+        (HUB,),
+    ),
+    Mutant(
+        "cut test: < for <= against the threshold",
+        ENGINE,
+        "exact & (keys <= x)",
+        "exact & (keys < x)",
+        (KEYS,),
+    ),
+    Mutant(
+        "cut keys: > for >= in the 2**53 guard",
+        ENGINE,
+        "key[big >= 2.0**53] = np.nan",
+        "key[big > 2.0**53] = np.nan",
+        (KEYS,),
+    ),
+    Mutant(
+        "cut keys: no abs on (n-1)*lam",
+        ENGINE,
+        "np.abs((n - 1.0) * lam)",
+        "(n - 1.0) * lam",
+        (KEYS,),
+    ),
+    Mutant(
+        "cut test: an inverse threshold of 0 at x = 0",
+        ENGINE,
+        "(1.0 / x if x > 0 else INF)",
+        "(1.0 / x if x > 0 else 0.0)",
+        (KEYS,),
     ),
 )
 

@@ -20,7 +20,7 @@ def main() -> None:
     args = ap.parse_args()
 
     print(
-        "n\tm\ttopk_seconds\tm_vis\tarcs_scanned\tarcs_gathered\tscreened\tm_tot"
+        "n\tm\ttopk_seconds\tm_vis\tarcs_gathered\tscreened\tm_tot"
         "\timprovement_factor"
     )
     for n in (int(s) for s in args.sizes.split(",")):
@@ -30,7 +30,7 @@ def main() -> None:
         elapsed = time.perf_counter() - t0
         factor = stats.m_vis / stats.m_tot
         print(
-            f"{n}\t{g.m}\t{elapsed:.2f}\t{stats.m_vis}\t{stats.arcs_scanned}"
+            f"{n}\t{g.m}\t{elapsed:.2f}\t{stats.m_vis}"
             f"\t{stats.arcs_gathered}\t{stats.screened}\t{stats.m_tot}\t{factor:.6f}"
         )
 

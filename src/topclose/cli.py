@@ -87,7 +87,7 @@ def _run_oracle(g: Graph, k: int) -> tuple[engine.TopKResult, engine.RunStats]:
     t0 = time.perf_counter()
     table, m_tot = oracle.exact_closeness_all(g)
     result = table.ranked(g, k)
-    stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot, arcs_scanned=m_tot, arcs_gathered=m_tot)
+    stats = engine.RunStats(m_vis=m_tot, m_tot=m_tot, arcs_gathered=m_tot)
     stats.total_seconds = time.perf_counter() - t0
     return result, stats
 

@@ -5,15 +5,15 @@ process-based parallel scheduler.
 The kernel runs up to 64 visits as one bit-parallel BFS, one level per step,
 and records every level boundary. A visit that leaves hands its bit to the
 next claimed vertex at once, so the kernel stays full and numpy's per-level
-call cost is shared by 64 visits. Between steps replay decides the visits
-that left, in processing order, against the live threshold, boundary by
-boundary, as the paper's one-at-a-time pruned BFS would."""
+call cost is shared by 64 visits. Every visit has one record, a row per
+boundary; the screen supplies rows 0 and 1 up front. Between steps decide
+settles the claimed visits, in processing order, against the live
+threshold, as the paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -24,9 +24,7 @@ from .graph import Graph, distinct, frontier_neighbors
 from .scc import ReachabilityBounds, reachability_for
 
 INF = float("inf")
-
-# visit outcomes
-CUT = -1.0
+CUT = -1.0  # a cut visit's closeness (see VisitOutcome)
 
 
 def farness_lower_bound(d: int, f_d: int, n_d: int, gamma_next: int, x: int) -> int:
@@ -113,13 +111,13 @@ class VisitOutcome:
     reachable: int  # vertices visited (valid when completed)
     cut_level: int  # -1 if completed
     arcs: int  # arcs out of the expanded levels (the paper's m_vis share)
-    arcs_scanned: int  # arcs a one-source visit gathers (<= arcs); see replay
 
 
 BoundaryRecorder = Callable[[int, int, int, int, int], None]
 # recorder(vertex, d, f_d, n_d, gamma_next) at every evaluated level boundary
 
 BATCH = 64  # live visits per kernel: one bit each of a uint64 mask
+_SPAN = 4096  # visits per decide call: bounds its records and temporaries to about 1 MB
 _CHUNK = 8192  # arcs per gather step, masks per count step: 64 kB per temporary
 _BYTE_BASE = np.arange(0, 8 * 256, 256)  # histogram bins of byte j of a mask
 _BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)], float)  # [byte, t]
@@ -163,19 +161,14 @@ def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _among(a: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """np.isin for short arrays, without its import of numpy.ma (20 ms)."""
+    return (a[:, None] == vs).any(axis=1)
+
+
 def _word(masks: np.ndarray) -> np.uint64:
     """The OR of an array of uint64 masks."""
     return np.bitwise_or.reduce(masks, initial=np.uint64(0))
-
-
-class Levels(NamedTuple):
-    """What the kernel learnt about one visit: entry d of each list describes
-    boundary d, for every level the visit was live in."""
-
-    counts: list[int]  # |level d|
-    arcs: list[int]  # arcs out of level d
-    more: list[int]  # 1 where level d+1 is non-empty
-    keys: list[float]  # the cut key; NaN where float64 is inexact
 
 
 class Kernel:
@@ -215,7 +208,7 @@ class Kernel:
         self.exact = np.ones(BATCH, bool)
         self.r, self.alpha, self.omega = (np.full(BATCH, 2) for _ in range(3))
         # the boundary rows of the last len(keys) steps, step t at row t % len(keys)
-        self.ints = np.empty((16, 3, BATCH), np.int64)  # [t, :, slot]: see Levels
+        self.ints = np.empty((16, 3, BATCH), np.int64)  # [t, :, slot]: see decide
         self.keys = np.empty((16, BATCH))
         self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
 
@@ -241,20 +234,21 @@ class Kernel:
         self.frontier = np.concatenate([self.frontier, vs])
         self.masks = np.concatenate([self.masks, bits])
 
-    def drop(self, v: int) -> None:
-        """End the visit from v, if one is running, without a record."""
-        slot = self.source == v
-        self.masks &= ~_word(_BIT[slot])
-        self._free(slot)
+    def drop(self, vs: np.ndarray) -> None:
+        """End the visits from vs that are running, without a record."""
+        slots = _among(self.source, vs)
+        self.masks &= ~_word(_BIT[slots])
+        self._free(slots)
 
     def _free(self, slots: np.ndarray) -> None:
         self.source[slots] = -1
         self.d[slots] = 0
         self.stale |= _word(_BIT[slots])
 
-    def step(self, x: float) -> list[tuple[int, Levels]]:
+    def step(self, x: float) -> Records | None:
         """Expand every running visit by one level at threshold x. Returns
-        (source, record) for each visit that left."""
+        the records of the visits that left (None if none did), each NaN key
+        replaced by the scalar bound in Python integers."""
         g, frontier, masks = self.g, self.frontier, self.masks
         d, f, nd, exact, r = self.d, self.f, self.nd, self.exact, self.r
         live = self.source >= 0
@@ -317,108 +311,132 @@ class Kernel:
         self.frontier, self.masks = frontier, masks
         gone = live & ((_word(masks) & _BIT) == 0)
         if not np.count_nonzero(gone):
-            return []
+            return None
         depth = d[gone]
         z = np.cumsum(depth)
         at = (np.arange(z[-1]) + np.repeat(t + 1 - z, depth)) % rows  # their rows, in order
         slots = np.repeat(_SLOTS[gone], depth)
-        sizes, arcs, deeper = self.ints[at, :, slots].T.tolist()
-        keys = self.keys[at, slots].tolist()
-        out = [
-            (v, Levels(sizes[a:b], arcs[a:b], deeper[a:b], keys[a:b]))
-            for v, a, b in zip(self.source[gone].tolist(), (z - depth).tolist(), z.tolist())
-        ]
+        rec = Records(self.source[gone], depth, self.ints[at, :, slots].T, self.keys[at, slots])
+        nan = np.flatnonzero(np.isnan(rec.keys))
+        if nan.size:  # the scalar bound, in Python integers
+            kind = (a[slots] for a in (self.exact, self.r, self.alpha, self.omega))
+            per_row = zip(*(a[nan].tolist() for a in (*_boundaries(rec, not g.directed), *kind)))
+            rec.keys[nan] = [_integer_key(*row, g.n) for row in per_row]
         self._free(gone)
-        return out
+        return rec
 
 
-def replay(
-    g: Graph,
-    levels: Levels,
-    v: int,
-    threshold: Callable[[], float],
-    bounds: ReachabilityBounds,
+class Records(NamedTuple):
+    """The records of visits, one row per level boundary d = 0, 1, ...:
+    visit i holds the depth[i] rows after those of the visits before it."""
+
+    vs: np.ndarray  # the visits' sources
+    depth: np.ndarray
+    ints: np.ndarray  # [:, row]: |level d|, its degree sum, 1 where level d+1 exists
+    keys: np.ndarray  # [row]: the cut key (see cut_keys)
+
+
+def _boundaries(rec: Records, undirected: bool) -> tuple[np.ndarray, ...]:
+    """Per row of ``rec``: the visit's level d, f_d, n_d and gamma (see
+    farness_lower_bound) at that boundary."""
+    first = np.repeat(np.cumsum(rec.depth) - rec.depth, rec.depth)
+    d = np.arange(len(first)) - first
+    c, s = rec.ints[0], rec.ints[1]
+    sums = np.zeros((2, len(d) + 1), np.int64)
+    np.cumsum([d * c, c], axis=1, out=sums[:, 1:])
+    f, nd = sums[:, 1:] - sums[:, first]
+    return d, f, nd, np.where(undirected & (d >= 1), s - c, s)  # as Kernel.step refines it
+
+
+def _integer_key(d, f, nd, gamma, exact, r, alpha, omega, n: int) -> float:
+    """cut_keys' key of one boundary, in Python integers."""
+    if exact:
+        return closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n)
+    return inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
+
+
+def decide(
+    g: Graph, bounds: ReachabilityBounds, heap: ThresholdHeap, x: float, results, rec: Records,
     recorder: BoundaryRecorder | None = None,
-) -> VisitOutcome:
-    """The visit from v, recorded in ``levels``, decided at the live
-    threshold: its boundaries are walked in order, the threshold is re-read
-    at each, and the first cut test that fires ends the visit, exactly as a
-    one-at-a-time pruned BFS would. Where the key is NaN the scalar bound
-    functions decide in integer arithmetic. ``recorder``, if given, sees each
-    evaluated boundary just before the cut test.
+) -> tuple[int, int]:
+    """Decide the visits of ``rec`` in order at threshold x, as a
+    one-at-a-time pruned BFS would: each ends at its first boundary with no
+    next level, where it completes, or whose cut test (cut_at) fires.
 
-    arcs_scanned counts the arcs the one-source visit gathers: levels 0..d-1
-    with an exact r(v), levels 0..d with alpha/omega only (that gather tells
-    whether level d+1 exists)."""
-    n, undirected = g.n, not g.directed
-    exact = bool(bounds.exact[v])
-    r, alpha, omega = int(bounds.r[v]), int(bounds.alpha[v]), int(bounds.omega[v])
-    counts, deg_sums, more, keys = levels
-    f = nd = arcs = 0
-    for d in range(len(keys)):
-        c, deg_sum = counts[d], deg_sums[d]
-        f += d * c
-        nd += c
-        arcs += deg_sum
-        scanned = arcs - deg_sum if exact else arcs
-        if not more[d]:
-            return _completed(nd, f, n, arcs, scanned)
-        gamma = deg_sum - c if (undirected and d >= 1) else deg_sum
-        if recorder is not None:
-            recorder(v, d, f, nd, gamma)
-        x = threshold()
-        key = keys[d]
-        if key != key:  # NaN: the scalar bound, in Python integers
-            key = (
-                closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n) if exact
-                else inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
-            )
-        if key <= x if exact else x > 0 and key >= 1.0 / x:
-            return VisitOutcome(CUT, f, nd, d, arcs, scanned)
-    raise RuntimeError(f"the visit from {v} outran its reachability bounds")
+    One vector pass finds every end. Outcomes go into ``results`` (see
+    _results), and completions push into ``heap`` in order, up to the first
+    push that raises the threshold above x: the visits after it are left to
+    be decided at the new one. ``recorder`` sees each boundary the decided
+    visits evaluate, completions excepted. Returns how many visits it
+    decided, and their m_vis."""
+    closeness, farness, reachable, cut_level = results
+    vs, depth, ints = rec.vs, rec.depth, rec.ints
+    more = ints[2] != 0
+    ends = ~more | cut_at(rec.keys, np.repeat(bounds.exact[vs], depth), x)
+    # each visit's end: its first row past the ends of the visits before it
+    before = np.zeros(len(ends) + 1, np.int64)
+    np.cumsum(ends, out=before[1:])
+    first = np.cumsum(depth) - depth
+    at = np.append(np.flatnonzero(ends), len(ends))[before[first]]
+    outran = at >= first + depth
+    if outran.any():
+        raise RuntimeError(f"the visit from {vs[outran.argmax()]} outran its reachability bounds")
+    level, took = at - first, len(vs)
+    for i in np.flatnonzero(~more[at]).tolist():
+        # the farness bound is then the farness, and the closeness bound exact
+        sizes = ints[0, first[i] : at[i] + 1].tolist()
+        v, r, far = int(vs[i]), sum(sizes), sum(d * c for d, c in enumerate(sizes))
+        c = closeness_upper_bound(far, r, g.n) if r > 1 else 0.0
+        closeness[v], farness[v], reachable[v], level[i] = c, far, r, -1
+        heap.push(c)
+        if heap.threshold > x:
+            took = i + 1
+            break
+    cut_level[vs[:took]] = level[:took]
+    end = int(first[took - 1] + depth[took - 1])  # just past the decided visits' rows
+    upto = np.arange(end) <= np.repeat(at[:took], depth[:took])
+    if recorder is not None:
+        per_row = (np.repeat(vs, depth), *_boundaries(rec, not g.directed))
+        for b in zip(*(a[np.flatnonzero(more[:end] & upto)].tolist() for a in per_row)):
+            recorder(*b)
+    return took, int(ints[1, :end][upto].sum())
 
 
 def bfs_cut(
-    g: Graph,
-    v: int,
-    threshold: Callable[[], float],
-    bounds: ReachabilityBounds,
+    g: Graph, v: int, threshold: Callable[[], float], bounds: ReachabilityBounds,
     recorder: BoundaryRecorder | None = None,
 ) -> VisitOutcome:
     """Level-synchronous pruned BFS from v: a Kernel running v alone,
-    stepped at the live threshold until it leaves, then replay (see both).
-    Returns CUT with the cut level as soon as closeness <= x is certain at a
-    level boundary."""
+    stepped at the live threshold until it leaves, then decided at it (see
+    both). Returns CUT with the cut level as soon as closeness <= x is
+    certain at a level boundary."""
     kernel = Kernel(g, bounds)
     kernel.start(np.array([v]))
-    left = []
-    while not left:
-        left = kernel.step(threshold())
-    return replay(g, left[0][1], v, threshold, bounds, recorder)
-
-
-def _completed(r: int, f: int, n: int, arcs: int, scanned: int) -> VisitOutcome:
-    """A visit that reached all r vertices at total distance f: the farness
-    bound is then the farness, so closeness_upper_bound gives the closeness."""
-    c = closeness_upper_bound(f, r, n) if r > 1 else 0.0
-    return VisitOutcome(c, f, r, -1, arcs, scanned)
+    while (rec := kernel.step(threshold())) is None:
+        pass
+    results = _results(g.n, np.zeros)
+    _, arcs = decide(g, bounds, ThresholdHeap(1), threshold(), results, rec, recorder)
+    closeness, farness, reachable, level = (a.item(v) for a in results)
+    if level < 0:
+        return VisitOutcome(closeness, farness, reachable, -1, arcs)
+    _, f, nd, _ = _boundaries(rec, not g.directed)
+    return VisitOutcome(CUT, int(f[level]), int(nd[level]), level, arcs)
 
 
 @dataclass(frozen=True)
 class Screen:
-    """The cut tests at boundaries 0 and 1 of every visit, evaluated up front.
+    """Rows 0 and 1 of every visit's record (see decide), known up front.
 
     At those boundaries a visit from v knows only deg(v), the degree sum S1(v)
     over N(v), and r(v) or alpha/omega, none of which depends on the
     threshold x. So the cut keys (see cut_keys) are computed once per top_k,
     and a visit they cut at x, or one whose level 2 is provably empty, is
-    settled without a BFS. A vertex whose boundary-0 key is NaN is never
-    screened; it always goes to the kernel. At boundary 1 only exact-r
-    vertices whose level 2 exists are screened.
+    decided from these rows without a BFS. A vertex whose boundary-0 key is
+    NaN is never screened; it always goes to the kernel. At boundary 1 only
+    exact-r vertices whose level 2 exists are screened; elsewhere the key is
+    NaN, and row 1 says level 2 exists unless the visit ``ends``.
     """
 
-    n: int
-    undirected: bool
     skip: np.ndarray  # bool: never visited (r(v) or alpha(v) <= 1)
     exact: np.ndarray  # bool: r(v) is known
     degrees: np.ndarray
@@ -452,63 +470,41 @@ class Screen:
         vs, d, s, r, exact = vs[one], d[one], s[one], r[one], exact[one]
         gamma1 = s - d if not g.directed else s  # as the kernel refines it
         keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, exact, r, alpha[one], omega[one], n)
-        return cls(n, not g.directed, skip, bounds.exact, deg, s1, keys, ends)
+        return cls(skip, bounds.exact, deg, s1, keys, ends)
 
     def _settled(self, vs, x: float):
-        """Whether the vertices vs are skipped or cut at boundary 0 or 1."""
-        exact, keys = self.exact[vs], self.keys
-        return self.skip[vs] | cut_at(keys[0][vs], exact, x) | cut_at(keys[1][vs], exact, x)
+        """Whether the vertices vs are skipped or cut at boundary 0 or 1.
+        Only exact-r keys are finite at boundary 1, and for those a cut at
+        either boundary is a cut at the smaller key."""
+        keys = np.fmin(self.keys[0][vs], self.keys[1][vs])
+        return self.skip[vs] | cut_at(keys, self.exact[vs], x)
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
-        """The positions >= i of the vertices the screen can neither skip
-        nor cut at threshold x, up to and including the BATCH-th of them
-        whose visit does not end at level 1, and the position just past the
-        last of them (len(order) if fewer remain): every other position
-        before it is settled. Windows of doubling width, one vector test
-        each."""
+        """The positions >= i of the first BATCH vertices that need the
+        kernel at threshold x (neither skipped, nor cut at boundary 0 or 1,
+        nor ending at level 1), and the position just past the last of them
+        (len(order) if fewer remain). Windows of doubling width, one vector
+        test each."""
         end = len(order)
         found, got, width = [], 0, BATCH
         while i < end and got < BATCH:
             window = order[i : i + width]
-            pos = np.flatnonzero(~self._settled(window, x))
-            kernel = np.cumsum(~self.ends[window[pos]])  # visits up to each
-            pos = pos[: np.searchsorted(kernel, BATCH - got) + 1]
+            pos = np.flatnonzero(~(self._settled(window, x) | self.ends[window]))[: BATCH - got]
             found.append(pos + i)
-            got += int(kernel[len(pos) - 1]) if len(pos) else 0
+            got += len(pos)
             i += width
             width *= 2
         pos = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
         return pos, int(pos[-1]) + 1 if got == BATCH else end
 
-    def settle(
-        self, vs: np.ndarray, x: float, cut_level: np.ndarray,
-        recorder: BoundaryRecorder | None,
-    ) -> tuple[int, int, int]:
-        """Write the cut level of every unskipped vertex of a run (vertices
-        the screen settles at x) and replay its boundaries to ``recorder``.
-        Returns (m_vis, arcs_scanned, settled vertices) as a one-source
-        visit would count them, except that a settled visit scans only the
-        arcs its cut test reads: none at level 0, the deg(v) arcs summed into
-        S1(v) at level 1."""
-        vs = vs[~self.skip[vs]]
-        deep = ~cut_at(self.keys[0][vs], self.exact[vs], x)  # cut at level 1
-        cut_level[vs] = deep
-        deg, s1 = self.degrees[vs], self.s1[vs]
-        if recorder is not None:
-            for v, lvl, dv, sv in zip(vs.tolist(), deep.tolist(), deg.tolist(), s1.tolist()):
-                recorder(v, 0, 0, 1, dv)
-                if lvl:
-                    recorder(v, 1, dv, 1 + dv, sv - dv if self.undirected else sv)
-        scanned = int(deg[deep].sum())
-        return int(deg.sum() + s1[deep].sum()), scanned, len(vs)
-
-    def complete(self, v: int, recorder: BoundaryRecorder | None) -> VisitOutcome:
-        """The visit from an ``ends`` vertex not cut at boundary 0: it
-        reaches v and N(v) and nothing else."""
-        dv, sv = int(self.degrees[v]), int(self.s1[v])
-        if recorder is not None:
-            recorder(v, 0, 0, 1, dv)
-        return _completed(1 + dv, dv, self.n, dv + sv, dv)
+    def rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows 0 and 1 of the records of the visits from vs (see Records):
+        their ints and keys."""
+        ints, keys = np.ones((3, len(vs), 2), np.int64), np.empty((len(vs), 2))
+        ints[1, :, 0] = ints[0, :, 1] = self.degrees[vs]
+        ints[1, :, 1], ints[2, :, 1] = self.s1[vs], ~self.ends[vs]
+        keys[:, 0], keys[:, 1] = self.keys[0][vs], self.keys[1][vs]
+        return ints.reshape(3, -1), keys.ravel()
 
 
 class ThresholdHeap:
@@ -569,11 +565,7 @@ class TopKResult:
 class RunStats:
     m_vis: int = 0  # the paper's arc count: out-arcs of every expanded level
     m_tot: int | None = None
-    # arcs a one-at-a-time visit reads (<= m_vis): those its gathers return,
-    # and for a screened visit the arcs its cut test reads (0 at level 0,
-    # deg(v) summed into S1(v) at level 1)
-    arcs_scanned: int = 0
-    screened: int = 0  # visits settled without the kernel
+    screened: int = 0  # visits decided from the screen's rows, without the kernel
     # arcs the multi-source kernel really gathered, once per frontier vertex
     # per kernel step; with 64 visits per gather it may exceed m_vis
     arcs_gathered: int = 0
@@ -628,15 +620,8 @@ def _rank(
     order = np.lexsort((idx, -closeness[idx]))
     chosen = idx[order][:k]
     entries = tuple(
-        RankedVertex(
-            rank=i + 1,
-            vertex=int(v),
-            label=g.labels[int(v)],
-            closeness=float(closeness[v]),
-            farness=int(farness[v]),
-            reachable=int(reachable[v]),
-        )
-        for i, v in enumerate(chosen)
+        RankedVertex(i + 1, v, g.labels[v], closeness.item(v), farness.item(v), reachable.item(v))
+        for i, v in enumerate(chosen.tolist())
     )
     return TopKResult(k=k, entries=entries)
 
@@ -651,13 +636,12 @@ def top_k(
 
     Vertices are processed in decreasing degree order; each visit may be cut
     once its closeness provably cannot exceed the current k-th best value.
-    Visits settled at boundary 0 or 1 are settled in bulk from per-vertex
-    degree statistics (see Screen); the others run in the multi-source kernel,
-    up to 64 at a time, and are decided by replay. ``workers`` > 1 forks that many
-    processes. ``recorder`` sees every boundary a serial visit evaluates (see
-    replay), replayed from the stats for the screened ones; it cannot be
-    combined with ``workers`` > 1, because a forked worker cannot call back
-    into the parent.
+    Visits the per-vertex degree statistics settle at boundary 0 or 1 need
+    no BFS (see Screen); the others run in the multi-source kernel, up to 64
+    at a time. decide settles both kinds from their records. ``workers`` > 1
+    forks that many processes. ``recorder`` sees every boundary a serial
+    visit evaluates (see decide); it cannot be combined with ``workers`` > 1,
+    because a forked worker cannot call back into the parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -670,34 +654,23 @@ def top_k(
     order = processing_order(g)
     prep = time.perf_counter() - t0
 
-    n = g.n
-    skip = bounds.alpha <= 1  # alpha(v) = 1 only where v reaches no other vertex
-    screen = Screen.build(g, bounds, skip)
-    if workers > 1 and n:
+    # alpha(v) = 1 only where v reaches no other vertex: those are skipped
+    screen = Screen.build(g, bounds, bounds.alpha <= 1)
+    if workers > 1 and g.n:
         heap, results, counts = _run_parallel(g, bounds, screen, order, k, workers)
     else:
-        heap = ThresholdHeap(k)
-        results = _results(n, np.zeros)
-        cursor = np.zeros(1, dtype=np.int64)
-        counts = _visit_all(
-            g, bounds, screen, order, heap, cursor, nullcontext(), results, recorder
-        )
-    m_vis, scanned, screened, gathered, kernel_levels, source_levels = counts
+        heap, results, cursor = ThresholdHeap(k), _results(g.n, np.zeros), np.zeros(1, np.int64)
+        counts = _visit_all(g, bounds, screen, order, heap, cursor, nullcontext(), results,
+                            recorder)
+    m_vis, screened, gathered, kernel_levels, source_levels = counts
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
     stats = RunStats(
-        m_vis=int(m_vis),
-        arcs_scanned=int(scanned),
-        screened=int(screened),
-        arcs_gathered=int(gathered),
-        kernel_levels=int(kernel_levels),
-        source_levels=int(source_levels),
-        m_tot=exact_m_tot(g, bounds),
-        cut_level=cut_level,
-        preprocessing_seconds=prep,
-        total_seconds=time.perf_counter() - t0,
-        final_threshold=heap.threshold,
+        m_vis=int(m_vis), screened=int(screened), arcs_gathered=int(gathered),
+        kernel_levels=int(kernel_levels), source_levels=int(source_levels),
+        m_tot=exact_m_tot(g, bounds), cut_level=cut_level, preprocessing_seconds=prep,
+        total_seconds=time.perf_counter() - t0, final_threshold=heap.threshold,
     )
     return result, stats
 
@@ -706,125 +679,123 @@ def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
     """Per-vertex (closeness, farness, reachable, cut_level) arrays made by
     ``zeros(length, dtype)``. A vertex no visit writes to (a skipped one)
     reads as completed with closeness 0 and only itself reachable."""
-    closeness = zeros(n, np.float64)
-    farness = zeros(n, np.int64)
-    reachable = zeros(n, np.int64)
-    reachable[:] = 1
-    cut_level = zeros(n, np.int64)
-    cut_level[:] = -1
+    closeness, farness, reachable, cut_level = (
+        zeros(n, dtype) for dtype in (np.float64, np.int64, np.int64, np.int64)
+    )
+    reachable[:], cut_level[:] = 1, -1
     return closeness, farness, reachable, cut_level
+
+
+# a claimed, undecided visit: its source, whether it went to the kernel, its claim's x
+_CLAIMED = np.dtype([("v", np.int64), ("kernel", bool), ("x", np.float64)])
 
 
 def _visit_all(
     g, bounds, screen, order, heap, cursor, lock, results, recorder=None, warmup=False
 ) -> tuple[int, ...]:
-    """The main loop: one Kernel kept full from a stream of claims, and its
-    visits decided in processing order as they leave it.
+    """The main loop: one Kernel kept full from a stream of claims, and the
+    claimed visits decided in processing order.
 
-    Between kernel steps it walks, as a loop of one visit at a time would,
-    the claimed vertices up to the first one still in the kernel: runs the
-    screen settles are settled in bulk (a claimed vertex the risen threshold
-    now settles joins the run and leaves the kernel), an ``ends`` vertex is
-    completed from the screen and any other is decided by replay. Completed
-    visits push into ``heap``, which is what raises x; outcomes go into
-    ``results`` (see _results). Then every free slot takes the next claimed
-    visit; when those run short, it claims, under one hold of ``lock``, the
-    span from ``cursor[0]`` up to and including the next BATCH visits the
-    screen leaves at the live threshold (``ends`` vertices need no slot).
-    The kernel reads the live threshold at every step and a replay later
-    reads one no lower, so a record holds every boundary that a
+    Between kernel steps decide settles the claimed visits up to the first
+    one still in the kernel, each from the screen's rows or, once it has left
+    the kernel, from its own; a kernel visit that the risen threshold cuts
+    at boundary 0 or 1 is dropped and decided from the screen's rows. Then
+    every free slot takes the next claimed kernel visit; when those run
+    short, it claims, under one hold of ``lock``, the span from ``cursor[0]``
+    up to and including the next BATCH visits the kernel needs at the live
+    threshold. The kernel reads the live threshold at every step and decide
+    later reads one no lower, so a record holds every boundary that a
     one-at-a-time visit evaluates.
 
-    Returns (m_vis, arcs_scanned, screened, arcs_gathered, kernel_levels,
-    source_levels) of the vertices settled here, once the cursor has passed
-    the end and all are decided. With ``warmup`` it claims BATCH visits at a
-    time, the next only once all before are decided, and only while the
-    threshold is 0.
+    Returns (m_vis, screened, arcs_gathered, kernel_levels, source_levels)
+    of the visits decided here, once the cursor has passed the end and all
+    are decided. With ``warmup`` it claims BATCH visits at a time, the next
+    only once all before are decided, and only while the threshold is 0.
     """
-    closeness, farness, reachable, cut_level = results
     kernel = Kernel(g, bounds)
-    threshold = lambda: heap.threshold  # re-read at every level boundary
-    end = len(order)
-    # (a, p, v, x, ends): settle order[a:p], then decide v (if >= 0), claimed
-    # at x, whose visit ends at level 1 if ``ends``
-    queue = deque()
-    left = {}  # vertex -> Levels of a visit that left the kernel
-    ready = np.zeros(0, np.int64)  # claimed visits waiting for a free slot
-    run_a = run_z = 0  # order[run_a:run_z]: settled by the screen, not yet counted
-    m_vis = scanned = screened = 0
+    claimed = np.zeros(0, _CLAIMED)  # in processing order
+    left = {}  # vertex -> (record, a, b): the rows a:b of a visit that left the kernel
+    ready = np.zeros(0, np.int64)  # claimed kernel visits waiting for a free slot
+    m_vis = screened = 0
+    stuck = -1.0  # the first claimed visit was running in the kernel at this threshold
     more = True
-
-    def settle(a: int, z: int) -> None:
-        nonlocal m_vis, scanned, screened
-        if z > a:
-            arcs, read, count = screen.settle(order[a:z], heap.threshold, cut_level, recorder)
-            m_vis += arcs
-            scanned += read
-            screened += count
-
     while True:
-        while queue:
-            a, p, v, x_claim, ends = queue[0]
+        x = heap.threshold
+        while claimed.size and (x > stuck or not claimed["kernel"][0] or claimed["v"][0] in left):
+            sent = np.flatnonzero(claimed["kernel"])
+            vs = claimed["v"][sent]
+            drop = (x > claimed["x"][sent]) & screen._settled(vs, x)
+            running = ~drop & np.array([v not in left for v in vs.tolist()], dtype=bool)
+            stop = min(sent[running.argmax()] if running.any() else len(claimed), _SPAN)
+            if stop == 0:
+                stuck = x
+                break
+            drop &= sent < stop
+            if drop.any():
+                kernel.drop(vs[drop])
+                ready = ready[~_among(ready, vs[drop])]
+                for v in vs[drop].tolist():
+                    left.pop(v, None)
+                claimed["kernel"][sent[drop]] = False
+            span = claimed[:stop]
+            rec = _records(span, left, screen)
+            took, arcs = decide(g, bounds, heap, x, results, rec, recorder)
+            for v in span["v"][:took][span["kernel"][:took]].tolist():
+                del left[v]
+            screened += took - int(np.count_nonzero(span["kernel"][:took]))
+            m_vis += arcs
+            claimed = claimed[took:]
             x = heap.threshold
-            dropped = v >= 0 and x > x_claim and bool(screen._settled(v, x))
-            if not (v < 0 or dropped or ends or v in left):
-                break  # still in the kernel
-            queue.popleft()
-            if a != run_z:  # another worker claimed the span between
-                settle(run_a, run_z)
-                run_a = a
-            run_z = p
-            if v < 0:
-                continue
-            if dropped:  # settled with the run it now belongs to
-                kernel.drop(v)
-                left.pop(v, None)
-                ready = ready[ready != v]
-                run_z = p + 1
-                continue
-            settle(run_a, p)
-            run_a = run_z = p + 1
-            if ends:
-                out = screen.complete(v, recorder)
-                screened += 1
-            else:
-                out = replay(g, left.pop(v), v, threshold, bounds, recorder)
-            m_vis += out.arcs
-            scanned += out.arcs_scanned
-            if out.closeness == CUT:
-                cut_level[v] = out.cut_level
-            else:
-                closeness[v] = out.closeness
-                farness[v] = out.farness
-                reachable[v] = out.reachable
-                heap.push(out.closeness)
         free = kernel.free
         if warmup and heap.threshold > 0:
             more = False  # the workers claim the rest
         # a threshold of 0 prunes nothing, so the warm-up claims batch by batch
-        if free > ready.size and more and not (warmup and queue):
+        if free > ready.size and more and not (warmup and claimed.size):
             with lock:
                 i = int(cursor[0])
                 x = heap.threshold
                 pos, stop = screen.claim(order, i, x)
                 cursor[0] = stop
-            more = stop < end
-            vs = order[pos]
-            ending = screen.ends[vs]
-            for p, v, e in zip(pos.tolist(), vs.tolist(), ending.tolist()):
-                queue.append((i, p, v, x, e))
-                i = p + 1
-            if stop > i:
-                queue.append((i, stop, -1, x, False))
-            ready = np.concatenate([ready, vs[~ending]])
+            more = stop < len(order)
+            sent = np.zeros(stop - i, bool)
+            sent[pos - i] = True
+            keep = ~screen.skip[order[i:stop]]
+            span = np.empty(np.count_nonzero(keep), _CLAIMED)
+            span["v"], span["kernel"], span["x"] = order[i:stop][keep], sent[keep], x
+            claimed = np.concatenate([claimed, span])
+            ready = np.concatenate([ready, order[pos]])
         if free and ready.size:
             kernel.start(ready[:free])
             ready = ready[free:]
         if kernel.free < BATCH:
-            left.update(kernel.step(heap.threshold))
-        elif not (queue or more):
-            settle(run_a, run_z)
-            return m_vis, scanned, screened, kernel.gathered, kernel.levels, kernel.source_levels
+            rec = kernel.step(heap.threshold)
+            if rec is not None:
+                z = np.cumsum(rec.depth).tolist()
+                left.update((v, (rec, a, b)) for v, a, b in zip(rec.vs.tolist(), [0] + z, z))
+        elif not (claimed.size or more):
+            return m_vis, screened, kernel.gathered, kernel.levels, kernel.source_levels
+
+
+def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
+    """The records of claimed visits: their own once they left the kernel, else the screen's."""
+    vs, sent = span["v"], np.flatnonzero(span["kernel"])
+    depth = np.full(len(span), 2)
+    if len(sent) < len(span):
+        ints, keys = screen.rows(vs[~span["kernel"]])
+        if not sent.size:
+            return Records(vs, depth, ints, keys)
+    parts, z = [], 0  # z: the screen's rows used so far
+    for j, (p, v) in enumerate(zip(sent.tolist(), vs[sent].tolist())):
+        if 2 * (p - j) > z:  # the screen's rows of the visits before p
+            parts.append((ints[:, z : 2 * (p - j)], keys[z : 2 * (p - j)]))
+            z = 2 * (p - j)
+        rec, a, b = left[v]
+        parts.append((rec.ints[:, a:b], rec.keys[a:b]))
+        depth[p] = b - a
+    if len(sent) < len(span) and z < len(keys):
+        parts.append((ints[:, z:], keys[z:]))
+    ints, keys = zip(*parts)
+    return Records(vs, depth, np.concatenate(ints, axis=1), np.concatenate(keys))
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
@@ -854,7 +825,7 @@ def _run_parallel(g, bounds, screen, order, k, workers):
 
     heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
     results = _results(g.n, shared_zeros)
-    counts = shared_zeros(6 * (workers + 1), np.int64).reshape(workers + 1, 6)
+    counts = shared_zeros(5 * (workers + 1), np.int64).reshape(workers + 1, 5)
     cursor = shared_zeros(1, np.int64)
     lock = ctx.Lock()
     counts[workers] = _visit_all(

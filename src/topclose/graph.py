@@ -133,7 +133,17 @@ def _parse(source: IO[str] | Iterable[str]) -> tuple[ArrayLike, tuple[str, ...]]
         parsed = _parse_bulk(text)
         if parsed is not None:
             return parsed
-    return _parse_lines(text.split("\n"))
+    return _parse_lines(_lines(text))
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The items of ``text.split("\n")``, split a block of about 64 kB at a
+    time, so that no list of all the lines is alive beside the text."""
+    a = 0
+    while (z := text.find("\n", a + (1 << 16))) >= 0:
+        yield from text[a:z].split("\n")
+        a = z + 1
+    yield from text[a:].split("\n")
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[list[int], tuple[str, ...]]:

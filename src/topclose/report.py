@@ -25,8 +25,7 @@ class StatsInfo:
     performance_ratio: float | None
     preprocessing_seconds: float
     total_seconds: float
-    arcs_scanned: int = 0  # absent from reports written before it existed
-    screened: int = 0  # likewise
+    screened: int = 0  # absent from reports written before it existed
     arcs_gathered: int = 0  # likewise
     kernel_levels: int = 0  # likewise
     source_levels: int = 0  # likewise
@@ -47,7 +46,10 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         raw = json.loads(text)
-        stats = StatsInfo(**raw["stats"]) if raw.get("stats") is not None else None
+        stats = raw.get("stats")
+        if stats is not None:
+            stats.pop("arcs_scanned", None)  # written by older versions, now dropped
+            stats = StatsInfo(**stats)
         return cls(
             input=InputInfo(**raw["input"]),
             k=raw["k"],
@@ -83,7 +85,6 @@ def build_report(
             performance_ratio=stats.m_vis / mn if mn else None,
             preprocessing_seconds=stats.preprocessing_seconds,
             total_seconds=stats.total_seconds,
-            arcs_scanned=stats.arcs_scanned,
             screened=stats.screened,
             arcs_gathered=stats.arcs_gathered,
             kernel_levels=stats.kernel_levels,

@@ -35,7 +35,6 @@ class TestTopkCommand:
         assert report["input"]["n"] == 3
         assert report["stats"]["m_vis"] <= report["stats"]["m_tot"]
         assert report["stats"]["performance_ratio"] is not None
-        assert 0 <= report["stats"]["arcs_scanned"] <= report["stats"]["m_vis"]
         assert report["stats"]["screened"] >= 0
         assert report["stats"]["arcs_gathered"] >= 0
         levels, source_levels = report["stats"]["kernel_levels"], report["stats"]["source_levels"]
@@ -133,8 +132,8 @@ class TestOracleAndCompare:
         assert main([command, "--input", cycle3, "--directed", "-k", "2", "--stats"]) == 0
         report = json.loads(capsys.readouterr().out)
         stats = report["stats"] if command == "oracle" else report["oracle"]["stats"]
-        counts = ("m_vis", "m_tot", "arcs_scanned", "arcs_gathered")
-        assert [stats[c] for c in counts] == [9] * 4
+        counts = ("m_vis", "m_tot", "arcs_gathered")
+        assert [stats[c] for c in counts] == [9] * 3
         assert stats["total_seconds"] >= 0.05
 
     def test_compare_match_verdict(self, cycle3, capsys):
@@ -202,12 +201,14 @@ class TestReportRoundTrip:
         assert report.k == 3
         assert report.stats is not None
 
-    def test_report_without_arcs_scanned_loads(self, path3, capsys):
+    def test_report_with_arcs_scanned_loads(self, path3, capsys):
+        # reports written before arcs_scanned was dropped still load
         main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
         raw = json.loads(capsys.readouterr().out)
-        del raw["stats"]["arcs_scanned"]
+        assert "arcs_scanned" not in raw["stats"]
+        raw["stats"]["arcs_scanned"] = raw["stats"]["m_vis"]
         report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.arcs_scanned == 0
+        assert not hasattr(report.stats, "arcs_scanned")
         assert report.stats.m_vis == raw["stats"]["m_vis"]
 
     def test_report_without_arcs_gathered_loads(self, path3, capsys):

@@ -41,7 +41,7 @@ def visit(g, v, threshold, bounds):
 
 def scalar_visit(g, v, threshold, bounds, recorder=None):
     """The pruned BFS one source at a time, in Python integers: the
-    reference the multi-source kernel and its replay must match. At every
+    reference the multi-source kernel and decide must match. At every
     boundary d it tests the scalar bound at the threshold read there; with
     an exact r(v) before gathering level d, else after."""
     exact, n = bool(bounds.exact[v]), g.n
@@ -49,7 +49,7 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
     seen, slot = np.zeros(n, bool), np.empty(n, np.int64)
     seen[v] = True
     frontier = np.array([v], np.int64)
-    d = f = nd = arcs = scanned = 0
+    d = f = nd = arcs = 0
     while True:
         f += d * len(frontier)
         nd += len(frontier)
@@ -59,13 +59,12 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
         else:
             neigh = graph.frontier_neighbors(g, frontier)
             deg_sum = len(neigh)
-            scanned += deg_sum
             new = neigh[~seen[neigh]]
             more = new.size > 0
         arcs += deg_sum
         if not more:
             c = engine.closeness_upper_bound(f, nd, n) if nd > 1 else 0.0
-            return engine.VisitOutcome(c, f, nd, -1, arcs, scanned)
+            return engine.VisitOutcome(c, f, nd, -1, arcs)
         gamma = deg_sum - len(frontier) if (not g.directed and d >= 1) else deg_sum
         if recorder is not None:
             recorder(v, d, f, nd, gamma)
@@ -73,14 +72,13 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
         if exact:
             lam = engine.farness_lower_bound(d, f, nd, gamma, r)
             if engine.closeness_upper_bound(lam, r, n) <= x:
-                return engine.VisitOutcome(CUT, f, nd, d, arcs, scanned)
+                return engine.VisitOutcome(CUT, f, nd, d, arcs)
             neigh = graph.frontier_neighbors(g, frontier)
-            scanned += deg_sum
             new = neigh[~seen[neigh]]
         else:
             inv = engine.inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
             if x > 0 and inv >= 1.0 / x:
-                return engine.VisitOutcome(CUT, f, nd, d, arcs, scanned)
+                return engine.VisitOutcome(CUT, f, nd, d, arcs)
         frontier = graph.distinct(new, slot)
         seen[frontier] = True
         d += 1
@@ -94,26 +92,24 @@ def skipped(g, bounds):
 def reference_top_k(g, k, recorder=None):
     """The visit loop without the screen and without batches: scalar_visit
     on every unskipped vertex in processing order over one ThresholdHeap.
-    Returns the ranking, the cut levels, the final threshold, m_vis and the
-    arcs the visits scanned."""
+    Returns the ranking, the cut levels, the final threshold and m_vis."""
     bounds = reachability_for(g)
     skip = skipped(g, bounds)
     heap = ThresholdHeap(k)
     closeness, farness, reachable, cut_level = engine._results(g.n, np.zeros)
-    m_vis = scanned = 0
+    m_vis = 0
     for v in processing_order(g).tolist():
         if skip[v]:
             continue
         out = scalar_visit(g, v, lambda: heap.threshold, bounds, recorder)
         m_vis += out.arcs
-        scanned += out.arcs_scanned
         if out.closeness == CUT:
             cut_level[v] = out.cut_level
         else:
             closeness[v], farness[v], reachable[v] = out.closeness, out.farness, out.reachable
             heap.push(out.closeness)
     ranked = engine._rank(g, k, closeness, farness, reachable, cut_level < 0)
-    return ranked, cut_level, heap.threshold, m_vis, scanned
+    return ranked, cut_level, heap.threshold, m_vis
 
 
 def grid(side, cols=None):
@@ -124,6 +120,41 @@ def grid(side, cols=None):
         np.stack([cells[:-1].ravel(), cells[1:].ravel()], axis=1),
     ])
     return from_edges(side * cols, pairs.tolist(), directed=False)
+
+
+def spy_decide(monkeypatch):
+    """Per decided visit, in order: (source, threshold x of its decision,
+    its last evaluated boundary, cut level or -1)."""
+    decided = []
+    real = engine.decide
+
+    def decide(g, bounds, heap, x, results, rec, *args):
+        took, arcs = real(g, bounds, heap, x, results, rec, *args)
+        first = np.cumsum(rec.depth) - rec.depth
+        for v, a, depth in zip(rec.vs[:took].tolist(), first.tolist(), rec.depth.tolist()):
+            level = int(results[3][v])
+            # a completion's last row has no cut test
+            last = level if level >= 0 else int(np.argmin(rec.ints[2, a : a + depth])) - 1
+            decided.append((v, x, last, level))
+        return took, arcs
+
+    monkeypatch.setattr(engine, "decide", decide)
+    return decided
+
+
+def spy_left(monkeypatch):
+    """The sources of the visits that leave a Kernel step."""
+    left = set()
+    real = engine.Kernel.step
+
+    def step(self, x):
+        rec = real(self, x)
+        if rec is not None:
+            left.update(rec.vs.tolist())
+        return rec
+
+    monkeypatch.setattr(engine.Kernel, "step", step)
+    return left
 
 
 @contextmanager
@@ -268,28 +299,39 @@ class TestKernel:
         )
 
     @staticmethod
-    def run_kernel(g, sources, x, bounds):
-        """The record of each visit of a Kernel that runs ``sources`` to the
-        end at threshold x."""
-        kernel = engine.Kernel(g, bounds)
+    def run_kernel(kernel, sources, x):
+        """The (ints, keys) record of each visit of ``kernel`` when it runs
+        ``sources`` to the end at threshold x."""
         kernel.start(np.asarray(sources))
         records = {}
         while kernel.free < engine.BATCH:
-            records.update(kernel.step(x))
+            rec = kernel.step(x)
+            if rec is not None:
+                z = np.cumsum(rec.depth)
+                for v, a, b in zip(rec.vs.tolist(), z - rec.depth, z):
+                    records[v] = rec.ints[:, a:b], rec.keys[a:b]
         return [records[v] for v in sources]
 
     def test_inexact_keys_keep_sources_running(self):
         g = self.CYCLE
         for r, inexact in ((4, False), (2**27, True)):  # (2**27 - 1)**2 > 2**53
-            records = self.run_kernel(g, [0, 1, 2, 3], 1e300, self.bounds(r))
-            keys0 = np.array([levels.keys[0] for levels in records])
-            assert np.isnan(keys0).all() == inexact, r
-            assert np.isfinite(keys0).all() == (not inexact), r
-            if inexact:  # at x = 1e300 every finite key cuts at level 0
-                assert all(np.isnan(levels.keys).all() for levels in records)
-                assert [len(levels.keys) for levels in records] == [4, 4, 4, 4]
-            else:
-                assert [len(levels.keys) for levels in records] == [1, 1, 1, 1]
+            bounds = self.bounds(r)
+            kernel = engine.Kernel(g, bounds)
+            records = self.run_kernel(kernel, [0, 1, 2, 3], 1e300)
+            # the kernel's own keys at boundary 0 (step 0, slots 0-3)
+            assert np.isnan(kernel.keys[0, :4]).all() == inexact, r
+            assert np.isfinite(kernel.keys[0, :4]).all() == (not inexact), r
+            # a NaN key never cuts, so at x = 1e300, where every finite key
+            # cuts at level 0, only the inexact visits run to the end; as
+            # they leave, each NaN key becomes the scalar bound
+            assert [len(keys) for _, keys in records] == [4 if inexact else 1] * 4
+            for v, (_, keys) in enumerate(records):
+                scalar = (
+                    engine.closeness_upper_bound(engine.farness_lower_bound(0, 0, 1, 1, r), r, 4)
+                    if bounds.exact[v]
+                    else engine.inverse_closeness_lower_bound(0, 0, 1, 1, 2, r, 4)
+                )
+                assert keys[0] == scalar and np.isfinite(keys).all(), (r, v)
 
     def test_replay_decides_inexact_keys_in_integers(self):
         # each threshold sits on, or one ulp below, a boundary's scalar
@@ -391,33 +433,25 @@ class TestKernel:
 
     @pytest.mark.parametrize("tag, g", GRAPHS, ids=[tag for tag, _ in GRAPHS])
     def test_kernel_tests_no_higher_than_the_replay(self, tag, g, monkeypatch):
-        # at every boundary a replay evaluates, the kernel tested that
-        # visit's level at a threshold no higher than the one the replay read
+        # at every boundary decide evaluates for a visit that left the
+        # kernel, the kernel tested that visit's level at a threshold no
+        # higher than the one decide read
         steps = self.spy_steps(monkeypatch)
-        reads = {}
-        real = engine.replay
-
-        def replay(g, levels, v, threshold, *args):
-            def reading():
-                reads[v, len(seen)] = x = threshold()
-                seen.append(x)
-                return x
-
-            seen = []
-            return real(g, levels, v, reading, *args)
-
-        monkeypatch.setattr(engine, "replay", replay)
+        left = spy_left(monkeypatch)
+        decided = spy_decide(monkeypatch)
         rose = 0
         for k in (1, 10):
             steps.clear()
-            reads.clear()
+            left.clear()
+            decided.clear()
             top_k(g, k)
             tested = {(v, level): x for x, live in steps for v, level in live.items()}
+            reads = {(v, d): x for v, x, last, _ in decided if v in left for d in range(last + 1)}
             assert reads and set(reads) <= set(tested), (tag, k)
             for boundary, x in reads.items():
                 assert tested[boundary] <= x, (tag, k, boundary)
             rose += sum(tested[b] < x for b, x in reads.items())
-        assert rose > 0, tag  # the threshold rose between a test and its replay
+        assert rose > 0, tag  # the threshold rose between a test and its decision
 
 
 class TestScreen:
@@ -432,6 +466,49 @@ class TestScreen:
             assert np.isfinite(screen.keys[0][:2]).all() == screened, r
             assert np.isfinite(screen.keys[0][2:]).all() == screened, r
             assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
+
+    def test_kernel_rows_0_and_1_match_the_screen(self, suite, monkeypatch):
+        # a running visit that a risen threshold cuts at boundary 0 or 1 is
+        # dropped from the kernel and decided from the screen's rows, which
+        # must then say what its own record would: the level size and its
+        # degree sum, and wherever the screen's key is finite, that key and
+        # whether the next level exists. (Where the key is NaN no decision
+        # reads the flag: an alpha/omega visit's row 1 says only that level
+        # 2 may exist.)
+        records = []
+        real = engine.Kernel.step
+
+        def step(self, x):
+            rec = real(self, x)
+            if rec is not None:
+                records.append(rec)
+            return rec
+
+        monkeypatch.setattr(engine.Kernel, "step", step)
+        graphs = [*suite, ("pa-2000", preferential_attachment(2000, 4, seed=1)),
+                  ("grid-30", grid(30))]
+        graphs += [(f"gnp-d-{n}", gnp(n, 2.0 / n, seed, directed=True))
+                   for n in (800, 1500) for seed in (0, 1)]
+        compared = finite = 0
+        for tag, g in graphs:
+            records.clear()
+            top_k(g, 10)
+            bounds = reachability_for(g)
+            screen = engine.Screen.build(g, bounds, bounds.alpha <= 1)
+            for rec in records:
+                ints, keys = screen.rows(rec.vs)
+                first = np.cumsum(rec.depth) - rec.depth
+                for i, (a, depth) in enumerate(zip(first.tolist(), rec.depth.tolist())):
+                    rows = min(depth, 2)
+                    ours = slice(2 * i, 2 * i + rows)
+                    kernel, screened = rec.ints[:, a : a + rows], ints[:, ours]
+                    assert np.array_equal(kernel[:2], screened[:2]), (tag, i)
+                    known = np.isfinite(keys[ours])
+                    assert np.array_equal(kernel[2, known], screened[2, known]), (tag, i)
+                    assert np.array_equal(rec.keys[a : a + rows][known], keys[ours][known]), tag
+                    compared += rows
+                    finite += np.count_nonzero(known)
+        assert compared > finite > 0
 
 
 class TestThreshold:
@@ -562,11 +639,6 @@ class TestTopK:
             else:
                 assert g.directed, tag
 
-    def test_arcs_scanned_bounded_by_m_vis(self, suite):
-        for tag, g in suite:
-            _, stats = top_k(g, 10)
-            assert 0 <= stats.arcs_scanned <= stats.m_vis, tag
-
     def test_m_vis_bounded_by_m_tot(self, suite):
         for tag, g in suite[:40]:
             _, stats = top_k(g, 1)
@@ -583,18 +655,18 @@ class TestTopK:
             assert table.closeness[v] <= stats.final_threshold + 1e-12
 
     def assert_matches_reference(self, g, k, tag, monkeypatch):
-        records, expected, kernel_calls = [], [], []
-        real = engine.replay
+        records, expected, dropped = [], [], set()
+        real_drop = engine.Kernel.drop
 
-        def spy(g, levels, v, *args):
-            out = real(g, levels, v, *args)
-            kernel_calls.append((v, out.cut_level))
-            return out
+        def drop(self, vs):
+            dropped.update(vs.tolist())
+            real_drop(self, vs)
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "replay", spy)
+            m.setattr(engine.Kernel, "drop", drop)
+            left, decided = spy_left(m), spy_decide(m)
             res, stats = top_k(g, k, recorder=lambda *a: records.append(a))
-        ref, cut_level, threshold, m_vis, scanned = reference_top_k(
+        ref, cut_level, threshold, m_vis = reference_top_k(
             g, k, recorder=lambda *a: expected.append(a)
         )
         assert res == ref, (tag, k)
@@ -603,12 +675,9 @@ class TestTopK:
         assert np.array_equal(stats.completed, cut_level < 0), (tag, k)
         assert stats.final_threshold == threshold, (tag, k)
         assert records == expected, (tag, k)
-        # a screened level-0 cut of an alpha/omega visit reads no arcs; a
-        # one-source visit gathers deg(v) of them to learn that level 1 is
-        # non-empty
+        # the visits decided from their kernel records
+        kernel_calls = [(v, level) for v, _, _, level in decided if v in left - dropped]
         bounds = reachability_for(g)
-        unread = g.degrees[(cut_level == 0) & ~bounds.exact].sum()
-        assert stats.arcs_scanned == scanned - unread, (tag, k)
         # the kernel sees no visit the screen could settle: none cut at
         # boundary 0, none at 1 with an exact r(v)
         for v, level in kernel_calls:
@@ -716,7 +785,6 @@ class TestParallel:
         # every vertex is either completed or carries a cut level
         assert np.all(stats.completed | (stats.cut_level >= 0))
         assert stats.m_vis > 0
-        assert 0 < stats.arcs_scanned <= stats.m_vis
         assert stats.arcs_gathered > 0
 
     def test_workers_start_from_a_positive_threshold(self, monkeypatch):
@@ -748,26 +816,25 @@ class TestParallel:
         assert claims == [0.0]
         assert stats.final_threshold == top_k(path_graph(200), 3)[1].final_threshold
 
-    def test_threshold_rises_during_a_replay(self, ranked, monkeypatch):
-        # slow threshold reads keep each worker inside its replays while
-        # the other pushes; a replay must act on the risen threshold
+    def test_a_decision_acts_on_a_threshold_another_worker_raised(self, ranked, monkeypatch):
+        """A worker reads the threshold once per decide call, not once per
+        boundary, which can delay a cut but never make a wrong one. A pause
+        after each decision lets the other worker push; the worker's next
+        decision must then act on the risen threshold, and the run stays
+        exact."""
         rose = np.frombuffer(mp.get_context("fork").RawArray("q", 1), dtype=np.int64)
-        real = engine.replay
+        real = engine.decide
+        last = [INF]  # this process's threshold after its last decision
 
-        def watched(g, levels, v, threshold, *args):
-            earlier = []
+        def watched(g, bounds, heap, x, *args):
+            rose[0] += x > last[0]  # only another worker pushed since
+            out = real(g, bounds, heap, x, *args)
+            last[0] = heap.threshold
+            time.sleep(0.0005)
+            return out
 
-            def reading():
-                x = threshold()
-                rose[0] += bool(earlier) and x > earlier[-1]
-                earlier.append(x)
-                time.sleep(0.0005)
-                return x
-
-            return real(g, levels, v, reading, *args)
-
-        monkeypatch.setattr(engine, "replay", watched)
-        for side in range(12, 17):  # a push lands mid-replay on almost every try
+        monkeypatch.setattr(engine, "decide", watched)
+        for side in range(12, 17):  # a push lands mid-pause on almost every try
             g = grid(side)
             table, _ = exact_closeness_all(g)
             with time_limit(120):
@@ -833,14 +900,14 @@ class TestParallel:
     # other worker then waits on, or by raising an exception
     DYING = {
         "visit": (3, """
-            real = engine.replay
+            real = engine.decide
 
             def dying(*args):
                 if os.getpid() != parent:
                     os._exit(3)
                 return real(*args)
 
-            engine.replay = dying
+            engine.decide = dying
             """),
         "heap-lock": (3, """
             real = engine.ThresholdHeap.push
@@ -864,14 +931,14 @@ class TestParallel:
             engine.Screen.claim = dying
             """),
         "exception": (1, """
-            real = engine.replay
+            real = engine.decide
 
             def raising(*args):
                 if os.getpid() != parent:
                     raise ValueError("visit failed")
                 return real(*args)
 
-            engine.replay = raising
+            engine.decide = raising
             """),
     }
 
