@@ -6,12 +6,13 @@ It runs top_k at k = 1 and 10 with a boundary recorder on every instance of
 tests/conftest.build_suite(), on PA(2000), a 30x30 grid and sparse directed
 gnp graphs (n = 800 and 1,500, two seeds each). The first digest covers the
 ranking, every RunStats counter (m_vis, m_tot, screened, arcs_gathered,
-final_threshold, the cut level of each vertex, and kernel_levels and
-source_levels where RunStats has them) and every recorded
+final_threshold, the cut level of each vertex, and kernel_levels,
+source_levels and dense_levels where RunStats has them) and every recorded
 boundary. Timers are left out. The second digest leaves out the counters of
-kernel work (arcs_gathered, kernel_levels, source_levels): a change to how
-the kernel schedules its visits moves those, and only those. Run it on two
-commits (PYTHONPATH pointing at each one's src/) and compare the digests.
+kernel work (arcs_gathered, kernel_levels, source_levels, dense_levels): a
+change to how the kernel schedules or reads its visits moves those, and only
+those. Run it on two commits (PYTHONPATH pointing at each one's src/) and
+compare the digests.
 
 Usage: PYTHONPATH=src python scripts/fingerprint.py [--verbose]
 """
@@ -47,7 +48,7 @@ def instances():
             yield f"gnp-d-n{n}-s{seed}", gnp(n, 2.0 / n, seed, directed=True)
 
 
-KERNEL_WORK = ("arcs_gathered", "kernel_levels", "source_levels")
+KERNEL_WORK = ("arcs_gathered", "kernel_levels", "source_levels", "dense_levels")
 
 
 def run_digests(g, k: int) -> tuple[str, str, int]:

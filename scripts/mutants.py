@@ -10,9 +10,9 @@ pass survived: some guard has no test that needs it. The script lists the
 survivors and exits 1. It exits 2 when the catalogue no longer matches the
 code or the tests fail without any mutant.
 
-The catalogue holds the loader's guards, the cut test's and the visit
-decision's; a later change that adds a cut or scheduling path adds its
-mutants.
+The catalogue holds the loader's guards, the cut test's, the visit
+decision's, the kernel's pull and the parallel run's warm-up; a later change
+that adds a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -45,6 +45,8 @@ BULK = "tests/test_graph.py::TestBulkRoute"
 ENGINE = "topclose/engine.py"
 KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
+AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
+WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
 
 MUTANTS = (
     Mutant(
@@ -152,6 +154,35 @@ MUTANTS = (
         "(1.0 / x if x > 0 else INF)",
         "(1.0 / x if x > 0 else 0.0)",
         (KEYS,),
+    ),
+    Mutant(
+        "pull: a plain scatter of the frontier's masks, not an OR",
+        ENGINE,
+        "np.bitwise_or.at(acc, frontier, masks)",
+        "acc[frontier] = masks",
+        (AGREE,),
+    ),
+    Mutant(
+        "pull: keep the visits that have seen a vertex in its pulled word",
+        ENGINE,
+        "pulled &= ~seen[a:z]",
+        "pass",
+        (AGREE,),
+    ),
+    Mutant(
+        "pull: leave the frontier's masks in acc",
+        ENGINE,
+        "acc[frontier] = 0\n        self.gathered += g.m",
+        "self.gathered += g.m",
+        (AGREE,),
+    ),
+    Mutant(
+        "scheduler: no warm-up before the fork",
+        ENGINE,
+        "counts[workers] = _visit_all(\n        g, bounds, screen, order, heap, cursor, lock,"
+        " results, warmup=True\n    )",
+        "counts[workers] = 0",
+        (WARMUP,),
     ),
 )
 

@@ -20,8 +20,8 @@ def main() -> None:
     args = ap.parse_args()
 
     print(
-        "n\tm\ttopk_seconds\tm_vis\tarcs_gathered\tscreened\tm_tot"
-        "\timprovement_factor"
+        "n\tm\ttopk_seconds\tm_vis\tarcs_gathered\tkernel_levels\tdense_levels\tscreened"
+        "\tm_tot\timprovement_factor"
     )
     for n in (int(s) for s in args.sizes.split(",")):
         g = preferential_attachment(n, args.degree, seed=args.seed)
@@ -31,7 +31,8 @@ def main() -> None:
         factor = stats.m_vis / stats.m_tot
         print(
             f"{n}\t{g.m}\t{elapsed:.2f}\t{stats.m_vis}"
-            f"\t{stats.arcs_gathered}\t{stats.screened}\t{stats.m_tot}\t{factor:.6f}"
+            f"\t{stats.arcs_gathered}\t{stats.kernel_levels}\t{stats.dense_levels}"
+            f"\t{stats.screened}\t{stats.m_tot}\t{factor:.6f}"
         )
 
 

@@ -3,12 +3,15 @@ kernel, the degree-ordered main loop with a rising k-th-best threshold, and a
 process-based parallel scheduler.
 
 The kernel runs up to 64 visits as one bit-parallel BFS, one level per step,
-and records every level boundary. A visit that leaves hands its bit to the
-next claimed vertex at once, so the kernel stays full and numpy's per-level
-call cost is shared by 64 visits. Every visit has one record, a row per
-boundary; the screen supplies rows 0 and 1 up front. Between steps decide
-settles the claimed visits, in processing order, against the live
-threshold, as the paper's one-at-a-time pruned BFS would."""
+and records every level boundary. A step reads its level top-down (a gather
+of the frontier's arcs) or, on an undirected graph once the frontier holds
+m/16 arcs or more, bottom-up (every vertex ORs its neighbours' masks in one
+pass over the CSR). A visit that leaves hands its bit to the next claimed
+vertex at once, so the kernel stays full and numpy's per-level call cost is
+shared by 64 visits. Every visit has one record, a row per boundary; the
+screen supplies rows 0 and 1 up front. Between steps decide settles the
+claimed visits, in processing order, against the live threshold, as the
+paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
@@ -16,11 +19,12 @@ import multiprocessing as mp
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, distinct, frontier_neighbors
+from .graph import Graph, distinct, frontier_neighbors, neighbor_or
 from .scc import ReachabilityBounds, reachability_for
 
 INF = float("inf")
@@ -119,6 +123,7 @@ BoundaryRecorder = Callable[[int, int, int, int, int], None]
 BATCH = 64  # live visits per kernel: one bit each of a uint64 mask
 _SPAN = 4096  # visits per decide call: bounds its records and temporaries to about 1 MB
 _CHUNK = 8192  # arcs per gather step, masks per count step: 64 kB per temporary
+_PULL = 16  # an undirected step pulls once its frontier holds m / _PULL arcs or more
 _BYTE_BASE = np.arange(0, 8 * 256, 256)  # histogram bins of byte j of a mask
 _BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)], float)  # [byte, t]
 _SLOTS = np.arange(BATCH)
@@ -176,19 +181,28 @@ class Kernel:
 
     Each visit holds a slot whose bit marks it in uint64 masks: a frontier
     vertex carries the mask of the visits whose current level holds it, so
-    one frontier_neighbors gather per step serves all of them. A visit
-    started between steps begins at the next one, and its level d (given to
-    cut_keys and to the undirected refinement of gamma), farness and counts
-    run from its own start. Each step records every visit's boundary: the
-    level's size and degree sum, whether the next level exists, and the cut
-    key (see cut_keys; a NaN key never cuts, so no float rounding decides).
+    one read per step serves all of them. A step pushes: one
+    frontier_neighbors gather of the frontier's arcs ORs each mask into the
+    vertices it reaches. On an undirected graph whose frontier holds at
+    least m / _PULL arcs it pulls instead (Beamer et al.'s
+    direction-optimizing BFS): neighbor_or reads all m arcs once, in CSR
+    order, and ORs into every vertex the masks of its frontier neighbours.
+    Both give each vertex the same word, less the visits that have seen it.
+    A directed pull would need an in-arc CSR, which no graph here keeps.
+
+    A visit started between steps begins at the next one, and its level d
+    (given to cut_keys and to the undirected refinement of gamma), farness
+    and counts run from its own start. Each step records every visit's
+    boundary: the level's size and degree sum, whether the next level
+    exists, and the cut key (see cut_keys; a NaN key never cuts, so no float
+    rounding decides).
 
     A visit leaves once it completes, its cut test fires at the step's
     threshold x, or (where the bounds disagree with the graph) its next
     level is empty. An exact-r visit is tested before the gather (level d+1
     exists iff fewer than r(v) vertices are seen) and never gathers the
     level it throws away; an alpha/omega visit is tested after the gather
-    that tells whether level d+1 exists. Gathers and counts run in chunks of
+    that tells whether level d+1 exists. Reads and counts run in chunks of
     at most _CHUNK arcs or masks, so no temporary outgrows 64 kB.
     """
 
@@ -196,7 +210,7 @@ class Kernel:
         n = g.n
         self.g, self.bounds = g, bounds
         self.seen = np.zeros(n, np.uint64)  # per vertex: the visits that reached it
-        self.acc = np.zeros(n, np.uint64)  # masks OR-ed over a level's arcs into it
+        self.acc = np.zeros(n, np.uint64)  # masks a step's read ORs into a vertex; 0 between steps
         self.slot = np.empty(n, np.int64)  # graph.distinct's dedup slot
         self.stale = np.uint64(0)  # bits of left visits, maybe still in seen
         self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
@@ -211,6 +225,7 @@ class Kernel:
         self.ints = np.empty((16, 3, BATCH), np.int64)  # [t, :, slot]: see decide
         self.keys = np.empty((16, BATCH))
         self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
+        self.dense_levels = 0  # the steps that pulled
 
     @property
     def free(self) -> int:
@@ -230,7 +245,7 @@ class Kernel:
         self.alpha[slots], self.omega[slots] = b.alpha[vs], b.omega[vs]
         self.seen[vs] |= bits
         # a vertex on the frontier already joins it again: the masks are
-        # disjoint, so only its gather is repeated
+        # disjoint, so a push only repeats its gather and a pull ORs both
         self.frontier = np.concatenate([self.frontier, vs])
         self.masks = np.concatenate([self.masks, bits])
 
@@ -280,9 +295,11 @@ class Kernel:
 
         active = masks != 0
         frontier, masks = frontier[active], masks[active]
-        if frontier.size:
-            seen, acc, slot = self.seen, self.acc, self.slot
-            deg, fresh = deg[active], []
+        deg = deg[active]
+        if not g.directed and _PULL * int(deg.sum()) >= g.m > 0:
+            frontier, masks = self._pull(frontier, masks)
+        elif frontier.size:
+            seen, acc, slot, fresh = self.seen, self.acc, self.slot, []
             for a, z in _spans(deg, _CHUNK):
                 neigh = frontier_neighbors(g, frontier[a:z])
                 self.gathered += len(neigh)
@@ -324,6 +341,30 @@ class Kernel:
             rec.keys[nan] = [_integer_key(*row, g.n) for row in per_row]
         self._free(gone)
         return rec
+
+    @cached_property
+    def _rows(self) -> list[tuple[int, int]]:
+        """Vertex spans [a, z) whose rows hold at most _CHUNK arcs (or one row)."""
+        return _spans(self.g.degrees, _CHUNK)
+
+    def _pull(self, frontier: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The next frontier and its masks, read bottom-up (undirected
+        graphs only): every vertex ORs the masks of its neighbours on the
+        frontier, less the visits that have seen it."""
+        g, seen, acc = self.g, self.seen, self.acc
+        np.bitwise_or.at(acc, frontier, masks)  # a vertex may sit twice on the frontier
+        fresh, words = [], []
+        for a, z in self._rows:
+            pulled = neighbor_or(g, acc, a, z)
+            pulled &= ~seen[a:z]
+            new = np.flatnonzero(pulled)
+            fresh.append(new + a)
+            words.append(pulled[new])
+            seen[a:z][new] |= words[-1]
+        acc[frontier] = 0
+        self.gathered += g.m
+        self.dense_levels += 1
+        return np.concatenate(fresh), np.concatenate(words)
 
 
 class Records(NamedTuple):
@@ -573,6 +614,7 @@ class RunStats:
     # source_levels / (64 * kernel_levels)
     kernel_levels: int = 0
     source_levels: int = 0
+    dense_levels: int = 0  # the kernel steps that pulled every vertex's word (see Kernel)
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -662,13 +704,14 @@ def top_k(
         heap, results, cursor = ThresholdHeap(k), _results(g.n, np.zeros), np.zeros(1, np.int64)
         counts = _visit_all(g, bounds, screen, order, heap, cursor, nullcontext(), results,
                             recorder)
-    m_vis, screened, gathered, kernel_levels, source_levels = counts
+    m_vis, screened, gathered, kernel_levels, source_levels, dense_levels = counts
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
     stats = RunStats(
         m_vis=int(m_vis), screened=int(screened), arcs_gathered=int(gathered),
         kernel_levels=int(kernel_levels), source_levels=int(source_levels),
+        dense_levels=int(dense_levels),
         m_tot=exact_m_tot(g, bounds), cut_level=cut_level, preprocessing_seconds=prep,
         total_seconds=time.perf_counter() - t0, final_threshold=heap.threshold,
     )
@@ -707,10 +750,11 @@ def _visit_all(
     later reads one no lower, so a record holds every boundary that a
     one-at-a-time visit evaluates.
 
-    Returns (m_vis, screened, arcs_gathered, kernel_levels, source_levels)
-    of the visits decided here, once the cursor has passed the end and all
-    are decided. With ``warmup`` it claims BATCH visits at a time, the next
-    only once all before are decided, and only while the threshold is 0.
+    Returns (m_vis, screened, arcs_gathered, kernel_levels, source_levels,
+    dense_levels) of the visits decided here, once the cursor has passed the
+    end and all are decided. With ``warmup`` it claims BATCH visits at a
+    time, the next only once all before are decided, and only while the
+    threshold is 0.
     """
     kernel = Kernel(g, bounds)
     claimed = np.zeros(0, _CLAIMED)  # in processing order
@@ -773,7 +817,8 @@ def _visit_all(
                 z = np.cumsum(rec.depth).tolist()
                 left.update((v, (rec, a, b)) for v, a, b in zip(rec.vs.tolist(), [0] + z, z))
         elif not (claimed.size or more):
-            return m_vis, screened, kernel.gathered, kernel.levels, kernel.source_levels
+            work = kernel.gathered, kernel.levels, kernel.source_levels, kernel.dense_levels
+            return m_vis, screened, *work
 
 
 def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
@@ -825,7 +870,7 @@ def _run_parallel(g, bounds, screen, order, k, workers):
 
     heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
     results = _results(g.n, shared_zeros)
-    counts = shared_zeros(5 * (workers + 1), np.int64).reshape(workers + 1, 5)
+    counts = shared_zeros(6 * (workers + 1), np.int64).reshape(workers + 1, 6)
     cursor = shared_zeros(1, np.int64)
     lock = ctx.Lock()
     counts[workers] = _visit_all(

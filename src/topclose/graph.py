@@ -277,6 +277,24 @@ def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.targets[idx].astype(np.int64)
 
 
+def neighbor_or(g: Graph, words: np.ndarray, a: int, z: int) -> np.ndarray:
+    """For each vertex v in [a, z): the OR of ``words[w]`` over its
+    out-neighbours w, 0 where v has none. Reads the arcs of those rows once,
+    in CSR order: g.offsets[z] - g.offsets[a] of them."""
+    lo, hi = int(g.offsets[a]), int(g.offsets[z])
+    starts = g.offsets[a:z] - lo
+    has = np.flatnonzero(g.degrees[a:z])
+    # reduceat gives an empty segment the element at its start, and rejects
+    # a start of hi - lo: only rows with arcs go in
+    read = words.take(g.targets[lo:hi])  # take: faster than [] with int32 ids
+    if has.size == z - a:
+        return np.bitwise_or.reduceat(read, starts)
+    pulled = np.zeros(z - a, words.dtype)
+    if has.size:
+        pulled[has] = np.bitwise_or.reduceat(read, starts[has])
+    return pulled
+
+
 def distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The distinct vertex ids in ``ids``, in no particular order.
 

@@ -29,6 +29,7 @@ class StatsInfo:
     arcs_gathered: int = 0  # likewise
     kernel_levels: int = 0  # likewise
     source_levels: int = 0  # likewise
+    dense_levels: int = 0  # likewise
     load_seconds: float = 0.0  # likewise
 
 
@@ -89,6 +90,7 @@ def build_report(
             arcs_gathered=stats.arcs_gathered,
             kernel_levels=stats.kernel_levels,
             source_levels=stats.source_levels,
+            dense_levels=stats.dense_levels,
             load_seconds=stats.load_seconds,
         )
     return RunReport(

@@ -39,6 +39,7 @@ class TestTopkCommand:
         assert report["stats"]["arcs_gathered"] >= 0
         levels, source_levels = report["stats"]["kernel_levels"], report["stats"]["source_levels"]
         assert 0 < levels <= source_levels <= 64 * levels
+        assert 0 <= report["stats"]["dense_levels"] <= levels
         assert report["stats"]["load_seconds"] > 0
         assert len(report["results"]) == 2
 
@@ -226,6 +227,15 @@ class TestReportRoundTrip:
         del raw["stats"]["kernel_levels"], raw["stats"]["source_levels"]
         report = RunReport.from_json(json.dumps(raw))
         assert (report.stats.kernel_levels, report.stats.source_levels) == (0, 0)
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_dense_levels_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        assert "dense_levels" in raw["stats"]
+        del raw["stats"]["dense_levels"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.dense_levels == 0
         assert report.stats.m_vis == raw["stats"]["m_vis"]
 
     def test_report_without_screened_loads(self, path3, capsys):

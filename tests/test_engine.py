@@ -196,6 +196,13 @@ def ladder(rungs):
     return from_edges(2 * rungs, edges, directed=False)
 
 
+def spaced(g, every):
+    """Undirected g with an isolated vertex after every ``every`` ids and
+    after the last one."""
+    ids = np.arange(g.n) + np.arange(g.n) // every
+    return from_edges(int(ids[-1]) + 2, ids[np.array(list(g.edges()))], directed=False)
+
+
 class TestBfsCut:
     def test_cuts_at_first_boundary(self):
         g = three_cycle()
@@ -236,11 +243,15 @@ class TestBfsCut:
     def test_gathers_only_expanded_levels(self, directed, monkeypatch):
         # exact r(v): a visit cut at boundary d gathers levels 0..d-1, and a
         # completed one never gathers its last level; alpha/omega only: the
-        # level at the boundary is gathered too
+        # level at the boundary is gathered too. A step reads its level once,
+        # by a push (frontier_neighbors) or a pull (neighbor_or)
         calls = []
-        real = engine.frontier_neighbors
+        real, real_pull = engine.frontier_neighbors, engine.neighbor_or
         monkeypatch.setattr(
             engine, "frontier_neighbors", lambda g, f: calls.append(1) or real(g, f)
+        )
+        monkeypatch.setattr(
+            engine, "neighbor_or", lambda g, w, a, z: calls.append(1) or real_pull(g, w, a, z)
         )
         cut_exact = 0
         for seed in range(3):
@@ -385,15 +396,76 @@ class TestKernel:
         assert stats.arcs_gathered == expected[1].arcs_gathered
 
     def test_arcs_gathered_counts_the_kernel_gathers(self, monkeypatch):
+        # a push reads its frontier's arcs, a pull the arcs of rows a..z-1
         gathered = []
-        real = engine.frontier_neighbors
+        real, real_pull = engine.frontier_neighbors, engine.neighbor_or
         monkeypatch.setattr(
             engine, "frontier_neighbors", lambda g, f: gathered.append(len(f := real(g, f))) or f
         )
+
+        def pull(g, words, a, z):
+            gathered.append(g.offsets[z] - g.offsets[a])
+            return real_pull(g, words, a, z)
+
+        monkeypatch.setattr(engine, "neighbor_or", pull)
         for g in (grid(9), gnp(150, 0.03, 42, directed=True)):
             gathered.clear()
             _, stats = top_k(g, 10)
             assert stats.arcs_gathered == sum(gathered) > 0
+
+    def test_dense_levels_count_the_pulls(self, monkeypatch):
+        # an undirected step pulls once its frontier is large; a directed one never
+        pulls, real = [], engine.Kernel._pull
+        monkeypatch.setattr(
+            engine.Kernel, "_pull", lambda self, f, m: pulls.append(len(f)) or real(self, f, m)
+        )
+        for tag, g in self.GRAPHS:
+            pulls.clear()
+            _, stats = top_k(g, 10)
+            assert stats.dense_levels == len(pulls) <= stats.kernel_levels, tag
+            assert (stats.dense_levels > 0) == (not g.directed), tag
+
+    AGREE = [
+        ("pa-1500", preferential_attachment(1500, 2, seed=4)),
+        ("grid-20", grid(20)),
+        ("pa-400-spaced", spaced(preferential_attachment(400, 3, seed=5), 7)),
+        ("grid-15-spaced", spaced(grid(15), 5)),
+    ]
+
+    @pytest.mark.parametrize("chunk", [8192, 64])
+    def test_pull_and_push_agree(self, suite, chunk, monkeypatch):
+        # every step read bottom-up (a huge _PULL), then every one top-down
+        # (0): the same rankings, counts and boundaries; only the arcs read
+        # move. A small chunk splits the pull's rows, some at isolated vertices
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        rejoined, real_start = [], engine.Kernel.start
+
+        def start(self, vs):
+            rejoined.append(np.count_nonzero(np.isin(vs, self.frontier[self.masks != 0])))
+            return real_start(self, vs)
+
+        monkeypatch.setattr(engine.Kernel, "start", start)
+        pulled = 0
+        for tag, g in [(t, g) for t, g in suite if not g.directed] + self.AGREE:
+            for k in (1, 10):
+                runs = []
+                for pull in (2**62, 0):
+                    monkeypatch.setattr(engine, "_PULL", pull)
+                    boundaries = []
+                    res, stats = top_k(g, k, recorder=lambda *b: boundaries.append(b))
+                    runs.append((res, stats, boundaries))
+                (res, stats, boundaries), (push_res, push, push_boundaries) = runs
+                assert res == push_res, (tag, k)
+                assert (stats.m_vis, stats.final_threshold) == (push.m_vis, push.final_threshold)
+                assert np.array_equal(stats.cut_level, push.cut_level), (tag, k)
+                assert boundaries == push_boundaries, (tag, k)
+                assert stats.kernel_levels == push.kernel_levels, (tag, k)
+                assert push.dense_levels == 0 and stats.dense_levels <= stats.kernel_levels
+                # every step that reads an arc pulls
+                assert (stats.dense_levels > 0) == (push.arcs_gathered > 0), (tag, k)
+                pulled += stats.dense_levels
+        assert pulled > 0
+        assert sum(rejoined) > 0  # a vertex started while still on the frontier
 
     @staticmethod
     def spy_steps(monkeypatch):

@@ -17,6 +17,7 @@ from topclose.graph import (
     connected_components,
     from_edges,
     load_edge_list,
+    neighbor_or,
     write_edge_list,
 )
 
@@ -390,6 +391,20 @@ class TestBfs:
         g = load_lines(["0 1"], directed=False)
         with pytest.raises(IndexError):
             bfs(g, 2)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_neighbor_or_over_every_row_range(directed):
+    # rows 0, 3, 4 and the last two have no arcs: an empty row reads 0, in
+    # the middle of a range, at its end and at the end of the graph
+    edges = [(1, 2), (2, 5), (5, 6), (6, 1), (1, 7), (7, 2)]
+    g = from_edges(10, edges, directed=directed)
+    assert np.flatnonzero(g.degrees == 0).tolist() == [0, 3, 4, 8, 9]
+    words = np.array([1 << v for v in range(g.n)], dtype=np.uint64)
+    expected = [sum(1 << int(w) for w in out(g, v)) for v in range(g.n)]
+    for a in range(g.n + 1):
+        for z in range(a, g.n + 1):
+            assert neighbor_or(g, words, a, z).tolist() == expected[a:z], (a, z)
 
 
 class TestConnectedComponents:
