@@ -10,9 +10,13 @@ pass survived: some guard has no test that needs it. The script lists the
 survivors and exits 1. It exits 2 when the catalogue no longer matches the
 code or the tests fail without any mutant.
 
+A run that outlives its 300 s limit counts as killed and is reported as
+timed out.
+
 The catalogue holds the loader's guards, the cut test's, the visit
-decision's, the kernel's pull and the parallel run's warm-up; a later change
-that adds a cut or scheduling path adds its mutants.
+decision's, the kernel's pull and the parallel run's: its warm-up and the
+parent's watch on its workers while it waits on a lock. A later change that
+adds a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -47,6 +51,7 @@ KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
 AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
+DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 
 MUTANTS = (
     Mutant(
@@ -177,22 +182,39 @@ MUTANTS = (
         (AGREE,),
     ),
     Mutant(
-        "scheduler: no warm-up before the fork",
+        "cut keys: no exactness guard",
         ENGINE,
-        "counts[workers] = _visit_all(\n        g, bounds, screen, order, heap, cursor, lock,"
-        " results, warmup=True\n    )",
-        "counts[workers] = 0",
+        "key[big >= 2.0**53] = np.nan",
+        "pass",
+        (KEYS,),
+    ),
+    Mutant(
+        "scheduler: fork the workers before the threshold rises",
+        ENGINE,
+        "if spawn and more and heap.threshold > 0:",
+        "if spawn and more:",
         (WARMUP,),
+    ),
+    Mutant(
+        "scheduler: the parent waits on a lock without looking at the workers",
+        ENGINE,
+        "while not self.lock.acquire(timeout=_SLICE):\n            _check(self.procs)",
+        "while not self.lock.acquire(timeout=_SLICE):\n            pass",
+        (f"{DEAD}[heap-lock]", f"{DEAD}[run-claim]"),
     ),
 )
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
-    """Whether the tests pass with ``src`` as the package source."""
+def run_tests(src: Path, tests: tuple[str, ...]) -> str:
+    """"passed", "failed" or "timed out" (after 300 s): the tests, run with
+    ``src`` as the package source."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    return proc.returncode == 0
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "passed" if proc.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -206,7 +228,7 @@ def main() -> int:
                 print(f"stale: {m.name}: old text found {count} times in src/{m.file}")
                 return 2
         tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-        if not run_tests(src, tests):
+        if run_tests(src, tests) != "passed":
             print("the named tests fail on the unmutated source")
             return 2
         survivors = []
@@ -214,9 +236,11 @@ def main() -> int:
             path = src / m.file
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
-            killed = not run_tests(src, m.tests)
+            outcome = run_tests(src, m.tests)
             path.write_text(original)
-            print(f"{'killed' if killed else 'SURVIVED'}\t{m.name}")
+            killed = outcome != "passed"  # a run that times out counts as killed
+            note = " (timed out)" if outcome == "timed out" else ""
+            print(f"{'killed' if killed else 'SURVIVED'}\t{m.name}{note}")
             if not killed:
                 survivors.append(m)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed "

@@ -602,6 +602,9 @@ class TopKResult:
         return [e.closeness for e in self.entries]
 
 
+COUNTERS = ("m_vis", "screened", "arcs_gathered", "kernel_levels", "source_levels", "dense_levels")
+
+
 @dataclass
 class RunStats:
     m_vis: int = 0  # the paper's arc count: out-arcs of every expanded level
@@ -615,6 +618,9 @@ class RunStats:
     kernel_levels: int = 0
     source_levels: int = 0
     dense_levels: int = 0  # the kernel steps that pulled every vertex's word (see Kernel)
+    # one row per process of the COUNTERS above, the calling process first (one
+    # row for a serial run); the rows sum to the fields
+    per_process: np.ndarray | None = None
     cut_level: np.ndarray | None = None  # -1 where the visit completed
     preprocessing_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -681,7 +687,8 @@ def top_k(
     Visits the per-vertex degree statistics settle at boundary 0 or 1 need
     no BFS (see Screen); the others run in the multi-source kernel, up to 64
     at a time. decide settles both kinds from their records. ``workers`` > 1
-    forks that many processes. ``recorder`` sees every boundary a serial
+    runs that many processes: this one and workers - 1 forked ones (see
+    _run_parallel). ``recorder`` sees every boundary a serial
     visit evaluates (see decide); it cannot be combined with ``workers`` > 1,
     because a forked worker cannot call back into the parent.
     """
@@ -699,19 +706,16 @@ def top_k(
     # alpha(v) = 1 only where v reaches no other vertex: those are skipped
     screen = Screen.build(g, bounds, bounds.alpha <= 1)
     if workers > 1 and g.n:
-        heap, results, counts = _run_parallel(g, bounds, screen, order, k, workers)
+        heap, results, rows = _run_parallel(g, bounds, screen, order, k, workers)
     else:
         heap, results, cursor = ThresholdHeap(k), _results(g.n, np.zeros), np.zeros(1, np.int64)
-        counts = _visit_all(g, bounds, screen, order, heap, cursor, nullcontext(), results,
-                            recorder)
-    m_vis, screened, gathered, kernel_levels, source_levels, dense_levels = counts
+        rows = np.array([_visit_all(g, bounds, screen, order, heap, cursor, nullcontext(),
+                                    results, recorder)])
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
     stats = RunStats(
-        m_vis=int(m_vis), screened=int(screened), arcs_gathered=int(gathered),
-        kernel_levels=int(kernel_levels), source_levels=int(source_levels),
-        dense_levels=int(dense_levels),
+        **dict(zip(COUNTERS, rows.sum(axis=0).tolist())), per_process=rows,
         m_tot=exact_m_tot(g, bounds), cut_level=cut_level, preprocessing_seconds=prep,
         total_seconds=time.perf_counter() - t0, final_threshold=heap.threshold,
     )
@@ -734,7 +738,7 @@ _CLAIMED = np.dtype([("v", np.int64), ("kernel", bool), ("x", np.float64)])
 
 
 def _visit_all(
-    g, bounds, screen, order, heap, cursor, lock, results, recorder=None, warmup=False
+    g, bounds, screen, order, heap, cursor, lock, results, recorder=None, spawn=None
 ) -> tuple[int, ...]:
     """The main loop: one Kernel kept full from a stream of claims, and the
     claimed visits decided in processing order.
@@ -750,11 +754,15 @@ def _visit_all(
     later reads one no lower, so a record holds every boundary that a
     one-at-a-time visit evaluates.
 
-    Returns (m_vis, screened, arcs_gathered, kernel_levels, source_levels,
-    dense_levels) of the visits decided here, once the cursor has passed the
-    end and all are decided. With ``warmup`` it claims BATCH visits at a
-    time, the next only once all before are decided, and only while the
-    threshold is 0.
+    Returns the COUNTERS (see RunStats) of the visits decided here, once the
+    cursor has passed the end and all are decided.
+
+    With ``spawn`` (the parent of a parallel run) it warms up first: while
+    the threshold is 0, which prunes nothing, it claims BATCH visits at a
+    time, the next only once all before are decided. At the first step
+    where the threshold is positive, if visits are left to claim, it calls
+    spawn(), which forks the other workers, and goes on claiming beside
+    them with the same kernel.
     """
     kernel = Kernel(g, bounds)
     claimed = np.zeros(0, _CLAIMED)  # in processing order
@@ -791,10 +799,10 @@ def _visit_all(
             claimed = claimed[took:]
             x = heap.threshold
         free = kernel.free
-        if warmup and heap.threshold > 0:
-            more = False  # the workers claim the rest
-        # a threshold of 0 prunes nothing, so the warm-up claims batch by batch
-        if free > ready.size and more and not (warmup and claimed.size):
+        if spawn and more and heap.threshold > 0:
+            spawn()
+            spawn = None
+        if free > ready.size and more and not (spawn and claimed.size):
             with lock:
                 i = int(cursor[0])
                 x = heap.threshold
@@ -844,20 +852,21 @@ def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
-    """Fork worker processes sharing the graph and the screen copy-on-write.
-    Each runs _visit_all over one threshold heap, one cursor and one set of
-    result arrays in shared memory. A worker may read a stale (smaller)
-    threshold, which can only delay a cut, never cause a wrong one.
+    """Run _visit_all in this process and in workers - 1 forked ones, which
+    share the graph and the screen copy-on-write, and one threshold heap,
+    one cursor and one set of result arrays in shared memory. A worker may
+    read a stale (smaller) threshold, which can only delay a cut, never
+    cause a wrong one.
 
-    Before it forks, the parent runs _visit_all's warm-up: it claims and
-    decides 64 visits at a time while the threshold is 0, and stops once it
-    is positive. No worker then fills the heap with weaker visits that a
-    threshold of 0 cannot prune.
-
-    The parent waits on the process sentinels only; a worker that exits with a
-    nonzero code raises RuntimeError naming the code. Returns the heap, the
-    result arrays and _visit_all's counts summed over the parent and the
-    workers.
+    This process is the last worker. Its _visit_all warms up alone while
+    the threshold is 0 and forks the others once it is positive (see
+    _visit_all's ``spawn``), so no worker fills the heap with weaker visits
+    that a threshold of 0 cannot prune; if the warm-up claims every visit,
+    none is forked. It takes the cursor lock and the heap lock through
+    _Watched, and then waits on the worker sentinels: a worker that exits
+    with a nonzero code, even one that dies holding a lock, raises
+    RuntimeError naming the code. Returns the heap, the result arrays and
+    one row of _visit_all's counts per process, this one's first.
     """
     # imported here: it costs serial runs about 0.5 MB of peak RSS
     from multiprocessing.connection import wait
@@ -868,33 +877,31 @@ def _run_parallel(g, bounds, screen, order, k, workers):
         raw = ctx.RawArray(np.ctypeslib.as_ctypes_type(dtype), length)
         return np.frombuffer(raw, dtype=dtype)
 
-    heap = ThresholdHeap(k, shared_zeros(k + 1, np.float64), ctx.Lock())
+    values, heap_lock = shared_zeros(k + 1, np.float64), ctx.Lock()
     results = _results(g.n, shared_zeros)
-    counts = shared_zeros(6 * (workers + 1), np.int64).reshape(workers + 1, 6)
-    cursor = shared_zeros(1, np.int64)
-    lock = ctx.Lock()
-    counts[workers] = _visit_all(
-        g, bounds, screen, order, heap, cursor, lock, results, warmup=True
-    )
+    counts = shared_zeros(len(COUNTERS) * workers, np.int64).reshape(workers, -1)
+    cursor, lock = shared_zeros(1, np.int64), ctx.Lock()
+    procs = []
 
     def work(w: int) -> None:
+        heap = ThresholdHeap(k, values, heap_lock)
         counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results)
 
-    procs = []
-    try:
-        for w in range(workers):
+    def spawn() -> None:
+        for w in range(1, workers):
             p = ctx.Process(target=work, args=(w,))
             p.start()
             procs.append(p)
+
+    heap = ThresholdHeap(k, values, _Watched(heap_lock, procs))
+    try:
+        counts[0] = _visit_all(g, bounds, screen, order, heap, cursor, _Watched(lock, procs),
+                               results, spawn=spawn)
         running = {p.sentinel: p for p in procs}
         while running:
             for sentinel in wait(list(running)):
-                p = running.pop(sentinel)
-                p.join()
-                if p.exitcode != 0:
-                    raise RuntimeError(
-                        f"top_k worker (pid {p.pid}) exited with code {p.exitcode}"
-                    )
+                running.pop(sentinel).join()
+            _check(procs)
     except BaseException:
         for p in procs:
             p.terminate()  # the others may wait on a lock the dead one held
@@ -902,4 +909,30 @@ def _run_parallel(g, bounds, screen, order, k, workers):
     finally:
         for p in procs:
             p.join()
-    return heap, results, counts.sum(axis=0)
+    return heap, results, np.array(counts[: 1 + len(procs)])
+
+
+_SLICE = 0.05  # seconds: how long the parent of forked workers waits on a lock between checks
+
+
+class _Watched:
+    """A lock that the parent of forked workers takes in timed slices of
+    _SLICE. Between slices it checks the workers (see _check), so a worker
+    that dies holding the lock fails the run instead of hanging it."""
+
+    def __init__(self, lock, procs: list):
+        self.lock, self.procs = lock, procs
+
+    def __enter__(self) -> None:
+        while not self.lock.acquire(timeout=_SLICE):
+            _check(self.procs)
+
+    def __exit__(self, *exc) -> None:
+        self.lock.release()
+
+
+def _check(procs: list) -> None:
+    """Raise RuntimeError naming the first worker that exited with a nonzero code."""
+    for p in procs:
+        if p.exitcode:  # None while it runs
+            raise RuntimeError(f"top_k worker (pid {p.pid}) exited with code {p.exitcode}")

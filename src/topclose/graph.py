@@ -118,6 +118,12 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
     labels, non-ASCII text, a malformed line) and any other iterable of lines
     go through a per-line loop, which gives the same result and raises
     EdgeListParseError with the 1-based number of the first bad line.
+
+    A file opened with newline="" keeps "\r", "\n" and "\r\n" line ends in
+    its text; a line ends at each, as when iterating the file. A stream
+    whose ``newlines`` is None (io.StringIO with its default newline="\n")
+    is split at "\n" only, and so, unlike its own iteration, is a file
+    opened with newline="\r" or "\r\n".
     """
     ends, labels = _parse(source)
     return from_edges(len(labels), ends, directed, labels)
@@ -129,6 +135,10 @@ def _parse(source: IO[str] | Iterable[str]) -> tuple[ArrayLike, tuple[str, ...]]
     if not hasattr(source, "read"):
         return _parse_lines(source)
     text = source.read()
+    if getattr(source, "newlines", None) not in (None, "\n"):
+        # opened with newline="", read() keeps "\r" and "\r\n" line ends, where
+        # iterating the file splits; with the default newline=None it kept none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text.isascii():
         parsed = _parse_bulk(text)
         if parsed is not None:

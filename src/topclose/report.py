@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .engine import RankedVertex, RunStats, TopKResult
+from .engine import COUNTERS, RankedVertex, RunStats, TopKResult
 from .graph import Graph
 
 
@@ -31,6 +31,8 @@ class StatsInfo:
     source_levels: int = 0  # likewise
     dense_levels: int = 0  # likewise
     load_seconds: float = 0.0  # likewise
+    # RunStats.per_process: per process, the calling one first, its COUNTERS by name
+    per_process: tuple[dict[str, int], ...] = ()  # likewise
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class RunReport:
         stats = raw.get("stats")
         if stats is not None:
             stats.pop("arcs_scanned", None)  # written by older versions, now dropped
-            stats = StatsInfo(**stats)
+            stats = StatsInfo(**{**stats, "per_process": tuple(stats.get("per_process", ()))})
         return cls(
             input=InputInfo(**raw["input"]),
             k=raw["k"],
@@ -79,6 +81,7 @@ def build_report(
     stats_info = None
     if include_stats and stats is not None:
         mn = g.m * g.n
+        rows = [] if stats.per_process is None else stats.per_process.tolist()
         stats_info = StatsInfo(
             m_vis=stats.m_vis,
             m_tot=stats.m_tot,
@@ -92,6 +95,7 @@ def build_report(
             source_levels=stats.source_levels,
             dense_levels=stats.dense_levels,
             load_seconds=stats.load_seconds,
+            per_process=tuple(dict(zip(COUNTERS, row)) for row in rows),
         )
     return RunReport(
         input=InputInfo(path=path, n=g.n, m=g.m, directed=g.directed),

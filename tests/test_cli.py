@@ -253,3 +253,23 @@ class TestReportRoundTrip:
         report = RunReport.from_json(json.dumps(raw))
         assert report.stats.load_seconds == 0.0
         assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_report_without_per_process_loads(self, path3, capsys):
+        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
+        raw = json.loads(capsys.readouterr().out)
+        assert len(raw["stats"]["per_process"]) == 1  # a serial run: one row
+        del raw["stats"]["per_process"]
+        report = RunReport.from_json(json.dumps(raw))
+        assert report.stats.per_process == ()
+        assert report.stats.m_vis == raw["stats"]["m_vis"]
+
+    def test_per_process_rows_sum_to_the_totals(self, tmp_path, capsys):
+        p = tmp_path / "path200.txt"
+        p.write_text("".join(f"{v} {v + 1}\n" for v in range(199)))
+        main(["topk", "--input", str(p), "--undirected", "-k", "3", "--threads", "2", "--stats"])
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        rows = stats["per_process"]
+        assert len(rows) == 2
+        for name in ("m_vis", "screened", "arcs_gathered", "kernel_levels", "source_levels",
+                     "dense_levels"):
+            assert sum(row[name] for row in rows) == stats[name], name

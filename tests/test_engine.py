@@ -7,6 +7,7 @@ import textwrap
 import time
 from collections import Counter
 from contextlib import contextmanager
+from multiprocessing.context import ForkProcess
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,28 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def worker_claims_first(monkeypatch):
+    """After each fork the parent waits until a forked worker has claimed,
+    so a worker, not the parent, claims the visits after the warm-up."""
+    claimed = mp.get_context("fork").RawValue("i", 0)
+    parent, real_claim, real_start = os.getpid(), engine.Screen.claim, ForkProcess.start
+
+    def claim(self, order, i, x):
+        if os.getpid() != parent:
+            claimed.value = 1
+        return real_claim(self, order, i, x)
+
+    def start(self):
+        claimed.value = 0
+        real_start(self)
+        while not claimed.value:  # a new worker always claims once
+            time.sleep(0.001)
+
+    monkeypatch.setattr(engine.Screen, "claim", claim)
+    monkeypatch.setattr(ForkProcess, "start", start)
 
 
 @pytest.fixture
@@ -695,7 +718,7 @@ class TestTopK:
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(Path(engine.__file__).resolve().parents[1])  # the package under test
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -859,41 +882,76 @@ class TestParallel:
         assert stats.m_vis > 0
         assert stats.arcs_gathered > 0
 
-    def test_workers_start_from_a_positive_threshold(self, monkeypatch):
-        # the parent runs the visits claimed at threshold 0, so no worker
-        # fills the heap with the weaker visits of a later claim
-        pushes = np.frombuffer(mp.get_context("fork").RawArray("q", 2), dtype=np.int64)
-        parent, real, real_claim = os.getpid(), ThresholdHeap.push, engine.Screen.claim
-        claims = []
+    def test_workers_start_from_a_positive_threshold(self, worker_claims_first, monkeypatch):
+        # the parent warms up alone at threshold 0 and forks the workers once
+        # it is positive: every later claim, by any process, is at a positive
+        # threshold, and no worker fills the heap with the weaker visits a
+        # threshold of 0 cannot prune. A worker forked too early claims at 0,
+        # as the parent waits after a fork until a worker has claimed.
+        shared = mp.get_context("fork").RawArray
+        log = np.frombuffer(shared("d", 2 * 1024)).reshape(2, -1)  # per claim: by the parent, x
+        count = np.frombuffer(shared("q", 3), dtype=np.int64)  # claims, worker pushes, at 0
+        parent = os.getpid()
+        real_push, real_claim = ThresholdHeap.push, engine.Screen.claim
 
         def push(self, value):
             if os.getpid() != parent:
-                pushes[0] += 1
-                pushes[1] += self.threshold == 0
-            real(self, value)
+                count[1] += 1
+                count[2] += self.threshold == 0
+            real_push(self, value)
 
-        def claim(self, order, i, x):
-            if os.getpid() == parent:
-                claims.append(x)
+        def claim(self, order, i, x):  # under the cursor lock: one process at a time
+            log[:, count[0]] = os.getpid() == parent, x
+            count[0] += 1
             return real_claim(self, order, i, x)
 
         monkeypatch.setattr(ThresholdHeap, "push", push)
         monkeypatch.setattr(engine.Screen, "claim", claim)
         with time_limit(120):
             _, stats = top_k(path_graph(200), 3, workers=2)
-        assert pushes[0] > 0  # the workers completed visits
-        assert pushes[1] == 0
-        # one batch decides 64 visits, which raises the threshold: no refill
-        # and no second claim at threshold 0
-        assert claims == [0.0]
+        by_parent, x = log[:, : count[0]]
+        assert (by_parent[0], x[0]) == (1, 0)
+        assert (x[1:] > 0).all()
+        assert (by_parent == 0).any()
+        assert count[1] > 0  # the worker completed visits
+        assert count[2] == 0
         assert stats.final_threshold == top_k(path_graph(200), 3)[1].final_threshold
 
-    def test_a_decision_acts_on_a_threshold_another_worker_raised(self, ranked, monkeypatch):
+    @pytest.mark.parametrize("n, workers, forked", [(200, 2, 1), (200, 4, 3), (50, 4, 0)])
+    def test_forks_workers_minus_one(self, n, workers, forked, monkeypatch):
+        # the parent is the last worker; a run its warm-up claims whole forks none
+        started, real = [], ForkProcess.start
+
+        def start(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(ForkProcess, "start", start)
+        with time_limit(120):
+            _, stats = top_k(path_graph(n), 3, workers=workers)
+        assert len(started) == forked
+        assert len(stats.per_process) == forked + 1
+
+    def test_per_process_rows_sum_to_the_totals(self):
+        g = preferential_attachment(1000, 3, seed=2)
+        with time_limit(120):
+            for workers in (1, 2, 4):
+                _, stats = top_k(g, 10, workers=workers)
+                rows = stats.per_process
+                assert rows.shape == (workers, len(engine.COUNTERS)), workers
+                totals = [getattr(stats, name) for name in engine.COUNTERS]
+                assert rows.sum(axis=0).tolist() == totals, workers
+                assert rows[0, engine.COUNTERS.index("kernel_levels")] > 0  # the parent's warm-up
+
+    def test_a_decision_acts_on_a_threshold_another_worker_raised(
+        self, ranked, worker_claims_first, monkeypatch
+    ):
         """A worker reads the threshold once per decide call, not once per
         boundary, which can delay a cut but never make a wrong one. A pause
         after each decision lets the other worker push; the worker's next
         decision must then act on the risen threshold, and the run stays
-        exact."""
+        exact. The parent is held after the fork until the worker has
+        claimed, so both decide visits after the warm-up."""
         rose = np.frombuffer(mp.get_context("fork").RawArray("q", 1), dtype=np.int64)
         real = engine.decide
         last = [INF]  # this process's threshold after its last decision
@@ -969,7 +1027,7 @@ class TestParallel:
 
     # a worker that dies must fail the run, not hang it: mid-visit, while
     # holding the shared-heap lock or the cursor lock (claiming a run) the
-    # other worker then waits on, or by raising an exception
+    # parent then waits on, or by raising an exception
     DYING = {
         "visit": (3, """
             real = engine.decide
@@ -1019,7 +1077,10 @@ class TestParallel:
         exitcode, patch = self.DYING[where]
         code = textwrap.dedent(
             """
+            import multiprocessing
             import os
+            import time
+            from multiprocessing.context import ForkProcess
             from topclose import engine
             from topclose.generators import path_graph
 
@@ -1027,15 +1088,30 @@ class TestParallel:
             """
         ) + textwrap.dedent(patch) + textwrap.dedent(
             """
+            # after the fork the parent waits until the worker has claimed:
+            # the parent runs the first batch; the worker claims the second,
+            # in which the path's centre completes, and reaches its dying point
+            claimed = multiprocessing.RawValue("i", 0)
+            real_claim, real_start = engine.Screen.claim, ForkProcess.start
+
+            def claim(self, order, i, x):
+                if os.getpid() != parent:
+                    claimed.value = 1
+                return real_claim(self, order, i, x)
+
+            def start(self):
+                real_start(self)
+                while not claimed.value:
+                    time.sleep(0.001)
+
+            engine.Screen.claim, ForkProcess.start = claim, start
             try:
-                # the parent runs the first batch; the path's centre, in
-                # the second, completes in a worker
                 engine.top_k(path_graph(200), 3, workers=2)
             except RuntimeError as exc:
                 print(exc)
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(Path(engine.__file__).resolve().parents[1])  # the package under test
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

@@ -178,6 +178,33 @@ class TestBulkRoute:
         with open(p) as fh, open(p) as ref:
             assert outcome(load_edge_list, fh, False) == outcome(loop_load_edge_list, ref, False)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"1 2\r2 3\r3 1\r",
+            b"1 2\r\n2 3\r3 4\n\r4 1",
+            b"# c\r1 2\r\n2 3\n3 4\r\r\n4 a\r",
+            b"1 2\r3\r4 5\r",
+            b"1 2\r\n2 3 # c\r4 5\n",
+        ],
+    )
+    def test_file_opened_with_newline_empty(self, tmp_path, data, monkeypatch):
+        # newline="" keeps "\r" and "\r\n" line ends in the text; the loader
+        # ends a line where iterating the file does, in both routes
+        p = tmp_path / "cr.txt"
+        p.write_bytes(data)
+        with open(p, newline="") as ref:
+            expected = outcome(loop_load_edge_list, ref, False)
+        with open(p) as fh:
+            assert outcome(load_edge_list, fh, False) == expected
+        with open(p, newline="") as fh:
+            assert outcome(load_edge_list, fh, False) == expected
+        if data.startswith(b"1 2\r2"):
+            assert expected[0] == ("1", "2", "3") and len(expected[2]) == 6
+            monkeypatch.setattr(graph_module, "_parse_lines", None)  # the bulk route only
+            with open(p, newline="") as fh:
+                assert outcome(load_edge_list, fh, False) == expected
+
     def test_source_is_read_once(self):
         class Once:
             def __init__(self, lines):
