@@ -13,9 +13,10 @@ code or the tests fail without any mutant.
 A run that outlives its 300 s limit counts as killed and is reported as
 timed out.
 
-The catalogue holds the loader's guards, the cut test's, the visit
-decision's, the kernel's pull and the parallel run's: its warm-up and the
-parent's watch on its workers while it waits on a lock. A later change that
+The catalogue holds the loader's guards, the cut test's (with the raise
+of the alpha/omega lower end to the vertices seen), the visit decision's,
+the kernel's pull and the parallel run's: its warm-up and the parent's
+watch on its workers while it waits on a lock. A later change that
 adds a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
@@ -48,6 +49,7 @@ GRAPH = "topclose/graph.py"
 BULK = "tests/test_graph.py::TestBulkRoute"
 ENGINE = "topclose/engine.py"
 KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
+ORACLE = "tests/test_bounds.py::test_inverse_bound_is_below_the_oracle[1]"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
 AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
@@ -159,6 +161,20 @@ MUTANTS = (
         "(1.0 / x if x > 0 else INF)",
         "(1.0 / x if x > 0 else 0.0)",
         (KEYS,),
+    ),
+    Mutant(
+        "cut keys: no raise in the array keys",
+        ENGINE,
+        "alpha = np.maximum(alpha, np.minimum(n_d, omega))\n        la, lo =",
+        "la, lo =",
+        (KEYS,),
+    ),
+    Mutant(
+        "cut keys: lower end raised to omega, not to the visited count",
+        ENGINE,
+        "alpha = np.maximum(alpha, np.minimum(n_d, omega))\n        la, lo =",
+        "alpha = np.maximum(alpha, np.maximum(n_d, omega))\n        la, lo =",
+        (ORACLE,),
     ),
     Mutant(
         "pull: a plain scatter of the frontier's masks, not an OR",

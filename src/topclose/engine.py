@@ -61,9 +61,16 @@ def inverse_closeness_lower_bound(
     """Lower bound on 1/closeness when only alpha <= r(v) <= omega is known.
 
     The minimum over the reachable-count interval is attained at one of the
-    two extremes. A non-positive result is trivially valid and never cuts.
-    Arrays are accepted as for closeness_upper_bound (alpha >= 2 elementwise).
+    two extremes. The n_d vertices seen through level d are all reachable,
+    so the lower end rises to n_d (clipped at omega, so it stays <= omega).
+    A non-positive result is trivially valid and never cuts. Arrays are
+    accepted as for closeness_upper_bound (alpha >= 2 elementwise); the
+    scalar form stays in Python integers.
     """
+    if any(isinstance(a, np.ndarray) for a in (n_d, alpha, omega)):
+        alpha = np.maximum(alpha, np.minimum(n_d, omega))
+    else:
+        alpha = max(alpha, min(n_d, omega))
     la = farness_lower_bound(d, f_d, n_d, gamma_next, alpha)
     lo = farness_lower_bound(d, f_d, n_d, gamma_next, omega)
     return _inverse_bound(la, lo, alpha, omega, n)
@@ -79,11 +86,13 @@ def _inverse_bound(la, lo, alpha: int, omega: int, n: int):
 def cut_keys(d, f_d, n_d, gamma_next, exact, r, alpha, omega, n: int) -> np.ndarray:
     """The cut key of each visit at boundary d, elementwise over integer
     arrays: closeness_upper_bound where r(v) is ``exact``, else
-    inverse_closeness_lower_bound. NaN wherever a float64 intermediate,
-    (r-1)**2 and (n-1)*lam or (omega-1)**2 and both farness bounds, reaches
-    2**53 in magnitude. Below it float64 holds those integers exactly (as
-    rounding is monotone), and one rounded division or product of them
-    matches Python's integer arithmetic: a finite key is the scalar value.
+    inverse_closeness_lower_bound, whose lower end rises to the n_d vertices
+    seen (at most omega). NaN wherever a float64 intermediate, (r-1)**2 and
+    (n-1)*lam or (omega-1)**2 and both farness bounds, reaches 2**53 in
+    magnitude (the raised (alpha-1)**2 is at most (omega-1)**2). Below it
+    float64 holds those integers exactly (as rounding is monotone), and one
+    rounded division or product of them matches Python's integer
+    arithmetic: a finite key is the scalar value.
     """
     some = np.count_nonzero(exact)  # far cheaper than any() on a small array
     key, big = np.zeros(len(exact)), np.zeros(len(exact))
@@ -92,6 +101,7 @@ def cut_keys(d, f_d, n_d, gamma_next, exact, r, alpha, omega, n: int) -> np.ndar
         key = closeness_upper_bound(lam, r, n)
         big = np.maximum((r - 1.0) ** 2, np.abs((n - 1.0) * lam))
     if some < len(exact):
+        alpha = np.maximum(alpha, np.minimum(n_d, omega))
         la, lo = (farness_lower_bound(d, f_d, n_d, gamma_next, a) for a in (alpha, omega))
         inv = _inverse_bound(la, lo, alpha, omega, n)
         ao_big = np.maximum((omega - 1.0) ** 2, np.maximum(abs(la), abs(lo)))

@@ -1,10 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from topclose import from_edges
 from topclose.engine import (
+    CUT,
+    VisitOutcome,
+    bfs_cut,
     closeness_upper_bound,
     cut_at,
     cut_keys,
@@ -124,7 +130,58 @@ def test_array_evaluation_matches_scalar_bit_for_bit(suite, suite_oracle):
             bits(scalar_inv),
         ), tag
         checked += len(records)
-    assert checked == 52_398
+    assert checked == 52_395
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_inverse_bound_is_below_the_oracle(suite, suite_oracle, k):
+    # at every boundary a directed run records, the alpha/omega bound is at
+    # most the true 1/closeness (n-1) * farness / (r-1)**2. Both sides are
+    # exact: the scalar form, given f_d as a Fraction, computes in
+    # Fractions. cut_keys' finite keys are the scalar form's floats.
+    checked = 0
+    for tag, g in suite:
+        if not g.directed:
+            continue
+        records = []
+        top_k(g, k, recorder=lambda *a: records.append(a))
+        table, _ = suite_oracle[tag]
+        bounds = reachability_for(g)
+        rows = [a for a in records if table.reachable[a[0]] > 1]
+        if not rows:
+            continue
+        v, d, f_d, n_d, gamma = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        keys = cut_keys(
+            d, f_d, n_d, gamma, np.zeros(len(v), bool), 0, bounds.alpha[v], bounds.omega[v], g.n
+        )
+        for (u, level, f, nd, gm), key in zip(rows, keys.tolist()):
+            r, alpha, omega = int(table.reachable[u]), int(bounds.alpha[u]), int(bounds.omega[u])
+            inverse = Fraction((g.n - 1) * int(table.farness[u]), (r - 1) ** 2)
+            bound = inverse_closeness_lower_bound(level, Fraction(f), nd, gm, alpha, omega, g.n)
+            assert bound <= inverse, (tag, u, level)
+            scalar = inverse_closeness_lower_bound(level, f, nd, gm, alpha, omega, g.n)
+            assert math.isnan(key) or key == scalar, (tag, u, level)
+            checked += 1
+    assert checked > 10_000
+
+
+def test_visited_count_raises_the_lower_end_to_a_cut():
+    # 0 reaches 1..20 and the chain 21 -> 22 -> 23, but not the 3-cycle,
+    # the heaviest SCC: alpha(0) = 4 and omega(0) = r(0) = 24. At boundary 1,
+    # 22 vertices are seen, so the lower end is 22, not 4, and the key rises
+    # from -98.2 to 1.179 >= 1 / 0.85, while closeness(0) is 0.7825. The
+    # visit is cut at level 1 after 22 arcs; run to its end it scans 23
+    arcs = [(0, i) for i in range(1, 22)] + [(21, 22), (22, 23), (24, 25), (25, 26), (26, 24)]
+    g = from_edges(27, arcs, directed=True)
+    bounds = reachability_for(g)
+    assert not bounds.exact[0] and (bounds.alpha[0], bounds.omega[0]) == (4, 24)
+    key = inverse_closeness_lower_bound(1, 21, 22, 1, 4, 24, 27)
+    assert key == 26 * ((21 - 1 + 3 * (22 - 22)) / 21**2)  # farness bound at 22
+    assert 1 / 0.85 <= key < 26 * 26 / 23**2
+    assert cut_keys(*(np.array([a]) for a in (1, 21, 22, 1, False, 0, 4, 24)), 27)[0] == key
+    assert bfs_cut(g, 0, lambda: 0.85, bounds) == VisitOutcome(CUT, 21, 22, 1, 22)
+    completed = bfs_cut(g, 0, lambda: 0.0, bounds)
+    assert (completed.farness, completed.reachable, completed.arcs) == (26, 24, 23)
 
 
 def random_boundary_states(seed, count):
@@ -167,6 +224,7 @@ def scalar_key(d, f_d, n_d, gamma, exact, r, alpha, omega, n):
     if exact:
         lam = farness_lower_bound(d, f_d, n_d, gamma, r)
         return closeness_upper_bound(lam, r, n), [(r - 1) ** 2, (n - 1) * lam]
+    alpha = max(alpha, min(n_d, omega))  # the lower end, raised to the vertices seen
     la = farness_lower_bound(d, f_d, n_d, gamma, alpha)
     lo = farness_lower_bound(d, f_d, n_d, gamma, omega)
     key = inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, n)
