@@ -14,8 +14,8 @@ A run that outlives its 300 s limit counts as killed and is reported as
 timed out.
 
 The catalogue holds the loader's guards, the cut test's (with the raise
-of the alpha/omega lower end to the vertices seen), the visit decision's,
-the kernel's pull and the parallel run's: its warm-up and the parent's
+of the alpha/omega lower end to the vertices seen), the screen's claim,
+the visit decision's, the kernel's pull and the parallel run's: its warm-up and the parent's
 watch on its workers while it waits on a lock. A later change that
 adds a cut or scheduling path adds its mutants.
 
@@ -114,10 +114,10 @@ MUTANTS = (
          f"{BULK}::test_sparse_labels_sorted_by_first_appearance"),
     ),
     Mutant(
-        "decision: at the threshold of the claim, not the live one",
+        "decision: at the threshold read before the last decide, not the live one",
         ENGINE,
-        "took, arcs = decide(g, bounds, heap, x, results, rec, recorder)",
-        'took, arcs = decide(g, bounds, heap, span["x"][0], results, rec, recorder)',
+        "claimed = claimed[took:]\n            x = heap.threshold",
+        "claimed = claimed[took:]",
         (HUB,),
     ),
     Mutant(
@@ -128,10 +128,10 @@ MUTANTS = (
         (HUB,),
     ),
     Mutant(
-        "decision: never drop a running visit that the risen threshold cuts",
+        "screen: claim at threshold 0, not the live one",
         ENGINE,
-        'drop = (x > claimed["x"][sent]) & screen._settled(vs, x)',
-        "drop = np.zeros(len(sent), bool)",
+        "self._settled(window, x)",
+        "self._settled(window, 0.0)",
         (HUB,),
     ),
     Mutant(

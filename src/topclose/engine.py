@@ -143,16 +143,10 @@ _BIT = np.left_shift(np.uint64(1), _SLOTS.astype(np.uint64))  # the mask bit of 
 def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
     """Write into out[0, s] how many of ``masks`` have bit s set, and into
     out[1, s] the sum of their ``weights``, for s < 64 (``out`` is a
-    contiguous (2, 64) int64 array). Few masks: unpack their bits and take
-    one small integer matmul. Many: a histogram of each mask byte, then a
+    contiguous (2, 64) int64 array): a histogram of each mask byte, then a
     float64 matmul with a (256, 8) bit table, exact as every product and
-    partial sum is an integer below 2**53. No per-bit pass in either."""
+    partial sum is an integer below 2**53. No per-bit pass."""
     as_bytes = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    if len(masks) <= 128:
-        w = np.ones((2, len(masks)), dtype=np.int64)
-        w[1] = weights
-        np.matmul(w, np.unpackbits(as_bytes, axis=1, bitorder="little"), out=out)
-        return
     hist = np.zeros((2, 2048))  # integers, exact below 2**53
     step = _CHUNK // 8
     for a in range(0, len(masks), step):
@@ -174,11 +168,6 @@ def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
         spans.append((a, max(z, a + 1)))
         a = spans[-1][1]
     return spans
-
-
-def _among(a: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """np.isin for short arrays, without its import of numpy.ma (20 ms)."""
-    return (a[:, None] == vs).any(axis=1)
 
 
 def _word(masks: np.ndarray) -> np.uint64:
@@ -259,17 +248,6 @@ class Kernel:
         self.frontier = np.concatenate([self.frontier, vs])
         self.masks = np.concatenate([self.masks, bits])
 
-    def drop(self, vs: np.ndarray) -> None:
-        """End the visits from vs that are running, without a record."""
-        slots = _among(self.source, vs)
-        self.masks &= ~_word(_BIT[slots])
-        self._free(slots)
-
-    def _free(self, slots: np.ndarray) -> None:
-        self.source[slots] = -1
-        self.d[slots] = 0
-        self.stale |= _word(_BIT[slots])
-
     def step(self, x: float) -> Records | None:
         """Expand every running visit by one level at threshold x. Returns
         the records of the visits that left (None if none did), each NaN key
@@ -349,7 +327,9 @@ class Kernel:
             kind = (a[slots] for a in (self.exact, self.r, self.alpha, self.omega))
             per_row = zip(*(a[nan].tolist() for a in (*_boundaries(rec, not g.directed), *kind)))
             rec.keys[nan] = [_integer_key(*row, g.n) for row in per_row]
-        self._free(gone)
+        self.source[gone] = -1
+        self.d[gone] = 0
+        self.stale |= _word(_BIT[gone])
         return rec
 
     @cached_property
@@ -743,8 +723,8 @@ def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
     return closeness, farness, reachable, cut_level
 
 
-# a claimed, undecided visit: its source, whether it went to the kernel, its claim's x
-_CLAIMED = np.dtype([("v", np.int64), ("kernel", bool), ("x", np.float64)])
+# a claimed, undecided visit: its source, and whether it went to the kernel
+_CLAIMED = np.dtype([("v", np.int64), ("kernel", bool)])
 
 
 def _visit_all(
@@ -755,8 +735,8 @@ def _visit_all(
 
     Between kernel steps decide settles the claimed visits up to the first
     one still in the kernel, each from the screen's rows or, once it has left
-    the kernel, from its own; a kernel visit that the risen threshold cuts
-    at boundary 0 or 1 is dropped and decided from the screen's rows. Then
+    the kernel, from its own. A visit claimed for the kernel stays there
+    until the kernel's own cut test, at the live threshold, retires it. Then
     every free slot takes the next claimed kernel visit; when those run
     short, it claims, under one hold of ``lock``, the span from ``cursor[0]``
     up to and including the next BATCH visits the kernel needs at the live
@@ -779,26 +759,13 @@ def _visit_all(
     left = {}  # vertex -> (record, a, b): the rows a:b of a visit that left the kernel
     ready = np.zeros(0, np.int64)  # claimed kernel visits waiting for a free slot
     m_vis = screened = 0
-    stuck = -1.0  # the first claimed visit was running in the kernel at this threshold
     more = True
     while True:
         x = heap.threshold
-        while claimed.size and (x > stuck or not claimed["kernel"][0] or claimed["v"][0] in left):
+        while claimed.size and (not claimed["kernel"][0] or claimed["v"][0] in left):
             sent = np.flatnonzero(claimed["kernel"])
-            vs = claimed["v"][sent]
-            drop = (x > claimed["x"][sent]) & screen._settled(vs, x)
-            running = ~drop & np.array([v not in left for v in vs.tolist()], dtype=bool)
+            running = np.array([v not in left for v in claimed["v"][sent].tolist()], dtype=bool)
             stop = min(sent[running.argmax()] if running.any() else len(claimed), _SPAN)
-            if stop == 0:
-                stuck = x
-                break
-            drop &= sent < stop
-            if drop.any():
-                kernel.drop(vs[drop])
-                ready = ready[~_among(ready, vs[drop])]
-                for v in vs[drop].tolist():
-                    left.pop(v, None)
-                claimed["kernel"][sent[drop]] = False
             span = claimed[:stop]
             rec = _records(span, left, screen)
             took, arcs = decide(g, bounds, heap, x, results, rec, recorder)
@@ -815,15 +782,14 @@ def _visit_all(
         if free > ready.size and more and not (spawn and claimed.size):
             with lock:
                 i = int(cursor[0])
-                x = heap.threshold
-                pos, stop = screen.claim(order, i, x)
+                pos, stop = screen.claim(order, i, heap.threshold)
                 cursor[0] = stop
             more = stop < len(order)
             sent = np.zeros(stop - i, bool)
             sent[pos - i] = True
             keep = ~screen.skip[order[i:stop]]
             span = np.empty(np.count_nonzero(keep), _CLAIMED)
-            span["v"], span["kernel"], span["x"] = order[i:stop][keep], sent[keep], x
+            span["v"], span["kernel"] = order[i:stop][keep], sent[keep]
             claimed = np.concatenate([claimed, span])
             ready = np.concatenate([ready, order[pos]])
         if free and ready.size:

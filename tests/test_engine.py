@@ -563,13 +563,13 @@ class TestScreen:
             assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
 
     def test_kernel_rows_0_and_1_match_the_screen(self, suite, monkeypatch):
-        # a running visit that a risen threshold cuts at boundary 0 or 1 is
-        # dropped from the kernel and decided from the screen's rows, which
-        # must then say what its own record would: the level size and its
-        # degree sum, and wherever the screen's key is finite, that key and
-        # whether the next level exists. (Where the key is NaN no decision
-        # reads the flag: an alpha/omega visit's row 1 says only that level
-        # 2 may exist.)
+        # a kernel visit that a threshold risen since its claim cuts at
+        # boundary 0 or 1 is decided from its own record, which must then say
+        # what the screen's rows would, so that it ends where the screen
+        # would have ended it: the level size and its degree sum, and
+        # wherever the screen's key is finite, that key and whether the next
+        # level exists. (Where the key is NaN no decision reads the flag: an
+        # alpha/omega visit's row 1 says only that level 2 may exist.)
         records = []
         real = engine.Kernel.step
 
@@ -750,15 +750,16 @@ class TestTopK:
             assert table.closeness[v] <= stats.final_threshold + 1e-12
 
     def assert_matches_reference(self, g, k, tag, monkeypatch):
-        records, expected, dropped = [], [], set()
-        real_drop = engine.Kernel.drop
+        records, expected, claimed_at = [], [], {}
+        real_claim = engine.Screen.claim
 
-        def drop(self, vs):
-            dropped.update(vs.tolist())
-            real_drop(self, vs)
+        def claim(self, order, i, x):
+            pos, stop = real_claim(self, order, i, x)
+            claimed_at.update((v, x) for v in order[pos].tolist())
+            return pos, stop
 
         with monkeypatch.context() as m:
-            m.setattr(engine.Kernel, "drop", drop)
+            m.setattr(engine.Screen, "claim", claim)
             left, decided = spy_left(m), spy_decide(m)
             res, stats = top_k(g, k, recorder=lambda *a: records.append(a))
         ref, cut_level, threshold, m_vis = reference_top_k(
@@ -771,12 +772,14 @@ class TestTopK:
         assert stats.final_threshold == threshold, (tag, k)
         assert records == expected, (tag, k)
         # the visits decided from their kernel records
-        kernel_calls = [(v, level) for v, _, _, level in decided if v in left - dropped]
+        kernel_calls = [(v, x, level) for v, x, _, level in decided if v in left]
         bounds = reachability_for(g)
-        # the kernel sees no visit the screen could settle: none cut at
-        # boundary 0, none at 1 with an exact r(v)
-        for v, level in kernel_calls:
-            assert level != 0 and not (level == 1 and bounds.exact[v]), (tag, k, v)
+        # a visit the screen could settle (cut at boundary 0, or at 1 with an
+        # exact r(v)) reaches the kernel only at a threshold that cut nothing
+        # there: each such visit was decided at a threshold above its claim's
+        for v, x, level in kernel_calls:
+            if level == 0 or (level == 1 and bounds.exact[v]):
+                assert x > claimed_at[v], (tag, k, v)
         # and every visited vertex is settled by exactly one of them
         assert stats.screened + len(kernel_calls) == np.count_nonzero(~skipped(g, bounds))
         return stats
