@@ -15,9 +15,11 @@ timed out.
 
 The catalogue holds the loader's guards, the cut test's (with the raise
 of the alpha/omega lower end to the vertices seen), the screen's claim,
-the visit decision's, the kernel's pull and the parallel run's: its warm-up and the parent's
-watch on its workers while it waits on a lock. A later change that
-adds a cut or scheduling path adds its mutants.
+the visit order's drop of the vertices never visited, the visit
+decision's, the kernel's pull, its clear of a freed slot's seen bits and
+the growth of its level table, and the parallel run's: its warm-up and
+the parent's watch on its workers while it waits on a lock. A later
+change that adds a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -52,6 +54,9 @@ KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
 ORACLE = "tests/test_bounds.py::test_inverse_bound_is_below_the_oracle[1]"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
 AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
+GATHERED = "tests/test_engine.py::TestKernel::test_arcs_gathered_counts_the_kernel_gathers"
+LADDER = "tests/test_engine.py::TestBfsCut::test_frontiers_hold_no_repeats[ladder]"
+UNSCREENED = "tests/test_engine.py::TestTopK::test_screen_matches_the_visit_loop_without_it"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 
@@ -196,6 +201,27 @@ MUTANTS = (
         "acc[frontier] = 0\n        self.gathered += g.m",
         "self.gathered += g.m",
         (AGREE,),
+    ),
+    Mutant(
+        "kernel: a freed slot keeps its bits in seen",
+        ENGINE,
+        "self.seen &= ~_word(_BIT[gone])",
+        "pass",
+        (GATHERED,),
+    ),
+    Mutant(
+        "kernel: grow the level table without its rows",
+        ENGINE,
+        "np.concatenate([a, np.empty_like(a)], axis=-1)",
+        "np.concatenate([np.empty_like(a), np.empty_like(a)], axis=-1)",
+        (LADDER,),
+    ),
+    Mutant(
+        "visit order: keep the skipped vertices",
+        ENGINE,
+        "order = order[bounds.alpha[order] > 1]\n    screen",
+        "screen",
+        (UNSCREENED,),
     ),
     Mutant(
         "cut keys: no exactness guard",

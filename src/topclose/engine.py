@@ -192,17 +192,20 @@ class Kernel:
     A visit started between steps begins at the next one, and its level d
     (given to cut_keys and to the undirected refinement of gamma), farness
     and counts run from its own start. Each step records every visit's
-    boundary: the level's size and degree sum, whether the next level
-    exists, and the cut key (see cut_keys; a NaN key never cuts, so no float
-    rounding decides).
+    boundary at its slot and level d, in ints[slot, :, d] and keys[slot, d]:
+    the level's size and degree sum, whether the next level exists, and the
+    cut key (see cut_keys; a NaN key never cuts, so no float rounding
+    decides).
 
     A visit leaves once it completes, its cut test fires at the step's
     threshold x, or (where the bounds disagree with the graph) its next
-    level is empty. An exact-r visit is tested before the gather (level d+1
-    exists iff fewer than r(v) vertices are seen) and never gathers the
-    level it throws away; an alpha/omega visit is tested after the gather
-    that tells whether level d+1 exists. Reads and counts run in chunks of
-    at most _CHUNK arcs or masks, so no temporary outgrows 64 kB.
+    level is empty; its record is then its slot's first ``depth`` levels,
+    and its bit leaves ``seen`` as the slot frees. An exact-r visit is
+    tested before the gather (level d+1 exists iff fewer than r(v) vertices
+    are seen) and never gathers the level it throws away; an alpha/omega
+    visit is tested after the gather that tells whether level d+1 exists.
+    Reads and counts run in chunks of at most _CHUNK arcs or masks, so no
+    temporary outgrows 64 kB.
     """
 
     def __init__(self, g: Graph, bounds: ReachabilityBounds):
@@ -211,7 +214,6 @@ class Kernel:
         self.seen = np.zeros(n, np.uint64)  # per vertex: the visits that reached it
         self.acc = np.zeros(n, np.uint64)  # masks a step's read ORs into a vertex; 0 between steps
         self.slot = np.empty(n, np.int64)  # graph.distinct's dedup slot
-        self.stale = np.uint64(0)  # bits of left visits, maybe still in seen
         self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
         self.source = np.full(BATCH, -1)  # per slot: the visit's source; -1 where free
         self.d = np.zeros(BATCH, np.int64)  # its level, from its own start
@@ -220,9 +222,9 @@ class Kernel:
         # a free slot keeps valid bounds, so that its (unused) key raises nothing
         self.exact = np.ones(BATCH, bool)
         self.r, self.alpha, self.omega = (np.full(BATCH, 2) for _ in range(3))
-        # the boundary rows of the last len(keys) steps, step t at row t % len(keys)
-        self.ints = np.empty((16, 3, BATCH), np.int64)  # [t, :, slot]: see decide
-        self.keys = np.empty((16, BATCH))
+        self.ints = np.empty((BATCH, 3, 16), np.int64)  # [slot, :, d]: see Records
+        self.keys = np.empty((BATCH, 16))  # [slot, d]; both double in d as visits deepen
+        self.row = np.empty((3, BATCH), np.int64)  # [:, slot]: the step's rows, before they go in
         self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
         self.dense_levels = 0  # the steps that pulled
 
@@ -234,9 +236,6 @@ class Kernel:
         """Give each vertex of vs (distinct, none running, at most ``free``)
         a free slot and a visit that begins at the next step."""
         slots = np.flatnonzero(self.source < 0)[: len(vs)]
-        if self.stale:
-            self.seen &= ~self.stale
-            self.stale = np.uint64(0)
         b, bits = self.bounds, _BIT[slots]
         self.source[slots] = vs
         self.f[slots] = self.nd[slots] = 0
@@ -256,16 +255,10 @@ class Kernel:
         d, f, nd, exact, r = self.d, self.f, self.nd, self.exact, self.r
         live = self.source >= 0
         self.source_levels += int(np.count_nonzero(live))
-        t, rows = self.levels, len(self.keys)
-        if d.max() == rows:  # a visit needs more rows than the ring holds
-            kept = np.arange(t - rows, t)
-            for name in ("ints", "keys"):
-                ring = getattr(self, name)
-                grown = np.empty((2 * rows, *ring.shape[1:]), ring.dtype)
-                grown[kept % (2 * rows)] = ring[kept % rows]
-                setattr(self, name, grown)
-            rows *= 2
-        row = self.ints[t % rows]
+        if d.max() == self.keys.shape[1]:  # a visit needs more levels than the table holds
+            both = (np.concatenate([a, np.empty_like(a)], axis=-1) for a in (self.ints, self.keys))
+            self.ints, self.keys = both
+        row = self.row
         deg = g.degrees[frontier]
         _per_source(masks, deg, row[:2])
         c, s = row[:2]
@@ -310,7 +303,8 @@ class Kernel:
             active = masks != 0
             frontier, masks = frontier[active], masks[active]
         row[2] = more
-        self.keys[t % rows] = key
+        self.ints[_SLOTS, :, d] = row.T  # a free slot writes level 0, which a start rewrites
+        self.keys[_SLOTS, d] = key
         d += live
         self.levels += 1
         self.frontier, self.masks = frontier, masks
@@ -318,10 +312,10 @@ class Kernel:
         if not np.count_nonzero(gone):
             return None
         depth = d[gone]
-        z = np.cumsum(depth)
-        at = (np.arange(z[-1]) + np.repeat(t + 1 - z, depth)) % rows  # their rows, in order
-        slots = np.repeat(_SLOTS[gone], depth)
-        rec = Records(self.source[gone], depth, self.ints[at, :, slots].T, self.keys[at, slots])
+        first = np.repeat(np.cumsum(depth) - depth, depth)
+        slots, level = np.repeat(_SLOTS[gone], depth), np.arange(len(first)) - first
+        ints, keys = self.ints[slots, :, level].T, self.keys[slots, level]
+        rec = Records(self.source[gone], depth, ints, keys)
         nan = np.flatnonzero(np.isnan(rec.keys))
         if nan.size:  # the scalar bound, in Python integers
             kind = (a[slots] for a in (self.exact, self.r, self.alpha, self.omega))
@@ -329,7 +323,7 @@ class Kernel:
             rec.keys[nan] = [_integer_key(*row, g.n) for row in per_row]
         self.source[gone] = -1
         self.d[gone] = 0
-        self.stale |= _word(_BIT[gone])
+        self.seen &= ~_word(_BIT[gone])
         return rec
 
     @cached_property
@@ -456,7 +450,8 @@ def bfs_cut(
 
 @dataclass(frozen=True)
 class Screen:
-    """Rows 0 and 1 of every visit's record (see decide), known up front.
+    """Rows 0 and 1 of every visit's record (see decide), known up front,
+    for the vertices given to build: those top_k visits.
 
     At those boundaries a visit from v knows only deg(v), the degree sum S1(v)
     over N(v), and r(v) or alpha/omega, none of which depends on the
@@ -468,7 +463,6 @@ class Screen:
     NaN, and row 1 says level 2 exists unless the visit ``ends``.
     """
 
-    skip: np.ndarray  # bool: never visited (r(v) or alpha(v) <= 1)
     exact: np.ndarray  # bool: r(v) is known
     degrees: np.ndarray
     s1: np.ndarray  # degree sum over N(v): the arcs out of level 1
@@ -476,7 +470,7 @@ class Screen:
     ends: np.ndarray  # bool: the visit completes at level 1 unless cut at 0
 
     @classmethod
-    def build(cls, g: Graph, bounds: ReachabilityBounds, skip: np.ndarray) -> "Screen":
+    def build(cls, g: Graph, bounds: ReachabilityBounds, vs: np.ndarray) -> "Screen":
         n = g.n
         deg = g.degrees
         summed = np.zeros(g.m + 1, dtype=np.int64)  # prefix sums of deg(targets)
@@ -487,7 +481,6 @@ class Screen:
         keys = np.full((2, n), np.nan)
         ends = np.zeros(n, dtype=bool)
 
-        vs = np.flatnonzero(~skip)
         exact, r = bounds.exact[vs], bounds.r[vs]
         alpha, omega = bounds.alpha[vs], bounds.omega[vs]
         d, s = deg[vs], s1[vs]
@@ -501,21 +494,21 @@ class Screen:
         vs, d, s, r, exact = vs[one], d[one], s[one], r[one], exact[one]
         gamma1 = s - d if not g.directed else s  # as the kernel refines it
         keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, exact, r, alpha[one], omega[one], n)
-        return cls(skip, bounds.exact, deg, s1, keys, ends)
+        return cls(bounds.exact, deg, s1, keys, ends)
 
     def _settled(self, vs, x: float):
-        """Whether the vertices vs are skipped or cut at boundary 0 or 1.
-        Only exact-r keys are finite at boundary 1, and for those a cut at
-        either boundary is a cut at the smaller key."""
+        """Whether the visits from vs are cut at boundary 0 or 1. Only
+        exact-r keys are finite at boundary 1, and for those a cut at either
+        boundary is a cut at the smaller key."""
         keys = np.fmin(self.keys[0][vs], self.keys[1][vs])
-        return self.skip[vs] | cut_at(keys, self.exact[vs], x)
+        return cut_at(keys, self.exact[vs], x)
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
-        """The positions >= i of the first BATCH vertices that need the
-        kernel at threshold x (neither skipped, nor cut at boundary 0 or 1,
-        nor ending at level 1), and the position just past the last of them
-        (len(order) if fewer remain). Windows of doubling width, one vector
-        test each."""
+        """The positions >= i in ``order`` (the visited vertices, see
+        top_k) of the first BATCH visits that need the kernel at threshold x
+        (neither cut at boundary 0 or 1 nor ending at level 1), and the
+        position just past the last of them (len(order) if fewer remain).
+        Windows of doubling width, one vector test each."""
         end = len(order)
         found, got, width = [], 0, BATCH
         while i < end and got < BATCH:
@@ -672,8 +665,10 @@ def top_k(
 ) -> tuple[TopKResult, RunStats]:
     """Exact top-k closeness via pruned BFS with a rising threshold.
 
-    Vertices are processed in decreasing degree order; each visit may be cut
-    once its closeness provably cannot exceed the current k-th best value.
+    Vertices are processed in decreasing degree order, less those that reach
+    no other vertex (alpha(v) = 1; their closeness is 0 and no visit runs
+    from them); each visit may be cut once its closeness provably cannot
+    exceed the current k-th best value.
     Visits the per-vertex degree statistics settle at boundary 0 or 1 need
     no BFS (see Screen); the others run in the multi-source kernel, up to 64
     at a time. decide settles both kinds from their records. ``workers`` > 1
@@ -693,8 +688,9 @@ def top_k(
     order = processing_order(g)
     prep = time.perf_counter() - t0
 
-    # alpha(v) = 1 only where v reaches no other vertex: those are skipped
-    screen = Screen.build(g, bounds, bounds.alpha <= 1)
+    # alpha(v) = 1 only where v reaches no other vertex: no visit runs from those
+    order = order[bounds.alpha[order] > 1]
+    screen = Screen.build(g, bounds, order)
     if workers > 1 and g.n:
         heap, results, rows = _run_parallel(g, bounds, screen, order, k, workers)
     else:
@@ -785,11 +781,9 @@ def _visit_all(
                 pos, stop = screen.claim(order, i, heap.threshold)
                 cursor[0] = stop
             more = stop < len(order)
-            sent = np.zeros(stop - i, bool)
-            sent[pos - i] = True
-            keep = ~screen.skip[order[i:stop]]
-            span = np.empty(np.count_nonzero(keep), _CLAIMED)
-            span["v"], span["kernel"] = order[i:stop][keep], sent[keep]
+            span = np.empty(stop - i, _CLAIMED)
+            span["v"], span["kernel"] = order[i:stop], False
+            span["kernel"][pos - i] = True
             claimed = np.concatenate([claimed, span])
             ready = np.concatenate([ready, order[pos]])
         if free and ready.size:
@@ -807,24 +801,23 @@ def _visit_all(
 
 def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
     """The records of claimed visits: their own once they left the kernel, else the screen's."""
-    vs, sent = span["v"], np.flatnonzero(span["kernel"])
+    vs, kernel = span["v"], span["kernel"]
+    sent = np.flatnonzero(kernel)
     depth = np.full(len(span), 2)
+    if not sent.size:
+        return Records(vs, depth, *screen.rows(vs))
+    runs = [left[v] for v in vs[sent].tolist()]
+    depth[sent] = [b - a for _, a, b in runs]
+    end = np.cumsum(depth)
+    first = end - depth
+    ints, keys = np.empty((3, end[-1]), np.int64), np.empty(end[-1])
     if len(sent) < len(span):
-        ints, keys = screen.rows(vs[~span["kernel"]])
-        if not sent.size:
-            return Records(vs, depth, ints, keys)
-    parts, z = [], 0  # z: the screen's rows used so far
-    for j, (p, v) in enumerate(zip(sent.tolist(), vs[sent].tolist())):
-        if 2 * (p - j) > z:  # the screen's rows of the visits before p
-            parts.append((ints[:, z : 2 * (p - j)], keys[z : 2 * (p - j)]))
-            z = 2 * (p - j)
-        rec, a, b = left[v]
-        parts.append((rec.ints[:, a:b], rec.keys[a:b]))
-        depth[p] = b - a
-    if len(sent) < len(span) and z < len(keys):
-        parts.append((ints[:, z:], keys[z:]))
-    ints, keys = zip(*parts)
-    return Records(vs, depth, np.concatenate(ints, axis=1), np.concatenate(keys))
+        at = np.repeat(first[~kernel], 2)
+        at[1::2] += 1  # rows 0 and 1 of each visit the screen decides
+        ints[:, at], keys[at] = screen.rows(vs[~kernel])
+    for p, (rec, a, b) in zip(first[sent].tolist(), runs):
+        ints[:, p : p + b - a], keys[p : p + b - a] = rec.ints[:, a:b], rec.keys[a:b]
+    return Records(vs, depth, ints, keys)
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
@@ -844,14 +837,16 @@ def _run_parallel(g, bounds, screen, order, k, workers):
     RuntimeError naming the code. Returns the heap, the result arrays and
     one row of _visit_all's counts per process, this one's first.
     """
-    # imported here: it costs serial runs about 0.5 MB of peak RSS
+    # imported here, as only a parallel run needs them (wait: 0.5 MB of peak RSS)
+    import mmap
     from multiprocessing.connection import wait
 
     ctx = mp.get_context("fork")
 
     def shared_zeros(length, dtype):
-        raw = ctx.RawArray(np.ctypeslib.as_ctypes_type(dtype), length)
-        return np.frombuffer(raw, dtype=dtype)
+        # an anonymous shared mapping: zeros, seen by every child forked after it
+        size = max(length, 1) * np.dtype(dtype).itemsize
+        return np.frombuffer(mmap.mmap(-1, size), dtype, length)
 
     values, heap_lock = shared_zeros(k + 1, np.float64), ctx.Lock()
     results = _results(g.n, shared_zeros)

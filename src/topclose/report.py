@@ -83,17 +83,12 @@ def build_report(
         mn = g.m * g.n
         rows = [] if stats.per_process is None else stats.per_process.tolist()
         stats_info = StatsInfo(
-            m_vis=stats.m_vis,
+            **{name: getattr(stats, name) for name in COUNTERS},
             m_tot=stats.m_tot,
             improvement_factor=stats.improvement_factor,
             performance_ratio=stats.m_vis / mn if mn else None,
             preprocessing_seconds=stats.preprocessing_seconds,
             total_seconds=stats.total_seconds,
-            screened=stats.screened,
-            arcs_gathered=stats.arcs_gathered,
-            kernel_levels=stats.kernel_levels,
-            source_levels=stats.source_levels,
-            dense_levels=stats.dense_levels,
             load_seconds=stats.load_seconds,
             per_process=tuple(dict(zip(COUNTERS, row)) for row in rows),
         )

@@ -352,9 +352,9 @@ class TestKernel:
             bounds = self.bounds(r)
             kernel = engine.Kernel(g, bounds)
             records = self.run_kernel(kernel, [0, 1, 2, 3], 1e300)
-            # the kernel's own keys at boundary 0 (step 0, slots 0-3)
-            assert np.isnan(kernel.keys[0, :4]).all() == inexact, r
-            assert np.isfinite(kernel.keys[0, :4]).all() == (not inexact), r
+            # the kernel's own keys at boundary 0 (slots 0-3, level 0)
+            assert np.isnan(kernel.keys[:4, 0]).all() == inexact, r
+            assert np.isfinite(kernel.keys[:4, 0]).all() == (not inexact), r
             # a NaN key never cuts, so at x = 1e300, where every finite key
             # cuts at level 0, only the inexact visits run to the end; as
             # they leave, each NaN key becomes the scalar bound
@@ -557,7 +557,7 @@ class TestScreen:
             bounds = ReachabilityBounds(
                 alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
             )
-            screen = engine.Screen.build(g, bounds, np.zeros(4, dtype=bool))
+            screen = engine.Screen.build(g, bounds, np.arange(4))
             assert np.isfinite(screen.keys[0][:2]).all() == screened, r
             assert np.isfinite(screen.keys[0][2:]).all() == screened, r
             assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
@@ -589,7 +589,7 @@ class TestScreen:
             records.clear()
             top_k(g, 10)
             bounds = reachability_for(g)
-            screen = engine.Screen.build(g, bounds, bounds.alpha <= 1)
+            screen = engine.Screen.build(g, bounds, np.flatnonzero(bounds.alpha > 1))
             for rec in records:
                 ints, keys = screen.rows(rec.vs)
                 first = np.cumsum(rec.depth) - rec.depth
