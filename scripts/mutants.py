@@ -13,13 +13,15 @@ code or the tests fail without any mutant.
 A run that outlives its 300 s limit counts as killed and is reported as
 timed out.
 
-The catalogue holds the loader's guards, the cut test's (with the raise
-of the alpha/omega lower end to the vertices seen), the screen's claim,
-the visit order's drop of the vertices never visited, the visit
-decision's, the kernel's pull, its clear of a freed slot's seen bits and
-the growth of its level table, and the parallel run's: its warm-up and
-the parent's watch on its workers while it waits on a lock. A later
-change that adds a cut or scheduling path adds its mutants.
+The catalogue holds the loader's guards, the cut keys' (both ends of the
+reachable-count interval, the raise of its lower end to the vertices
+seen, the 2**53 guard and the +inf of a degenerate bound), the cut test
+key <= x in the kernel and in the decision, the screen's claim, the visit
+order's drop of the vertices never visited, the visit decision's, the
+kernel's pull, its clear of a freed slot's seen bits and the growth of
+its level table, and the parallel run's: its warm-up and the parent's
+watch on its workers while it waits on a lock. A later change that adds
+a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -50,8 +52,11 @@ class Mutant:
 GRAPH = "topclose/graph.py"
 BULK = "tests/test_graph.py::TestBulkRoute"
 ENGINE = "topclose/engine.py"
-KEYS = "tests/test_bounds.py::test_cut_keys_and_cut_at_match_the_scalar_bounds"
-ORACLE = "tests/test_bounds.py::test_inverse_bound_is_below_the_oracle[1]"
+KEYS = "tests/test_bounds.py::test_cut_keys_match_the_scalar_bound"
+ORACLE = "tests/test_bounds.py::test_cut_key_is_above_the_oracle[1]"
+DEGENERATE = "tests/test_bounds.py::TestClosenessUpperBound::test_degenerate_bound_is_infinite"
+TIE = "tests/test_engine.py::TestKernel::test_a_key_equal_to_the_threshold_retires_the_visit"
+REPLAY = "tests/test_engine.py::TestKernel::test_replay_decides_inexact_keys_in_integers"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
 AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
 GATHERED = "tests/test_engine.py::TestKernel::test_arcs_gathered_counts_the_kernel_gathers"
@@ -140,17 +145,31 @@ MUTANTS = (
         (HUB,),
     ),
     Mutant(
-        "cut test: < for <= against the threshold",
+        "kernel: < for <= against the threshold",
         ENGINE,
-        "exact & (keys <= x)",
-        "exact & (keys < x)",
-        (KEYS,),
+        "cut = key <= x",
+        "cut = key < x",
+        (TIE,),
+    ),
+    Mutant(
+        "decision: < for <= against the threshold",
+        ENGINE,
+        "ends = ~more | (rec.keys <= x)",
+        "ends = ~more | (rec.keys < x)",
+        (REPLAY,),
+    ),
+    Mutant(
+        "closeness bound: 0, not +inf, for a non-positive lambda",
+        ENGINE,
+        "out=np.full(den.shape, INF)",
+        "out=np.full(den.shape, 0.0)",
+        (DEGENERATE,),
     ),
     Mutant(
         "cut keys: > for >= in the 2**53 guard",
         ENGINE,
-        "key[big >= 2.0**53] = np.nan",
-        "key[big > 2.0**53] = np.nan",
+        ">= 2.0**53] = np.nan",
+        "> 2.0**53] = np.nan",
         (KEYS,),
     ),
     Mutant(
@@ -161,24 +180,24 @@ MUTANTS = (
         (KEYS,),
     ),
     Mutant(
-        "cut test: an inverse threshold of 0 at x = 0",
-        ENGINE,
-        "(1.0 / x if x > 0 else INF)",
-        "(1.0 / x if x > 0 else 0.0)",
-        (KEYS,),
-    ),
-    Mutant(
         "cut keys: no raise in the array keys",
         ENGINE,
-        "alpha = np.maximum(alpha, np.minimum(n_d, omega))\n        la, lo =",
-        "la, lo =",
+        "np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])",
+        "np.array([omega, alpha])",
         (KEYS,),
     ),
     Mutant(
         "cut keys: lower end raised to omega, not to the visited count",
         ENGINE,
-        "alpha = np.maximum(alpha, np.minimum(n_d, omega))\n        la, lo =",
-        "alpha = np.maximum(alpha, np.maximum(n_d, omega))\n        la, lo =",
+        "np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])",
+        "np.array([omega, np.maximum(alpha, np.maximum(n_d, omega))])",
+        (ORACLE,),
+    ),
+    Mutant(
+        "cut keys: only the omega end",
+        ENGINE,
+        "np.maximum(key[0], key[1])",
+        "key[0]",
         (ORACLE,),
     ),
     Mutant(
@@ -226,7 +245,7 @@ MUTANTS = (
     Mutant(
         "cut keys: no exactness guard",
         ENGINE,
-        "key[big >= 2.0**53] = np.nan",
+        "key[np.maximum((x - 1.0) ** 2, np.abs((n - 1.0) * lam)) >= 2.0**53] = np.nan",
         "pass",
         (KEYS,),
     ),

@@ -8,7 +8,7 @@ from .engine import (
     bfs_cut,
     closeness_upper_bound,
     farness_lower_bound,
-    inverse_closeness_lower_bound,
+    interval_closeness_bound,
     top_k,
 )
 from .graph import Graph, bfs, connected_components, from_edges, load_edge_list, write_edge_list
@@ -28,7 +28,7 @@ __all__ = [
     "exact_closeness_all",
     "farness_lower_bound",
     "from_edges",
-    "inverse_closeness_lower_bound",
+    "interval_closeness_bound",
     "load_edge_list",
     "reachability_for",
     "top_k",

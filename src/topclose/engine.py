@@ -2,11 +2,13 @@
 kernel, the degree-ordered main loop with a rising k-th-best threshold, and a
 process-based parallel scheduler.
 
-The kernel runs up to 64 visits as one bit-parallel BFS, one level per step,
-and records every level boundary. A step reads its level top-down (a gather
-of the frontier's arcs) or, on an undirected graph once the frontier holds
-m/16 arcs or more, bottom-up (every vertex ORs its neighbours' masks in one
-pass over the CSR). A visit that leaves hands its bit to the next claimed
+Every cut key is an upper bound on closeness (see cut_keys), and every cut
+test is key <= x at the k-th best closeness x. The kernel runs up to 64
+visits as one bit-parallel BFS, one level per step, and records every level
+boundary. A step reads its level top-down (a gather of the frontier's arcs)
+or, on an undirected graph once the frontier holds m/16 arcs or more,
+bottom-up (every vertex ORs its neighbours' masks in one pass over the
+CSR). A visit that leaves hands its bit to the next claimed
 vertex at once, so the kernel stays full and numpy's per-level call cost is
 shared by 64 visits. Every visit has one record, a row per boundary; the
 screen supplies rows 0 and 1 up front. Between steps decide settles the
@@ -42,80 +44,52 @@ def farness_lower_bound(d: int, f_d: int, n_d: int, gamma_next: int, x: int) -> 
 
 
 def closeness_upper_bound(lam, r, n: int):
-    """Closeness upper bound from a farness lower bound and the exact
-    reachable count. Returns +inf when the bound degenerates (lam <= 0).
+    """Closeness upper bound from a farness lower bound lam that assumes r
+    reachable vertices (see farness_lower_bound). Returns +inf when the
+    bound degenerates (lam <= 0).
 
     ``lam`` and ``r`` may be integer numpy arrays (evaluated elementwise);
     cut_keys says where the array result matches the integer one.
     """
     num, den = (r - 1) ** 2, (n - 1) * lam
     if isinstance(lam, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lam > 0, num / den, INF)
+        return np.divide(num, den, out=np.full(den.shape, INF), where=lam > 0)
     return num / den if lam > 0 else INF
 
 
-def inverse_closeness_lower_bound(
+def interval_closeness_bound(
     d: int, f_d: int, n_d: int, gamma_next: int, alpha: int, omega: int, n: int
 ):
-    """Lower bound on 1/closeness when only alpha <= r(v) <= omega is known.
-
-    The minimum over the reachable-count interval is attained at one of the
-    two extremes. The n_d vertices seen through level d are all reachable,
-    so the lower end rises to n_d (clipped at omega, so it stays <= omega).
-    A non-positive result is trivially valid and never cuts. Arrays are
-    accepted as for closeness_upper_bound (alpha >= 2 elementwise); the
-    scalar form stays in Python integers.
+    """Upper bound on closeness when only alpha <= r(v) <= omega is known:
+    the larger of closeness_upper_bound at the interval's two ends, where
+    the paper's bound on 1/closeness takes its minimum. The n_d vertices
+    seen through level d are all reachable, so the lower end rises to n_d
+    (clipped at omega, so it stays <= omega). Where alpha = omega = r(v) it
+    is closeness_upper_bound at r(v). Scalars only, in Python integers
+    (Fractions work too); cut_keys is the array form.
     """
-    if any(isinstance(a, np.ndarray) for a in (n_d, alpha, omega)):
-        alpha = np.maximum(alpha, np.minimum(n_d, omega))
-    else:
-        alpha = max(alpha, min(n_d, omega))
-    la = farness_lower_bound(d, f_d, n_d, gamma_next, alpha)
-    lo = farness_lower_bound(d, f_d, n_d, gamma_next, omega)
-    return _inverse_bound(la, lo, alpha, omega, n)
+    low = max(alpha, min(n_d, omega))
+    return max(
+        closeness_upper_bound(farness_lower_bound(d, f_d, n_d, gamma_next, x), x, n)
+        for x in (low, omega)
+    )
 
 
-def _inverse_bound(la, lo, alpha: int, omega: int, n: int):
-    """inverse_closeness_lower_bound from the farness bounds at alpha (la)
-    and at omega (lo)."""
-    low = np.minimum if isinstance(la, np.ndarray) else min
-    return (n - 1) * low(la / (alpha - 1) ** 2, lo / (omega - 1) ** 2)
-
-
-def cut_keys(d, f_d, n_d, gamma_next, exact, r, alpha, omega, n: int) -> np.ndarray:
+def cut_keys(d, f_d, n_d, gamma_next, alpha, omega, n: int) -> np.ndarray:
     """The cut key of each visit at boundary d, elementwise over integer
-    arrays: closeness_upper_bound where r(v) is ``exact``, else
-    inverse_closeness_lower_bound, whose lower end rises to the n_d vertices
-    seen (at most omega). NaN wherever a float64 intermediate, (r-1)**2 and
-    (n-1)*lam or (omega-1)**2 and both farness bounds, reaches 2**53 in
-    magnitude (the raised (alpha-1)**2 is at most (omega-1)**2). Below it
-    float64 holds those integers exactly (as rounding is monotone), and one
-    rounded division or product of them matches Python's integer
-    arithmetic: a finite key is the scalar value.
+    arrays: interval_closeness_bound, whose one test is key <= x. NaN
+    wherever a float64 intermediate at either end, (x-1)**2 or (n-1)*lam,
+    reaches 2**53 in magnitude. Below it float64 holds those integers
+    exactly (as rounding is monotone), and one rounded division of them
+    matches Python's integer arithmetic: a finite key is the scalar value.
     """
-    some = np.count_nonzero(exact)  # far cheaper than any() on a small array
-    key, big = np.zeros(len(exact)), np.zeros(len(exact))
-    if some:
-        lam = farness_lower_bound(d, f_d, n_d, gamma_next, r)
-        key = closeness_upper_bound(lam, r, n)
-        big = np.maximum((r - 1.0) ** 2, np.abs((n - 1.0) * lam))
-    if some < len(exact):
-        alpha = np.maximum(alpha, np.minimum(n_d, omega))
-        la, lo = (farness_lower_bound(d, f_d, n_d, gamma_next, a) for a in (alpha, omega))
-        inv = _inverse_bound(la, lo, alpha, omega, n)
-        ao_big = np.maximum((omega - 1.0) ** 2, np.maximum(abs(la), abs(lo)))
-        key = np.where(exact, key, inv) if some else inv
-        big = np.where(exact, big, ao_big) if some else ao_big
-    key[big >= 2.0**53] = np.nan
-    return key
-
-
-def cut_at(keys: np.ndarray, exact: np.ndarray, x: float) -> np.ndarray:
-    """Where the cut test fires at threshold x, elementwise over cut_keys'
-    keys: a closeness upper bound <= x, an inverse-closeness lower bound
-    >= 1/x (never while x = 0). A NaN key never cuts."""
-    return exact & (keys <= x) | ~exact & (keys >= (1.0 / x if x > 0 else INF))
+    x = omega
+    if np.count_nonzero(alpha < omega):  # far cheaper than any() on a small array
+        x = np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])
+    lam = farness_lower_bound(d, f_d, n_d, gamma_next, x)
+    key = closeness_upper_bound(lam, x, n)
+    key[np.maximum((x - 1.0) ** 2, np.abs((n - 1.0) * lam)) >= 2.0**53] = np.nan
+    return np.maximum(key[0], key[1]) if key.ndim == 2 else key
 
 
 @dataclass
@@ -197,10 +171,10 @@ class Kernel:
     cut key (see cut_keys; a NaN key never cuts, so no float rounding
     decides).
 
-    A visit leaves once it completes, its cut test fires at the step's
-    threshold x, or (where the bounds disagree with the graph) its next
-    level is empty; its record is then its slot's first ``depth`` levels,
-    and its bit leaves ``seen`` as the slot frees. An exact-r visit is
+    A visit leaves once it completes, its key is <= the step's threshold x,
+    or (where the bounds disagree with the graph) its next level is empty;
+    its record is then its slot's first ``depth`` levels, and its bit
+    leaves ``seen`` as the slot frees. An exact-r visit is
     tested before the gather (level d+1 exists iff fewer than r(v) vertices
     are seen) and never gathers the level it throws away; an alpha/omega
     visit is tested after the gather that tells whether level d+1 exists.
@@ -221,7 +195,7 @@ class Kernel:
         self.nd = np.zeros(BATCH, np.int64)
         # a free slot keeps valid bounds, so that its (unused) key raises nothing
         self.exact = np.ones(BATCH, bool)
-        self.r, self.alpha, self.omega = (np.full(BATCH, 2) for _ in range(3))
+        self.alpha, self.omega = np.full(BATCH, 2), np.full(BATCH, 2)
         self.ints = np.empty((BATCH, 3, 16), np.int64)  # [slot, :, d]: see Records
         self.keys = np.empty((BATCH, 16))  # [slot, d]; both double in d as visits deepen
         self.row = np.empty((3, BATCH), np.int64)  # [:, slot]: the step's rows, before they go in
@@ -239,7 +213,7 @@ class Kernel:
         b, bits = self.bounds, _BIT[slots]
         self.source[slots] = vs
         self.f[slots] = self.nd[slots] = 0
-        self.exact[slots], self.r[slots] = b.exact[vs], b.r[vs]
+        self.exact[slots] = b.exact[vs]
         self.alpha[slots], self.omega[slots] = b.alpha[vs], b.omega[vs]
         self.seen[vs] |= bits
         # a vertex on the frontier already joins it again: the masks are
@@ -252,7 +226,7 @@ class Kernel:
         the records of the visits that left (None if none did), each NaN key
         replaced by the scalar bound in Python integers."""
         g, frontier, masks = self.g, self.frontier, self.masks
-        d, f, nd, exact, r = self.d, self.f, self.nd, self.exact, self.r
+        d, f, nd, exact, omega = self.d, self.f, self.nd, self.exact, self.omega
         live = self.source >= 0
         self.source_levels += int(np.count_nonzero(live))
         if d.max() == self.keys.shape[1]:  # a visit needs more levels than the table holds
@@ -267,9 +241,9 @@ class Kernel:
         # undirected refinement: beyond level 0 one edge per frontier vertex
         # must point back into the previous level
         gamma = np.where(d >= 1, s - c, s) if not g.directed else s
-        key = cut_keys(d, f, nd, gamma, exact, r, self.alpha, self.omega, g.n)
-        cut = cut_at(key, exact, x)
-        more = nd < r  # exact r(v); alpha/omega: after the gather
+        key = cut_keys(d, f, nd, gamma, self.alpha, omega, g.n)
+        cut = key <= x  # a NaN key never cuts
+        more = nd < omega  # exact r(v) = omega; alpha/omega: after the gather
         leave = live & exact & (cut | ~more)
         if np.count_nonzero(leave):
             masks = masks & ~_word(_BIT[leave])
@@ -318,9 +292,9 @@ class Kernel:
         rec = Records(self.source[gone], depth, ints, keys)
         nan = np.flatnonzero(np.isnan(rec.keys))
         if nan.size:  # the scalar bound, in Python integers
-            kind = (a[slots] for a in (self.exact, self.r, self.alpha, self.omega))
-            per_row = zip(*(a[nan].tolist() for a in (*_boundaries(rec, not g.directed), *kind)))
-            rec.keys[nan] = [_integer_key(*row, g.n) for row in per_row]
+            ao = (self.alpha[slots], omega[slots])
+            per_row = zip(*(a[nan].tolist() for a in (*_boundaries(rec, not g.directed), *ao)))
+            rec.keys[nan] = [interval_closeness_bound(*row, g.n) for row in per_row]
         self.source[gone] = -1
         self.d[gone] = 0
         self.seen &= ~_word(_BIT[gone])
@@ -373,20 +347,13 @@ def _boundaries(rec: Records, undirected: bool) -> tuple[np.ndarray, ...]:
     return d, f, nd, np.where(undirected & (d >= 1), s - c, s)  # as Kernel.step refines it
 
 
-def _integer_key(d, f, nd, gamma, exact, r, alpha, omega, n: int) -> float:
-    """cut_keys' key of one boundary, in Python integers."""
-    if exact:
-        return closeness_upper_bound(farness_lower_bound(d, f, nd, gamma, r), r, n)
-    return inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
-
-
 def decide(
-    g: Graph, bounds: ReachabilityBounds, heap: ThresholdHeap, x: float, results, rec: Records,
+    g: Graph, heap: ThresholdHeap, x: float, results, rec: Records,
     recorder: BoundaryRecorder | None = None,
 ) -> tuple[int, int]:
     """Decide the visits of ``rec`` in order at threshold x, as a
     one-at-a-time pruned BFS would: each ends at its first boundary with no
-    next level, where it completes, or whose cut test (cut_at) fires.
+    next level, where it completes, or whose cut key (see cut_keys) is <= x.
 
     One vector pass finds every end. Outcomes go into ``results`` (see
     _results), and completions push into ``heap`` in order, up to the first
@@ -397,7 +364,7 @@ def decide(
     closeness, farness, reachable, cut_level = results
     vs, depth, ints = rec.vs, rec.depth, rec.ints
     more = ints[2] != 0
-    ends = ~more | cut_at(rec.keys, np.repeat(bounds.exact[vs], depth), x)
+    ends = ~more | (rec.keys <= x)
     # each visit's end: its first row past the ends of the visits before it
     before = np.zeros(len(ends) + 1, np.int64)
     np.cumsum(ends, out=before[1:])
@@ -440,7 +407,7 @@ def bfs_cut(
     while (rec := kernel.step(threshold())) is None:
         pass
     results = _results(g.n, np.zeros)
-    _, arcs = decide(g, bounds, ThresholdHeap(1), threshold(), results, rec, recorder)
+    _, arcs = decide(g, ThresholdHeap(1), threshold(), results, rec, recorder)
     closeness, farness, reachable, level = (a.item(v) for a in results)
     if level < 0:
         return VisitOutcome(closeness, farness, reachable, -1, arcs)
@@ -456,14 +423,13 @@ class Screen:
     At those boundaries a visit from v knows only deg(v), the degree sum S1(v)
     over N(v), and r(v) or alpha/omega, none of which depends on the
     threshold x. So the cut keys (see cut_keys) are computed once per top_k,
-    and a visit they cut at x, or one whose level 2 is provably empty, is
+    and a visit with a key <= x, or one whose level 2 is provably empty, is
     decided from these rows without a BFS. A vertex whose boundary-0 key is
     NaN is never screened; it always goes to the kernel. At boundary 1 only
     exact-r vertices whose level 2 exists are screened; elsewhere the key is
     NaN, and row 1 says level 2 exists unless the visit ``ends``.
     """
 
-    exact: np.ndarray  # bool: r(v) is known
     degrees: np.ndarray
     s1: np.ndarray  # degree sum over N(v): the arcs out of level 1
     keys: np.ndarray  # [d, v]: the cut key at boundary d; NaN where not screened
@@ -481,27 +447,24 @@ class Screen:
         keys = np.full((2, n), np.nan)
         ends = np.zeros(n, dtype=bool)
 
-        exact, r = bounds.exact[vs], bounds.r[vs]
-        alpha, omega = bounds.alpha[vs], bounds.omega[vs]
+        exact, omega = bounds.exact[vs], bounds.omega[vs]
         d, s = deg[vs], s1[vs]
-        key0 = cut_keys(0, 0, 1, d, exact, r, alpha, omega, n)
+        key0 = cut_keys(0, 0, 1, d, bounds.alpha[vs], omega, n)
         screened = key0 == key0
-        # level 2 exists (exact r), or may exist (alpha/omega: some arc leaves level 1)
-        deeper = np.where(exact, 1 + d < r, s > 0)
+        # level 2 exists (exact r = omega), or may exist (alpha/omega: some arc leaves level 1)
+        deeper = np.where(exact, 1 + d < omega, s > 0)
         keys[0, vs] = key0
         ends[vs] = screened & ~deeper
         one = screened & exact & deeper  # screened at boundary 1
-        vs, d, s, r, exact = vs[one], d[one], s[one], r[one], exact[one]
+        vs, d, s, omega = vs[one], d[one], s[one], omega[one]
         gamma1 = s - d if not g.directed else s  # as the kernel refines it
-        keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, exact, r, alpha[one], omega[one], n)
-        return cls(bounds.exact, deg, s1, keys, ends)
+        keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, omega, omega, n)
+        return cls(deg, s1, keys, ends)
 
     def _settled(self, vs, x: float):
-        """Whether the visits from vs are cut at boundary 0 or 1. Only
-        exact-r keys are finite at boundary 1, and for those a cut at either
-        boundary is a cut at the smaller key."""
-        keys = np.fmin(self.keys[0][vs], self.keys[1][vs])
-        return cut_at(keys, self.exact[vs], x)
+        """Whether the visits from vs are cut at boundary 0 or 1: a cut at
+        either is a cut at the smaller key (a NaN key never cuts)."""
+        return np.fmin(self.keys[0][vs], self.keys[1][vs]) <= x
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
         """The positions >= i in ``order`` (the visited vertices, see
@@ -637,8 +600,8 @@ def exact_m_tot(g: Graph, bounds: ReachabilityBounds) -> int | None:
     the oracle.
     """
     if not g.directed:
-        return int((bounds.r * g.degrees).sum())
-    if (bounds.r == g.n).all():
+        return int((bounds.omega * g.degrees).sum())  # omega = r(v)
+    if (bounds.alpha == g.n).all():
         return g.m * g.n
     return None
 
@@ -764,7 +727,7 @@ def _visit_all(
             stop = min(sent[running.argmax()] if running.any() else len(claimed), _SPAN)
             span = claimed[:stop]
             rec = _records(span, left, screen)
-            took, arcs = decide(g, bounds, heap, x, results, rec, recorder)
+            took, arcs = decide(g, heap, x, results, rec, recorder)
             for v in span["v"][:took][span["kernel"][:took]].tolist():
                 del left[v]
             screened += took - int(np.count_nonzero(span["kernel"][:took]))

@@ -4,6 +4,7 @@ reachability bounds used to prune directed BFS visits."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +30,19 @@ class SccDag:
 
 @dataclass(frozen=True)
 class ReachabilityBounds:
-    """Per-vertex bounds alpha(v) <= r(v) <= omega(v), exact where known."""
+    """Per-vertex bounds alpha(v) <= r(v) <= omega(v), exact where they meet."""
 
     alpha: np.ndarray
     omega: np.ndarray
-    exact: np.ndarray  # bool
-    r: np.ndarray  # valid where exact
+
+    @cached_property
+    def exact(self) -> np.ndarray:
+        return self.alpha == self.omega
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """r(v) where exact, else 0."""
+        return np.where(self.exact, self.omega, 0)
 
 
 def compute_scc_dag(g: Graph) -> SccDag:
@@ -156,9 +164,7 @@ def compute_alpha_omega(dag: SccDag, g: Graph) -> ReachabilityBounds:
 
     alpha_v = np.asarray(alpha, dtype=np.int64)[sid]
     omega_v = np.asarray(omega, dtype=np.int64)[sid]
-    exact = alpha_v == omega_v
-    r = np.where(exact, omega_v, 0)
-    return ReachabilityBounds(alpha=alpha_v, omega=omega_v, exact=exact, r=r)
+    return ReachabilityBounds(alpha=alpha_v, omega=omega_v)
 
 
 def reachability_for(g: Graph) -> ReachabilityBounds:
@@ -171,9 +177,9 @@ def reachability_for(g: Graph) -> ReachabilityBounds:
     n = g.n
     if n == 0:
         z = np.zeros(0, dtype=np.int64)
-        return ReachabilityBounds(alpha=z, omega=z, exact=z.astype(bool), r=z)
+        return ReachabilityBounds(alpha=z, omega=z)
     if not g.directed:
         comps = connected_components(g)
         r = comps.component_size[comps.component_id]
-        return ReachabilityBounds(alpha=r, omega=r, exact=np.ones(n, dtype=bool), r=r)
+        return ReachabilityBounds(alpha=r, omega=r)
     return compute_alpha_omega(compute_scc_dag(g), g)

@@ -12,10 +12,9 @@ from topclose.engine import (
     VisitOutcome,
     bfs_cut,
     closeness_upper_bound,
-    cut_at,
     cut_keys,
     farness_lower_bound,
-    inverse_closeness_lower_bound,
+    interval_closeness_bound,
     top_k,
 )
 from topclose.scc import reachability_for
@@ -55,27 +54,24 @@ class TestClosenessUpperBound:
         assert closeness_upper_bound(lam, r=3, n=3) == 2 / 3
 
 
-class TestInverseClosenessLowerBound:
+class TestIntervalClosenessBound:
     def test_diamond_source(self):
-        # a->b, a->c, b->d, c->d: alpha(a)=3, omega(a)=5, 1/c(a) = 4/3
-        val = inverse_closeness_lower_bound(
-            d=0, f_d=0, n_d=1, gamma_next=2, alpha=3, omega=5, n=4
-        )
-        assert val == 1.125
-        assert val <= 4 / 3
+        # a->b, a->c, b->d, c->d: alpha(a)=3, omega(a)=5, c(a) = 3/4; the
+        # ends give 4/(3*2) and 16/(3*6)
+        val = interval_closeness_bound(d=0, f_d=0, n_d=1, gamma_next=2, alpha=3, omega=5, n=4)
+        assert val == 16 / 18
+        assert val >= 3 / 4
 
-    def test_exact_bounds_reduce_to_reciprocal_form(self):
+    def test_exact_bounds_reduce_to_closeness_upper_bound(self):
         d, f_d, n_d, gamma, r, n = 1, 4, 5, 6, 9, 20
         lam = farness_lower_bound(d, f_d, n_d, gamma, r)
-        inv = inverse_closeness_lower_bound(d, f_d, n_d, gamma, r, r, n)
-        assert inv == (n - 1) * lam / (r - 1) ** 2
+        key = interval_closeness_bound(d, f_d, n_d, gamma, r, r, n)
+        assert key == closeness_upper_bound(lam, r, n)
 
     def test_nonpositive_terms_never_cut(self):
-        # both lambda terms <= 0: result is non-positive, trivially valid
-        val = inverse_closeness_lower_bound(
-            d=0, f_d=0, n_d=10, gamma_next=50, alpha=2, omega=3, n=20
-        )
-        assert val <= 0
+        # a lambda <= 0 at an end (here both): +inf, trivially valid
+        val = interval_closeness_bound(d=0, f_d=0, n_d=10, gamma_next=50, alpha=2, omega=3, n=20)
+        assert val == math.inf
 
 
 @given(
@@ -92,8 +88,8 @@ def test_bound_functions_are_total(d, f_d, n_d, gamma, alpha, extra):
     lam = farness_lower_bound(d, f_d, n_d, gamma, alpha)
     assert isinstance(lam, int)
     assert closeness_upper_bound(lam, alpha, n) >= 0
-    inv = inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, n)
-    assert math.isfinite(inv)
+    # positive, so a threshold of 0 never cuts
+    assert interval_closeness_bound(d, f_d, n_d, gamma, alpha, omega, n) > 0
 
 
 def bits(values):
@@ -121,28 +117,25 @@ def test_array_evaluation_matches_scalar_bit_for_bit(suite, suite_oracle):
             bits(closeness_upper_bound(lam, r, g.n)),
             bits([closeness_upper_bound(lam_, int(x), g.n) for lam_, x in zip(scalar_lam, r)]),
         ), tag
-        scalar_inv = [
-            inverse_closeness_lower_bound(*a[1:], int(lo), int(hi), g.n)
+        scalar_keys = [
+            interval_closeness_bound(*a[1:], int(lo), int(hi), g.n)
             for a, lo, hi in zip(records, alpha, omega)
         ]
         assert np.array_equal(
-            bits(inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, g.n)),
-            bits(scalar_inv),
+            bits(cut_keys(d, f_d, n_d, gamma, alpha, omega, g.n)), bits(scalar_keys)
         ), tag
         checked += len(records)
     assert checked == 52_395
 
 
 @pytest.mark.parametrize("k", [1, 10])
-def test_inverse_bound_is_below_the_oracle(suite, suite_oracle, k):
-    # at every boundary a directed run records, the alpha/omega bound is at
-    # most the true 1/closeness (n-1) * farness / (r-1)**2. Both sides are
+def test_cut_key_is_above_the_oracle(suite, suite_oracle, k):
+    # at every boundary a run records, directed or not, the cut key is at
+    # least the true closeness (r-1)**2 / ((n-1) * farness). Both sides are
     # exact: the scalar form, given f_d as a Fraction, computes in
     # Fractions. cut_keys' finite keys are the scalar form's floats.
     checked = 0
     for tag, g in suite:
-        if not g.directed:
-            continue
         records = []
         top_k(g, k, recorder=lambda *a: records.append(a))
         table, _ = suite_oracle[tag]
@@ -151,15 +144,13 @@ def test_inverse_bound_is_below_the_oracle(suite, suite_oracle, k):
         if not rows:
             continue
         v, d, f_d, n_d, gamma = (np.array(c, dtype=np.int64) for c in zip(*rows))
-        keys = cut_keys(
-            d, f_d, n_d, gamma, np.zeros(len(v), bool), 0, bounds.alpha[v], bounds.omega[v], g.n
-        )
+        keys = cut_keys(d, f_d, n_d, gamma, bounds.alpha[v], bounds.omega[v], g.n)
         for (u, level, f, nd, gm), key in zip(rows, keys.tolist()):
             r, alpha, omega = int(table.reachable[u]), int(bounds.alpha[u]), int(bounds.omega[u])
-            inverse = Fraction((g.n - 1) * int(table.farness[u]), (r - 1) ** 2)
-            bound = inverse_closeness_lower_bound(level, Fraction(f), nd, gm, alpha, omega, g.n)
-            assert bound <= inverse, (tag, u, level)
-            scalar = inverse_closeness_lower_bound(level, f, nd, gm, alpha, omega, g.n)
+            closeness = Fraction((r - 1) ** 2, (g.n - 1) * int(table.farness[u]))
+            bound = interval_closeness_bound(level, Fraction(f), nd, gm, alpha, omega, g.n)
+            assert bound >= closeness, (tag, u, level)
+            scalar = interval_closeness_bound(level, f, nd, gm, alpha, omega, g.n)
             assert math.isnan(key) or key == scalar, (tag, u, level)
             checked += 1
     assert checked > 10_000
@@ -168,17 +159,18 @@ def test_inverse_bound_is_below_the_oracle(suite, suite_oracle, k):
 def test_visited_count_raises_the_lower_end_to_a_cut():
     # 0 reaches 1..20 and the chain 21 -> 22 -> 23, but not the 3-cycle,
     # the heaviest SCC: alpha(0) = 4 and omega(0) = r(0) = 24. At boundary 1,
-    # 22 vertices are seen, so the lower end is 22, not 4, and the key rises
-    # from -98.2 to 1.179 >= 1 / 0.85, while closeness(0) is 0.7825. The
-    # visit is cut at level 1 after 22 arcs; run to its end it scans 23
+    # 22 vertices are seen, so the lower end is 22, not 4, and the key falls
+    # from +inf to 441/520 <= 0.85, while closeness(0) is 529/676 = 0.7825.
+    # The visit is cut at level 1 after 22 arcs; run to its end it scans 23
     arcs = [(0, i) for i in range(1, 22)] + [(21, 22), (22, 23), (24, 25), (25, 26), (26, 24)]
     g = from_edges(27, arcs, directed=True)
     bounds = reachability_for(g)
     assert not bounds.exact[0] and (bounds.alpha[0], bounds.omega[0]) == (4, 24)
-    key = inverse_closeness_lower_bound(1, 21, 22, 1, 4, 24, 27)
-    assert key == 26 * ((21 - 1 + 3 * (22 - 22)) / 21**2)  # farness bound at 22
-    assert 1 / 0.85 <= key < 26 * 26 / 23**2
-    assert cut_keys(*(np.array([a]) for a in (1, 21, 22, 1, False, 0, 4, 24)), 27)[0] == key
+    assert closeness_upper_bound(farness_lower_bound(1, 21, 22, 1, 4), 4, 27) == math.inf
+    key = interval_closeness_bound(1, 21, 22, 1, 4, 24, 27)
+    assert key == 21**2 / (26 * (21 - 1 + 3 * (22 - 22)))  # farness bound at 22
+    assert 529 / 676 < key <= 0.85
+    assert cut_keys(*(np.array([a]) for a in (1, 21, 22, 1, 4, 24)), 27)[0] == key
     assert bfs_cut(g, 0, lambda: 0.85, bounds) == VisitOutcome(CUT, 21, 22, 1, 22)
     completed = bfs_cut(g, 0, lambda: 0.0, bounds)
     assert (completed.farness, completed.reachable, completed.arcs) == (26, 24, 23)
@@ -187,7 +179,8 @@ def test_visited_count_raises_the_lower_end_to_a_cut():
 def random_boundary_states(seed, count):
     """Integer boundary states whose float64 intermediates fall on both
     sides of 2**53: log-uniform sizes up to 2**30 and sums up to 2**45, plus
-    r - 1 and omega - 1 on either side of sqrt(2**53) = 94906265.6."""
+    x - 1 just either side of sqrt(2**53) = 94906265.6. Half are exact
+    (alpha = omega)."""
     rng = np.random.default_rng(seed)
 
     def logs(high, size=count):
@@ -196,79 +189,67 @@ def random_boundary_states(seed, count):
     alpha = 2 + logs(2**30)
     omega = alpha + logs(2**20)
     exact = rng.random(count) < 0.5
-    r = np.where(exact, omega, 0)
+    alpha[exact] = omega[exact]
     n = omega + logs(2**30)
     n_d = 1 + rng.integers(0, omega)
     f_d, gamma = logs(2**45), logs(2**45)
     d = rng.integers(0, 60, count)
     # (omega - 1)**2 just below and just above 2**53, with farness bounds
-    # small enough that they alone decide: an exact r = omega one vertex
-    # away at level 0, and alpha = 2 at the start of a visit
+    # small enough that it alone decides: one vertex unseen at level 0
     edge = slice(0, 8)
     omega[edge] = 94906266 + np.arange(8) % 2
-    exact[edge] = np.arange(8) < 4
-    alpha[edge], r[edge], n[edge] = 2, np.where(exact[edge], omega[edge], 0), omega[edge] + 1
-    n_d[edge] = np.where(exact[edge], omega[edge] - 1, 1)
-    d[edge], f_d[edge], gamma[edge] = 0, 0, 0
+    alpha[edge] = np.where(np.arange(8) < 4, omega[edge], 2)
+    n[edge], n_d[edge] = omega[edge] + 1, omega[edge] - 1
+    d[edge], f_d[edge], gamma[edge] = 0, 1, 0
     # (n-1)*lam = 2**53 + 1, which float64 rounds to 2**53
-    exact[8], r[8], alpha[8], omega[8], n[8] = True, 4, 4, 4, 4
+    alpha[8], omega[8], n[8] = 4, 4, 4
     d[8], n_d[8], gamma[8], f_d[8] = 0, 1, 0, 3002399751580331 - 6
-    # at level 2**26 only the alpha farness bound reaches -2**53
-    exact[9], r[9], alpha[9], omega[9], n[9] = False, 0, 2, 2**26, 2**27
-    d[9], n_d[9], gamma[9], f_d[9] = 2**26, 1, 2**53 + 2**27, 0
-    return d, f_d, n_d, gamma, exact, r, alpha, omega, n
+    # only the lower end's (n-1)*lam reaches 2**53: -2**26 * 2**27
+    alpha[9], omega[9], n[9] = 2, 2**26, 2**26 + 1
+    d[9], n_d[9], gamma[9], f_d[9] = 0, 2**26 - 1, 2**27, 0
+    return d, f_d, n_d, gamma, alpha, omega, n
 
 
-def scalar_key(d, f_d, n_d, gamma, exact, r, alpha, omega, n):
+def scalar_key(d, f_d, n_d, gamma, alpha, omega, n):
     """The cut key in Python integers, and its integer intermediates."""
-    if exact:
-        lam = farness_lower_bound(d, f_d, n_d, gamma, r)
-        return closeness_upper_bound(lam, r, n), [(r - 1) ** 2, (n - 1) * lam]
-    alpha = max(alpha, min(n_d, omega))  # the lower end, raised to the vertices seen
-    la = farness_lower_bound(d, f_d, n_d, gamma, alpha)
-    lo = farness_lower_bound(d, f_d, n_d, gamma, omega)
-    key = inverse_closeness_lower_bound(d, f_d, n_d, gamma, alpha, omega, n)
-    return key, [(alpha - 1) ** 2, (omega - 1) ** 2, la, lo]
+    terms = []
+    for x in (max(alpha, min(n_d, omega)), omega):  # the lower end, raised to the vertices seen
+        terms += [(x - 1) ** 2, (n - 1) * farness_lower_bound(d, f_d, n_d, gamma, x)]
+    return interval_closeness_bound(d, f_d, n_d, gamma, alpha, omega, n), terms
 
 
 def keys_one_by_one(states, n):
-    """cut_keys called on one state at a time: one kind per call."""
+    """cut_keys called on one state at a time: exact or not per call."""
     cols = [np.asarray(c) for c in states]
     return np.concatenate([
         cut_keys(*(c[i : i + 1] for c in cols), int(n[i])) for i in range(len(cols[0]))
     ])
 
 
-def test_cut_keys_and_cut_at_match_the_scalar_bounds():
+def test_cut_keys_match_the_scalar_bound():
     *states, n = random_boundary_states(0, 3000)
     keys = keys_one_by_one(states, n)
-    exact = states[4]
-    checked = {True: [0, 0], False: [0, 0]}  # [NaN keys, finite keys] per kind
+    checked = {True: [0, 0], False: [0, 0]}  # [NaN keys, finite keys], exact and not
     for i, state in enumerate(zip(*states, n)):
-        state = [bool(v) if isinstance(v, np.bool_) else int(v) for v in state]
-        ex, one = state[4], slice(i, i + 1)
+        state = [int(v) for v in state]
         key, terms = scalar_key(*state)
         inexact = max(abs(t) for t in terms) >= 2**53
-        assert np.isnan(keys[i]) == inexact, state
-        checked[ex][not inexact] += 1
-        if inexact:  # a NaN key never cuts
-            assert not cut_at(keys[one], exact[one], 1e300)[0]
-            assert not cut_at(keys[one], exact[one], 1e-300)[0]
-            continue
-        assert bits([keys[i]]) == bits([key]), state
-        # thresholds on the key, on 1/key (the alpha/omega test is
-        # key >= 1/x), and one ulp either side of each
-        xs = [0.0] + [
-            y for c in (key, 1 / key if key else 0.0) if 0 < c < math.inf
-            for y in (np.nextafter(c, 0.0), c, np.nextafter(c, math.inf))
-        ]
-        for x in xs:
-            expected = key <= x if ex else x > 0 and key >= 1.0 / x
-            assert bool(cut_at(keys[one], exact[one], float(x))[0]) == expected, (state, x)
-    for ex in (True, False):
-        assert min(checked[ex]) >= 100, checked
-    # one call over both kinds gives the keys of the calls one kind at a time
+        assert np.isnan(keys[i]) == inexact, state  # a NaN key never cuts
+        checked[state[4] == state[5]][not inexact] += 1
+        if not inexact:
+            assert bits([keys[i]]) == bits([key]), state
+    for exact in (True, False):
+        assert min(checked[exact]) >= 100, checked
+    # one call over both kinds of state gives the keys of one call per state
     n_all = np.full(len(n), 2**31)
     assert np.array_equal(
         cut_keys(*states, 2**31), keys_one_by_one(states, n_all), equal_nan=True
     )
+
+
+def test_cut_key_ties_the_threshold_it_equals():
+    # gnp-d-n50-p0.01-s8, vertex 47 (alpha 3, omega 4) at boundary 1: the
+    # lower end gives 2**2 / (49 * 2) = 2/49, the same double as the
+    # threshold 2/49; 1 / fl(2/49) = 24.500000000000004 > 24.5 missed it
+    key = cut_keys(*(np.array([a]) for a in (1, 1, 2, 2, 3, 4)), 50)[0]
+    assert key == 2 / 49 == interval_closeness_bound(1, 1, 2, 2, 3, 4, 50)

@@ -46,7 +46,7 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
     boundary d it tests the scalar bound at the threshold read there; with
     an exact r(v) before gathering level d, else after."""
     exact, n = bool(bounds.exact[v]), g.n
-    r, alpha, omega = int(bounds.r[v]), int(bounds.alpha[v]), int(bounds.omega[v])
+    alpha, omega = int(bounds.alpha[v]), int(bounds.omega[v])
     seen, slot = np.zeros(n, bool), np.empty(n, np.int64)
     seen[v] = True
     frontier = np.array([v], np.int64)
@@ -56,7 +56,7 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
         nd += len(frontier)
         if exact:
             deg_sum = int(g.degrees[frontier].sum())
-            more = nd < r
+            more = nd < omega  # = r(v)
         else:
             neigh = graph.frontier_neighbors(g, frontier)
             deg_sum = len(neigh)
@@ -69,17 +69,11 @@ def scalar_visit(g, v, threshold, bounds, recorder=None):
         gamma = deg_sum - len(frontier) if (not g.directed and d >= 1) else deg_sum
         if recorder is not None:
             recorder(v, d, f, nd, gamma)
-        x = threshold()
+        if engine.interval_closeness_bound(d, f, nd, gamma, alpha, omega, n) <= threshold():
+            return engine.VisitOutcome(CUT, f, nd, d, arcs)
         if exact:
-            lam = engine.farness_lower_bound(d, f, nd, gamma, r)
-            if engine.closeness_upper_bound(lam, r, n) <= x:
-                return engine.VisitOutcome(CUT, f, nd, d, arcs)
             neigh = graph.frontier_neighbors(g, frontier)
             new = neigh[~seen[neigh]]
-        else:
-            inv = engine.inverse_closeness_lower_bound(d, f, nd, gamma, alpha, omega, n)
-            if x > 0 and inv >= 1.0 / x:
-                return engine.VisitOutcome(CUT, f, nd, d, arcs)
         frontier = graph.distinct(new, slot)
         seen[frontier] = True
         d += 1
@@ -129,8 +123,8 @@ def spy_decide(monkeypatch):
     decided = []
     real = engine.decide
 
-    def decide(g, bounds, heap, x, results, rec, *args):
-        took, arcs = real(g, bounds, heap, x, results, rec, *args)
+    def decide(g, heap, x, results, rec, *args):
+        took, arcs = real(g, heap, x, results, rec, *args)
         first = np.cumsum(rec.depth) - rec.depth
         for v, a, depth in zip(rec.vs[:took].tolist(), first.tolist(), rec.depth.tolist()):
             level = int(results[3][v])
@@ -327,10 +321,7 @@ class TestKernel:
     @staticmethod
     def bounds(r):
         # vertices 0 and 1 with an exact r, 2 and 3 with alpha = 2, omega = r
-        exact = np.array([True, True, False, False])
-        return ReachabilityBounds(
-            alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
-        )
+        return ReachabilityBounds(alpha=np.array([r, r, 2, 2]), omega=np.full(4, r))
 
     @staticmethod
     def run_kernel(kernel, sources, x):
@@ -360,12 +351,22 @@ class TestKernel:
             # they leave, each NaN key becomes the scalar bound
             assert [len(keys) for _, keys in records] == [4 if inexact else 1] * 4
             for v, (_, keys) in enumerate(records):
-                scalar = (
-                    engine.closeness_upper_bound(engine.farness_lower_bound(0, 0, 1, 1, r), r, 4)
-                    if bounds.exact[v]
-                    else engine.inverse_closeness_lower_bound(0, 0, 1, 1, 2, r, 4)
-                )
-                assert keys[0] == scalar and np.isfinite(keys).all(), (r, v)
+                scalar = engine.interval_closeness_bound(0, 0, 1, 1, int(bounds.alpha[v]), r, 4)
+                assert keys[0] == scalar and not np.isnan(keys).any(), (r, v)
+
+    def test_a_key_equal_to_the_threshold_retires_the_visit(self, suite):
+        # vertex 47 of gnp-d-n50-p0.01-s8 (alpha 3, omega 4): at boundary 1
+        # its key is 2**2 / (49 * 2), the same double as the threshold 2/49,
+        # so key <= x cuts there
+        g = dict(suite)["gnp-d-n50-p0.01-s8"]
+        bounds = reachability_for(g)
+        assert (bounds.alpha[47], bounds.omega[47]) == (3, 4)
+        kernel = engine.Kernel(g, bounds)
+        kernel.start(np.array([47]))
+        assert kernel.step(0.0) is None
+        rec = kernel.step(2 / 49)
+        assert rec is not None and rec.vs.tolist() == [47] and rec.keys[1] == 2 / 49
+        assert rec.ints[2, 1] == 1  # level 2 exists: a cut, not a completion
 
     def test_replay_decides_inexact_keys_in_integers(self):
         # each threshold sits on, or one ulp below, a boundary's scalar
@@ -386,13 +387,10 @@ class TestKernel:
             except StopIteration:
                 pass
             for d, f, nd, gamma in records:
-                if bounds.exact[v]:
-                    lam = engine.farness_lower_bound(d, f, nd, gamma, 2**27)
-                    key = engine.closeness_upper_bound(lam, 2**27, n)
-                else:  # the cut test is inv >= 1 / x
-                    inv = engine.inverse_closeness_lower_bound(d, f, nd, gamma, 2, 2**27, n)
-                    key = 1 / inv if inv > 0 else 1.0
-                xs += [key, np.nextafter(key, 0.0), np.nextafter(key, INF)]
+                alpha = int(bounds.alpha[v])
+                key = engine.interval_closeness_bound(d, f, nd, gamma, alpha, 2**27, n)
+                if key < INF:  # a threshold is a closeness, never +inf
+                    xs += [key, np.nextafter(key, 0.0), np.nextafter(key, INF)]
         checked = 0
         for x in sorted(set(xs)):
             for v in range(4):
@@ -552,11 +550,10 @@ class TestKernel:
 class TestScreen:
     def test_leaves_arithmetic_float64_cannot_hold_to_bfs_cut(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
-        exact = np.array([True, True, False, False])
         for r, screened in ((2, True), (2**27, False)):  # (2**27 - 1)**2 > 2**53
-            bounds = ReachabilityBounds(
-                alpha=np.full(4, 2), omega=np.full(4, r), exact=exact, r=np.full(4, r)
-            )
+            # 0 and 1 with an exact r, 2 and 3 with alpha = 2, omega = r + 1
+            alpha, omega = np.array([r, r, 2, 2]), np.array([r, r, r + 1, r + 1])
+            bounds = ReachabilityBounds(alpha=alpha, omega=omega)
             screen = engine.Screen.build(g, bounds, np.arange(4))
             assert np.isfinite(screen.keys[0][:2]).all() == screened, r
             assert np.isfinite(screen.keys[0][2:]).all() == screened, r
@@ -959,9 +956,9 @@ class TestParallel:
         real = engine.decide
         last = [INF]  # this process's threshold after its last decision
 
-        def watched(g, bounds, heap, x, *args):
+        def watched(g, heap, x, *args):
             rose[0] += x > last[0]  # only another worker pushed since
-            out = real(g, bounds, heap, x, *args)
+            out = real(g, heap, x, *args)
             last[0] = heap.threshold
             time.sleep(0.0005)
             return out
