@@ -18,6 +18,8 @@ reachable-count interval, the raise of its lower end to the vertices
 seen, the 2**53 guard and the +inf of a degenerate bound), the cut test
 key <= x in the kernel and in the decision, the screen's claim, the visit
 order's drop of the vertices never visited, the visit decision's, the
+boundary state the records hold (the gamma that the kernel and the screen
+write, and a completion's farness and r, read from its end row), the
 kernel's pull, its clear of a freed slot's seen bits and the growth of
 its level table, and the parallel run's: its warm-up and the parent's
 watch on its workers while it waits on a lock. A later change that adds
@@ -58,6 +60,7 @@ DEGENERATE = "tests/test_bounds.py::TestClosenessUpperBound::test_degenerate_bou
 TIE = "tests/test_engine.py::TestKernel::test_a_key_equal_to_the_threshold_retires_the_visit"
 REPLAY = "tests/test_engine.py::TestKernel::test_replay_decides_inexact_keys_in_integers"
 HUB = "tests/test_engine.py::TestTopK::test_screen_settles_a_hub_graph_not_a_grid"
+PATH = "tests/test_engine.py::TestTopK::test_path_middle_vertex_wins"
 AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
 GATHERED = "tests/test_engine.py::TestKernel::test_arcs_gathered_counts_the_kernel_gathers"
 LADDER = "tests/test_engine.py::TestBfsCut::test_frontiers_hold_no_repeats[ladder]"
@@ -157,6 +160,27 @@ MUTANTS = (
         "ends = ~more | (rec.keys <= x)",
         "ends = ~more | (rec.keys < x)",
         (REPLAY,),
+    ),
+    Mutant(
+        "decision: a completion's farness and r from the row before its end",
+        ENGINE,
+        "*ints[:2, at[done]].tolist()",
+        "*ints[:2, at[done] - 1].tolist()",
+        (PATH,),
+    ),
+    Mutant(
+        "screen: boundary-1 gamma unrefined",
+        ENGINE,
+        "gamma1 = s1 - deg if not g.directed else s1",
+        "gamma1 = s1",
+        (HUB,),
+    ),
+    Mutant(
+        "kernel: the degree sum recorded as gamma",
+        ENGINE,
+        "self.ints[:, _SLOTS, d] = f, nd, gamma, s, more",
+        "self.ints[:, _SLOTS, d] = f, nd, s, s, more",
+        (HUB,),
     ),
     Mutant(
         "closeness bound: 0, not +inf, for a non-positive lambda",

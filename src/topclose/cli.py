@@ -37,7 +37,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     direction.add_argument("--directed", action="store_true")
     direction.add_argument("--undirected", action="store_true")
     p.add_argument("-k", type=positive_int, default=10)
-    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--stats", action="store_true")
 
@@ -176,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run both and report the improvement factor")
     _add_input_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
+    for p in (p_topk, p_cmp):  # the oracle runs in one process
+        p.add_argument("--threads", type=positive_int, default=1)
 
     p_gen = sub.add_parser("gen", help="write a generated edge list")
     p_gen.add_argument("--model", choices=generators.MODELS, required=True)

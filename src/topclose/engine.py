@@ -10,8 +10,8 @@ or, on an undirected graph once the frontier holds m/16 arcs or more,
 bottom-up (every vertex ORs its neighbours' masks in one pass over the
 CSR). A visit that leaves hands its bit to the next claimed
 vertex at once, so the kernel stays full and numpy's per-level call cost is
-shared by 64 visits. Every visit has one record, a row per boundary; the
-screen supplies rows 0 and 1 up front. Between steps decide settles the
+shared by 64 visits. Every visit has one record, a row per boundary that
+holds the state its cut key reads; the screen writes rows 0 and 1. Between steps decide settles the
 claimed visits, in processing order, against the live threshold, as the
 paper's one-at-a-time pruned BFS would."""
 
@@ -165,11 +165,12 @@ class Kernel:
 
     A visit started between steps begins at the next one, and its level d
     (given to cut_keys and to the undirected refinement of gamma), farness
-    and counts run from its own start. Each step records every visit's
-    boundary at its slot and level d, in ints[slot, :, d] and keys[slot, d]:
-    the level's size and degree sum, whether the next level exists, and the
-    cut key (see cut_keys; a NaN key never cuts, so no float rounding
-    decides).
+    and counts run from its own start. A slot keeps its visit's alpha and
+    omega; r(v) is exact where they meet. Each step records every visit's
+    boundary at its slot and level d, in ints[:, slot, d] and keys[slot, d]:
+    the state the cut key reads (f_d, n_d, gamma), the level's degree sum,
+    whether the next level exists, and the cut key (see cut_keys; a NaN key
+    never cuts, so no float rounding decides).
 
     A visit leaves once it completes, its key is <= the step's threshold x,
     or (where the bounds disagree with the graph) its next level is empty;
@@ -194,11 +195,9 @@ class Kernel:
         self.f = np.zeros(BATCH, np.int64)
         self.nd = np.zeros(BATCH, np.int64)
         # a free slot keeps valid bounds, so that its (unused) key raises nothing
-        self.exact = np.ones(BATCH, bool)
         self.alpha, self.omega = np.full(BATCH, 2), np.full(BATCH, 2)
-        self.ints = np.empty((BATCH, 3, 16), np.int64)  # [slot, :, d]: see Records
+        self.ints = np.empty((5, BATCH, 16), np.int64)  # [:, slot, d]: see Records
         self.keys = np.empty((BATCH, 16))  # [slot, d]; both double in d as visits deepen
-        self.row = np.empty((3, BATCH), np.int64)  # [:, slot]: the step's rows, before they go in
         self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
         self.dense_levels = 0  # the steps that pulled
 
@@ -213,7 +212,6 @@ class Kernel:
         b, bits = self.bounds, _BIT[slots]
         self.source[slots] = vs
         self.f[slots] = self.nd[slots] = 0
-        self.exact[slots] = b.exact[vs]
         self.alpha[slots], self.omega[slots] = b.alpha[vs], b.omega[vs]
         self.seen[vs] |= bits
         # a vertex on the frontier already joins it again: the masks are
@@ -226,16 +224,17 @@ class Kernel:
         the records of the visits that left (None if none did), each NaN key
         replaced by the scalar bound in Python integers."""
         g, frontier, masks = self.g, self.frontier, self.masks
-        d, f, nd, exact, omega = self.d, self.f, self.nd, self.exact, self.omega
+        d, f, nd, omega = self.d, self.f, self.nd, self.omega
+        exact = self.alpha == omega
         live = self.source >= 0
         self.source_levels += int(np.count_nonzero(live))
         if d.max() == self.keys.shape[1]:  # a visit needs more levels than the table holds
             both = (np.concatenate([a, np.empty_like(a)], axis=-1) for a in (self.ints, self.keys))
             self.ints, self.keys = both
-        row = self.row
+        count = np.empty((2, BATCH), np.int64)
         deg = g.degrees[frontier]
-        _per_source(masks, deg, row[:2])
-        c, s = row[:2]
+        _per_source(masks, deg, count)
+        c, s = count
         f += d * c
         nd += c
         # undirected refinement: beyond level 0 one edge per frontier vertex
@@ -276,8 +275,8 @@ class Kernel:
             masks = masks & ~_word(_BIT[ao])
             active = masks != 0
             frontier, masks = frontier[active], masks[active]
-        row[2] = more
-        self.ints[_SLOTS, :, d] = row.T  # a free slot writes level 0, which a start rewrites
+        # a free slot writes level 0, which a start rewrites
+        self.ints[:, _SLOTS, d] = f, nd, gamma, s, more
         self.keys[_SLOTS, d] = key
         d += live
         self.levels += 1
@@ -288,12 +287,12 @@ class Kernel:
         depth = d[gone]
         first = np.repeat(np.cumsum(depth) - depth, depth)
         slots, level = np.repeat(_SLOTS[gone], depth), np.arange(len(first)) - first
-        ints, keys = self.ints[slots, :, level].T, self.keys[slots, level]
+        ints, keys = self.ints[:, slots, level], self.keys[slots, level]
         rec = Records(self.source[gone], depth, ints, keys)
         nan = np.flatnonzero(np.isnan(rec.keys))
         if nan.size:  # the scalar bound, in Python integers
-            ao = (self.alpha[slots], omega[slots])
-            per_row = zip(*(a[nan].tolist() for a in (*_boundaries(rec, not g.directed), *ao)))
+            state = (level, *ints[:3], self.alpha[slots], omega[slots])
+            per_row = zip(*(a[nan].tolist() for a in state))
             rec.keys[nan] = [interval_closeness_bound(*row, g.n) for row in per_row]
         self.source[gone] = -1
         self.d[gone] = 0
@@ -331,20 +330,10 @@ class Records(NamedTuple):
 
     vs: np.ndarray  # the visits' sources
     depth: np.ndarray
-    ints: np.ndarray  # [:, row]: |level d|, its degree sum, 1 where level d+1 exists
+    # [:, row]: f_d, n_d and gamma (see farness_lower_bound), the arcs out of
+    # level d (its degree sum), and 1 where level d+1 exists
+    ints: np.ndarray
     keys: np.ndarray  # [row]: the cut key (see cut_keys)
-
-
-def _boundaries(rec: Records, undirected: bool) -> tuple[np.ndarray, ...]:
-    """Per row of ``rec``: the visit's level d, f_d, n_d and gamma (see
-    farness_lower_bound) at that boundary."""
-    first = np.repeat(np.cumsum(rec.depth) - rec.depth, rec.depth)
-    d = np.arange(len(first)) - first
-    c, s = rec.ints[0], rec.ints[1]
-    sums = np.zeros((2, len(d) + 1), np.int64)
-    np.cumsum([d * c, c], axis=1, out=sums[:, 1:])
-    f, nd = sums[:, 1:] - sums[:, first]
-    return d, f, nd, np.where(undirected & (d >= 1), s - c, s)  # as Kernel.step refines it
 
 
 def decide(
@@ -358,12 +347,13 @@ def decide(
     One vector pass finds every end. Outcomes go into ``results`` (see
     _results), and completions push into ``heap`` in order, up to the first
     push that raises the threshold above x: the visits after it are left to
-    be decided at the new one. ``recorder`` sees each boundary the decided
-    visits evaluate, completions excepted. Returns how many visits it
-    decided, and their m_vis."""
+    be decided at the new one. A completion's end row holds its farness
+    (f_d) and r (n_d). ``recorder`` sees each boundary the decided visits
+    evaluate, completions excepted, as its row holds it. Returns how many
+    visits it decided, and their m_vis."""
     closeness, farness, reachable, cut_level = results
     vs, depth, ints = rec.vs, rec.depth, rec.ints
-    more = ints[2] != 0
+    more = ints[4] != 0
     ends = ~more | (rec.keys <= x)
     # each visit's end: its first row past the ends of the visits before it
     before = np.zeros(len(ends) + 1, np.int64)
@@ -374,10 +364,10 @@ def decide(
     if outran.any():
         raise RuntimeError(f"the visit from {vs[outran.argmax()]} outran its reachability bounds")
     level, took = at - first, len(vs)
-    for i in np.flatnonzero(~more[at]).tolist():
-        # the farness bound is then the farness, and the closeness bound exact
-        sizes = ints[0, first[i] : at[i] + 1].tolist()
-        v, r, far = int(vs[i]), sum(sizes), sum(d * c for d, c in enumerate(sizes))
+    done = np.flatnonzero(~more[at])
+    # f_d at a completion's end is its farness, and n_d its r
+    for i, far, r in zip(done.tolist(), *ints[:2, at[done]].tolist()):
+        v = int(vs[i])
         c = closeness_upper_bound(far, r, g.n) if r > 1 else 0.0
         closeness[v], farness[v], reachable[v], level[i] = c, far, r, -1
         heap.push(c)
@@ -388,10 +378,11 @@ def decide(
     end = int(first[took - 1] + depth[took - 1])  # just past the decided visits' rows
     upto = np.arange(end) <= np.repeat(at[:took], depth[:took])
     if recorder is not None:
-        per_row = (np.repeat(vs, depth), *_boundaries(rec, not g.directed))
+        d = np.arange(end) - np.repeat(first[:took], depth[:took])  # the row's level
+        per_row = (np.repeat(vs[:took], depth[:took]), d, *ints[:3, :end])
         for b in zip(*(a[np.flatnonzero(more[:end] & upto)].tolist() for a in per_row)):
             recorder(*b)
-    return took, int(ints[1, :end][upto].sum())
+    return took, int(ints[3, :end][upto].sum())
 
 
 def bfs_cut(
@@ -411,8 +402,7 @@ def bfs_cut(
     closeness, farness, reachable, level = (a.item(v) for a in results)
     if level < 0:
         return VisitOutcome(closeness, farness, reachable, -1, arcs)
-    _, f, nd, _ = _boundaries(rec, not g.directed)
-    return VisitOutcome(CUT, int(f[level]), int(nd[level]), level, arcs)
+    return VisitOutcome(CUT, int(rec.ints[0, level]), int(rec.ints[1, level]), level, arcs)
 
 
 @dataclass(frozen=True)
@@ -427,11 +417,13 @@ class Screen:
     decided from these rows without a BFS. A vertex whose boundary-0 key is
     NaN is never screened; it always goes to the kernel. At boundary 1 only
     exact-r vertices whose level 2 exists are screened; elsewhere the key is
-    NaN, and row 1 says level 2 exists unless the visit ``ends``.
+    NaN, and row 1 says level 2 exists unless the visit ``ends``. Row 1's
+    gamma is refined here once, as the kernel refines it.
     """
 
     degrees: np.ndarray
     s1: np.ndarray  # degree sum over N(v): the arcs out of level 1
+    gamma1: np.ndarray  # gamma at boundary 1 (see farness_lower_bound)
     keys: np.ndarray  # [d, v]: the cut key at boundary d; NaN where not screened
     ends: np.ndarray  # bool: the visit completes at level 1 unless cut at 0
 
@@ -444,6 +436,7 @@ class Screen:
         np.cumsum(summed, out=summed)
         s1 = summed[g.offsets[1:]] - summed[g.offsets[:-1]]
         del summed
+        gamma1 = s1 - deg if not g.directed else s1  # as the kernel refines it
         keys = np.full((2, n), np.nan)
         ends = np.zeros(n, dtype=bool)
 
@@ -456,10 +449,9 @@ class Screen:
         keys[0, vs] = key0
         ends[vs] = screened & ~deeper
         one = screened & exact & deeper  # screened at boundary 1
-        vs, d, s, omega = vs[one], d[one], s[one], omega[one]
-        gamma1 = s - d if not g.directed else s  # as the kernel refines it
-        keys[1, vs] = cut_keys(1, d, 1 + d, gamma1, omega, omega, n)
-        return cls(deg, s1, keys, ends)
+        vs, d, omega = vs[one], d[one], omega[one]
+        keys[1, vs] = cut_keys(1, d, 1 + d, gamma1[vs], omega, omega, n)
+        return cls(deg, s1, gamma1, keys, ends)
 
     def _settled(self, vs, x: float):
         """Whether the visits from vs are cut at boundary 0 or 1: a cut at
@@ -484,14 +476,16 @@ class Screen:
         pos = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
         return pos, int(pos[-1]) + 1 if got == BATCH else end
 
-    def rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows 0 and 1 of the records of the visits from vs (see Records):
-        their ints and keys."""
-        ints, keys = np.ones((3, len(vs), 2), np.int64), np.empty((len(vs), 2))
-        ints[1, :, 0] = ints[0, :, 1] = self.degrees[vs]
-        ints[1, :, 1], ints[2, :, 1] = self.s1[vs], ~self.ends[vs]
-        keys[:, 0], keys[:, 1] = self.keys[0][vs], self.keys[1][vs]
-        return ints.reshape(3, -1), keys.ravel()
+    def rows(self, vs: np.ndarray, at: np.ndarray, ints: np.ndarray, keys: np.ndarray) -> None:
+        """Write rows 0 and 1 of the records of the visits from vs (see
+        Records) into columns ``at`` and ``at + 1`` of ints and keys: (0, 1,
+        deg, deg, 1) and (deg, 1 + deg, gamma1, s1, not ends)."""
+        deg, one = self.degrees[vs], at + 1
+        f, nd, gamma, s, more = ints  # one row view each: a 1-D scatter is the cheap one
+        f[at], nd[at], gamma[at], s[at], more[at] = 0, 1, deg, deg, 1
+        f[one], nd[one], gamma[one], s[one] = deg, 1 + deg, self.gamma1[vs], self.s1[vs]
+        more[one] = ~self.ends[vs]
+        keys[at], keys[one] = self.keys[0][vs], self.keys[1][vs]
 
 
 class ThresholdHeap:
@@ -763,21 +757,18 @@ def _visit_all(
 
 
 def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
-    """The records of claimed visits: their own once they left the kernel, else the screen's."""
+    """The records of claimed visits: their own once they left the kernel,
+    else rows 0 and 1, which the screen writes."""
     vs, kernel = span["v"], span["kernel"]
     sent = np.flatnonzero(kernel)
     depth = np.full(len(span), 2)
-    if not sent.size:
-        return Records(vs, depth, *screen.rows(vs))
     runs = [left[v] for v in vs[sent].tolist()]
     depth[sent] = [b - a for _, a, b in runs]
     end = np.cumsum(depth)
     first = end - depth
-    ints, keys = np.empty((3, end[-1]), np.int64), np.empty(end[-1])
-    if len(sent) < len(span):
-        at = np.repeat(first[~kernel], 2)
-        at[1::2] += 1  # rows 0 and 1 of each visit the screen decides
-        ints[:, at], keys[at] = screen.rows(vs[~kernel])
+    ints, keys = np.empty((5, end[-1]), np.int64), np.empty(end[-1])
+    if len(sent) < len(span):  # on a deep graph every visit may go to the kernel
+        screen.rows(vs[~kernel], first[~kernel], ints, keys)
     for p, (rec, a, b) in zip(first[sent].tolist(), runs):
         ints[:, p : p + b - a], keys[p : p + b - a] = rec.ints[:, a:b], rec.keys[a:b]
     return Records(vs, depth, ints, keys)

@@ -83,8 +83,17 @@ class TestTopkCommand:
         code = main([command, "--input", "/nonexistent/x.txt", "--directed", *flag])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag[0]}: must be >= 1" in err
+        if command == "oracle" and flag[0] == "--threads":
+            assert "unrecognized arguments: --threads" in err  # see test_oracle_takes_no_threads
+        else:
+            assert f"argument {flag[0]}: must be >= 1" in err
         assert "cannot read" not in err
+
+    def test_oracle_takes_no_threads(self, path3, capsys):
+        # the oracle runs in one process, so a worker count would do nothing
+        assert main(["oracle", "--input", path3, "--undirected", "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_threads_agree(self, tmp_path, capsys):
         from topclose.generators import gnp

@@ -129,7 +129,7 @@ def spy_decide(monkeypatch):
         for v, a, depth in zip(rec.vs[:took].tolist(), first.tolist(), rec.depth.tolist()):
             level = int(results[3][v])
             # a completion's last row has no cut test
-            last = level if level >= 0 else int(np.argmin(rec.ints[2, a : a + depth])) - 1
+            last = level if level >= 0 else int(np.argmin(rec.ints[4, a : a + depth])) - 1
             decided.append((v, x, last, level))
         return took, arcs
 
@@ -366,7 +366,7 @@ class TestKernel:
         assert kernel.step(0.0) is None
         rec = kernel.step(2 / 49)
         assert rec is not None and rec.vs.tolist() == [47] and rec.keys[1] == 2 / 49
-        assert rec.ints[2, 1] == 1  # level 2 exists: a cut, not a completion
+        assert rec.ints[4, 1] == 1  # level 2 exists: a cut, not a completion
 
     def test_replay_decides_inexact_keys_in_integers(self):
         # each threshold sits on, or one ulp below, a boundary's scalar
@@ -563,10 +563,10 @@ class TestScreen:
         # a kernel visit that a threshold risen since its claim cuts at
         # boundary 0 or 1 is decided from its own record, which must then say
         # what the screen's rows would, so that it ends where the screen
-        # would have ended it: the level size and its degree sum, and
-        # wherever the screen's key is finite, that key and whether the next
-        # level exists. (Where the key is NaN no decision reads the flag: an
-        # alpha/omega visit's row 1 says only that level 2 may exist.)
+        # would have ended it: f_d, n_d, gamma and the level's degree sum,
+        # and wherever the screen's key is finite, that key and whether the
+        # next level exists. (Where the key is NaN no decision reads the flag:
+        # an alpha/omega visit's row 1 says only that level 2 may exist.)
         records = []
         real = engine.Kernel.step
 
@@ -588,15 +588,16 @@ class TestScreen:
             bounds = reachability_for(g)
             screen = engine.Screen.build(g, bounds, np.flatnonzero(bounds.alpha > 1))
             for rec in records:
-                ints, keys = screen.rows(rec.vs)
+                ints, keys = np.empty((5, 2 * len(rec.vs)), np.int64), np.empty(2 * len(rec.vs))
+                screen.rows(rec.vs, np.arange(0, len(keys), 2), ints, keys)
                 first = np.cumsum(rec.depth) - rec.depth
                 for i, (a, depth) in enumerate(zip(first.tolist(), rec.depth.tolist())):
                     rows = min(depth, 2)
                     ours = slice(2 * i, 2 * i + rows)
                     kernel, screened = rec.ints[:, a : a + rows], ints[:, ours]
-                    assert np.array_equal(kernel[:2], screened[:2]), (tag, i)
+                    assert np.array_equal(kernel[:4], screened[:4]), (tag, i)
                     known = np.isfinite(keys[ours])
-                    assert np.array_equal(kernel[2, known], screened[2, known]), (tag, i)
+                    assert np.array_equal(kernel[4, known], screened[4, known]), (tag, i)
                     assert np.array_equal(rec.keys[a : a + rows][known], keys[ours][known]), tag
                     compared += rows
                     finite += np.count_nonzero(known)
