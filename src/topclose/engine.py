@@ -2,18 +2,18 @@
 kernel, the degree-ordered main loop with a rising k-th-best threshold, and a
 process-based parallel scheduler.
 
-Every cut key is an upper bound on closeness (see cut_keys), and every cut
-test is key <= x at the k-th best closeness x. The kernel runs up to 64
+Every cut key is an exact upper bound on closeness (see cut_keys), and every
+cut test is key <= x at the k-th best closeness x. The kernel runs up to 64
 visits as one bit-parallel BFS, one level per step, and records every level
 boundary. A step reads its level top-down (a gather of the frontier's arcs)
 or, on an undirected graph once the frontier holds m/16 arcs or more,
 bottom-up (every vertex ORs its neighbours' masks in one pass over the
-CSR). A visit that leaves hands its bit to the next claimed
-vertex at once, so the kernel stays full and numpy's per-level call cost is
-shared by 64 visits. Every visit has one record, a row per boundary that
-holds the state its cut key reads; the screen writes rows 0 and 1. Between steps decide settles the
-claimed visits, in processing order, against the live threshold, as the
-paper's one-at-a-time pruned BFS would."""
+CSR). A visit that leaves hands its bit to the next claimed vertex at once,
+so the kernel stays full and numpy's per-level call cost is shared by 64
+visits. Every visit has one record, a row per boundary that holds the state
+its cut key reads; the screen writes rows 0 and 1. Between steps decide
+settles the claimed visits, in processing order, against the live
+threshold, as the paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
@@ -77,19 +77,24 @@ def interval_closeness_bound(
 
 def cut_keys(d, f_d, n_d, gamma_next, alpha, omega, n: int) -> np.ndarray:
     """The cut key of each visit at boundary d, elementwise over integer
-    arrays: interval_closeness_bound, whose one test is key <= x. NaN
-    wherever a float64 intermediate at either end, (x-1)**2 or (n-1)*lam,
-    reaches 2**53 in magnitude. Below it float64 holds those integers
-    exactly (as rounding is monotone), and one rounded division of them
-    matches Python's integer arithmetic: a finite key is the scalar value.
-    """
+    arrays: interval_closeness_bound, bit for bit. Below 2**53 float64
+    holds the intermediates at either end, (x-1)**2 and (n-1)*lam, exactly
+    (as rounding is monotone), and one rounded division of them matches
+    Python's integer arithmetic; the keys with a term at or above 2**53 are
+    recomputed in Python integers. A lam <= 0 gives +inf in both."""
     x = omega
     if np.count_nonzero(alpha < omega):  # far cheaper than any() on a small array
         x = np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])
     lam = farness_lower_bound(d, f_d, n_d, gamma_next, x)
     key = closeness_upper_bound(lam, x, n)
-    key[np.maximum((x - 1.0) ** 2, np.abs((n - 1.0) * lam)) >= 2.0**53] = np.nan
-    return np.maximum(key[0], key[1]) if key.ndim == 2 else key
+    key[np.maximum((x - 1.0) ** 2, (n - 1.0) * lam) >= 2.0**53] = np.nan
+    key = np.maximum(key[0], key[1]) if key.ndim == 2 else key
+    nan = np.flatnonzero(np.isnan(key))
+    if nan.size:  # the scalar bound, in Python integers
+        state = np.broadcast_arrays(d, f_d, n_d, gamma_next, alpha, omega)
+        per_row = zip(*(a[nan].tolist() for a in state))
+        key[nan] = [interval_closeness_bound(*row, n) for row in per_row]
+    return key
 
 
 @dataclass
@@ -169,8 +174,8 @@ class Kernel:
     omega; r(v) is exact where they meet. Each step records every visit's
     boundary at its slot and level d, in ints[:, slot, d] and keys[slot, d]:
     the state the cut key reads (f_d, n_d, gamma), the level's degree sum,
-    whether the next level exists, and the cut key (see cut_keys; a NaN key
-    never cuts, so no float rounding decides).
+    whether the next level exists, and the cut key (see cut_keys: exact, so
+    no float rounding decides a cut).
 
     A visit leaves once it completes, its key is <= the step's threshold x,
     or (where the bounds disagree with the graph) its next level is empty;
@@ -221,8 +226,7 @@ class Kernel:
 
     def step(self, x: float) -> Records | None:
         """Expand every running visit by one level at threshold x. Returns
-        the records of the visits that left (None if none did), each NaN key
-        replaced by the scalar bound in Python integers."""
+        the records of the visits that left (None if none did)."""
         g, frontier, masks = self.g, self.frontier, self.masks
         d, f, nd, omega = self.d, self.f, self.nd, self.omega
         exact = self.alpha == omega
@@ -241,7 +245,7 @@ class Kernel:
         # must point back into the previous level
         gamma = np.where(d >= 1, s - c, s) if not g.directed else s
         key = cut_keys(d, f, nd, gamma, self.alpha, omega, g.n)
-        cut = key <= x  # a NaN key never cuts
+        cut = key <= x
         more = nd < omega  # exact r(v) = omega; alpha/omega: after the gather
         leave = live & exact & (cut | ~more)
         if np.count_nonzero(leave):
@@ -287,13 +291,7 @@ class Kernel:
         depth = d[gone]
         first = np.repeat(np.cumsum(depth) - depth, depth)
         slots, level = np.repeat(_SLOTS[gone], depth), np.arange(len(first)) - first
-        ints, keys = self.ints[:, slots, level], self.keys[slots, level]
-        rec = Records(self.source[gone], depth, ints, keys)
-        nan = np.flatnonzero(np.isnan(rec.keys))
-        if nan.size:  # the scalar bound, in Python integers
-            state = (level, *ints[:3], self.alpha[slots], omega[slots])
-            per_row = zip(*(a[nan].tolist() for a in state))
-            rec.keys[nan] = [interval_closeness_bound(*row, g.n) for row in per_row]
+        rec = Records(self.source[gone], depth, self.ints[:, slots, level], self.keys[slots, level])
         self.source[gone] = -1
         self.d[gone] = 0
         self.seen &= ~_word(_BIT[gone])
@@ -414,17 +412,16 @@ class Screen:
     over N(v), and r(v) or alpha/omega, none of which depends on the
     threshold x. So the cut keys (see cut_keys) are computed once per top_k,
     and a visit with a key <= x, or one whose level 2 is provably empty, is
-    decided from these rows without a BFS. A vertex whose boundary-0 key is
-    NaN is never screened; it always goes to the kernel. At boundary 1 only
-    exact-r vertices whose level 2 exists are screened; elsewhere the key is
-    NaN, and row 1 says level 2 exists unless the visit ``ends``. Row 1's
-    gamma is refined here once, as the kernel refines it.
+    decided from these rows without a BFS. At boundary 1 only exact-r
+    vertices whose level 2 exists have a key; elsewhere it is +inf, which
+    never cuts, and row 1 says level 2 exists unless the visit ``ends``.
+    Row 1's gamma is refined here once, as the kernel refines it.
     """
 
     degrees: np.ndarray
     s1: np.ndarray  # degree sum over N(v): the arcs out of level 1
     gamma1: np.ndarray  # gamma at boundary 1 (see farness_lower_bound)
-    keys: np.ndarray  # [d, v]: the cut key at boundary d; NaN where not screened
+    keys: np.ndarray  # [d, v]: the cut key at boundary d; +inf where not screened
     ends: np.ndarray  # bool: the visit completes at level 1 unless cut at 0
 
     @classmethod
@@ -437,26 +434,24 @@ class Screen:
         s1 = summed[g.offsets[1:]] - summed[g.offsets[:-1]]
         del summed
         gamma1 = s1 - deg if not g.directed else s1  # as the kernel refines it
-        keys = np.full((2, n), np.nan)
+        keys = np.full((2, n), INF)
         ends = np.zeros(n, dtype=bool)
 
         exact, omega = bounds.exact[vs], bounds.omega[vs]
         d, s = deg[vs], s1[vs]
-        key0 = cut_keys(0, 0, 1, d, bounds.alpha[vs], omega, n)
-        screened = key0 == key0
+        keys[0, vs] = cut_keys(0, 0, 1, d, bounds.alpha[vs], omega, n)
         # level 2 exists (exact r = omega), or may exist (alpha/omega: some arc leaves level 1)
         deeper = np.where(exact, 1 + d < omega, s > 0)
-        keys[0, vs] = key0
-        ends[vs] = screened & ~deeper
-        one = screened & exact & deeper  # screened at boundary 1
+        ends[vs] = ~deeper
+        one = exact & deeper  # screened at boundary 1
         vs, d, omega = vs[one], d[one], omega[one]
         keys[1, vs] = cut_keys(1, d, 1 + d, gamma1[vs], omega, omega, n)
         return cls(deg, s1, gamma1, keys, ends)
 
     def _settled(self, vs, x: float):
         """Whether the visits from vs are cut at boundary 0 or 1: a cut at
-        either is a cut at the smaller key (a NaN key never cuts)."""
-        return np.fmin(self.keys[0][vs], self.keys[1][vs]) <= x
+        either is a cut at the smaller key."""
+        return np.minimum(self.keys[0][vs], self.keys[1][vs]) <= x
 
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
         """The positions >= i in ``order`` (the visited vertices, see
@@ -648,10 +643,11 @@ def top_k(
     # alpha(v) = 1 only where v reaches no other vertex: no visit runs from those
     order = order[bounds.alpha[order] > 1]
     screen = Screen.build(g, bounds, order)
+    size = min(k, g.n + 1)  # at most n visits push: for k > n, n + 1 values keep the threshold 0
     if workers > 1 and g.n:
-        heap, results, rows = _run_parallel(g, bounds, screen, order, k, workers)
+        heap, results, rows = _run_parallel(g, bounds, screen, order, size, workers)
     else:
-        heap, results, cursor = ThresholdHeap(k), _results(g.n, np.zeros), np.zeros(1, np.int64)
+        heap, results, cursor = ThresholdHeap(size), _results(g.n, np.zeros), np.zeros(1, np.int64)
         rows = np.array([_visit_all(g, bounds, screen, order, heap, cursor, nullcontext(),
                                     results, recorder)])
     closeness, farness, reachable, cut_level = results

@@ -133,7 +133,7 @@ def test_cut_key_is_above_the_oracle(suite, suite_oracle, k):
     # at every boundary a run records, directed or not, the cut key is at
     # least the true closeness (r-1)**2 / ((n-1) * farness). Both sides are
     # exact: the scalar form, given f_d as a Fraction, computes in
-    # Fractions. cut_keys' finite keys are the scalar form's floats.
+    # Fractions. cut_keys' keys are the scalar form's floats.
     checked = 0
     for tag, g in suite:
         records = []
@@ -151,7 +151,7 @@ def test_cut_key_is_above_the_oracle(suite, suite_oracle, k):
             bound = interval_closeness_bound(level, Fraction(f), nd, gm, alpha, omega, g.n)
             assert bound >= closeness, (tag, u, level)
             scalar = interval_closeness_bound(level, f, nd, gm, alpha, omega, g.n)
-            assert math.isnan(key) or key == scalar, (tag, u, level)
+            assert key == scalar, (tag, u, level)
             checked += 1
     assert checked > 10_000
 
@@ -229,22 +229,18 @@ def keys_one_by_one(states, n):
 def test_cut_keys_match_the_scalar_bound():
     *states, n = random_boundary_states(0, 3000)
     keys = keys_one_by_one(states, n)
-    checked = {True: [0, 0], False: [0, 0]}  # [NaN keys, finite keys], exact and not
+    # [states with a term float64 cannot hold, the others], exact r and not
+    checked = {True: [0, 0], False: [0, 0]}
     for i, state in enumerate(zip(*states, n)):
         state = [int(v) for v in state]
         key, terms = scalar_key(*state)
-        inexact = max(abs(t) for t in terms) >= 2**53
-        assert np.isnan(keys[i]) == inexact, state  # a NaN key never cuts
-        checked[state[4] == state[5]][not inexact] += 1
-        if not inexact:
-            assert bits([keys[i]]) == bits([key]), state
+        checked[state[4] == state[5]][max(abs(t) for t in terms) < 2**53] += 1
+        assert bits([keys[i]]) == bits([key]), state
     for exact in (True, False):
         assert min(checked[exact]) >= 100, checked
     # one call over both kinds of state gives the keys of one call per state
     n_all = np.full(len(n), 2**31)
-    assert np.array_equal(
-        cut_keys(*states, 2**31), keys_one_by_one(states, n_all), equal_nan=True
-    )
+    assert np.array_equal(cut_keys(*states, 2**31), keys_one_by_one(states, n_all))
 
 
 def test_cut_key_ties_the_threshold_it_equals():

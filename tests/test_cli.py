@@ -43,6 +43,13 @@ class TestTopkCommand:
         assert report["stats"]["load_seconds"] > 0
         assert len(report["results"]) == 2
 
+    def test_k_above_n_ranks_everyone(self, tmp_path, capsys):
+        p = tmp_path / "path5.txt"
+        p.write_text("0 1\n1 2\n2 3\n3 4\n")
+        args = ["topk", "--input", str(p), "--undirected", "-k", "1000000000000", "--format", "tsv"]
+        assert main(args) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
     def test_empty_graph(self, tmp_path, capsys):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing\n")
@@ -200,6 +207,11 @@ class TestGenCommand:
         code = main(["gen", "--model", "gnp", "--nodes", "10", "--prob", "2.0",
                      "--out", str(tmp_path / "x.txt")])
         assert code == 2
+
+    def test_negative_nodes(self, tmp_path, capsys):
+        code = main(["gen", "--model", "path", "--nodes", "-3", "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the vertex count n=-3 is negative\n"
 
 
 class TestReportRoundTrip:

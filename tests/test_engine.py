@@ -337,22 +337,19 @@ class TestKernel:
                     records[v] = rec.ints[:, a:b], rec.keys[a:b]
         return [records[v] for v in sources]
 
-    def test_inexact_keys_keep_sources_running(self):
+    def test_keys_float64_cannot_hold_cut_at_the_threshold(self):
         g = self.CYCLE
-        for r, inexact in ((4, False), (2**27, True)):  # (2**27 - 1)**2 > 2**53
+        for r in (4, 2**27):  # (2**27 - 1)**2 > 2**53
             bounds = self.bounds(r)
             kernel = engine.Kernel(g, bounds)
             records = self.run_kernel(kernel, [0, 1, 2, 3], 1e300)
-            # the kernel's own keys at boundary 0 (slots 0-3, level 0)
-            assert np.isnan(kernel.keys[:4, 0]).all() == inexact, r
-            assert np.isfinite(kernel.keys[:4, 0]).all() == (not inexact), r
-            # a NaN key never cuts, so at x = 1e300, where every finite key
-            # cuts at level 0, only the inexact visits run to the end; as
-            # they leave, each NaN key becomes the scalar bound
-            assert [len(keys) for _, keys in records] == [4 if inexact else 1] * 4
+            # every key at boundary 0 is finite and below x = 1e300, the
+            # inexact ones too, so every visit leaves at level 0 with the
+            # scalar bound as its key (slots 0-3 of the kernel's own table)
+            assert [len(keys) for _, keys in records] == [1] * 4, r
             for v, (_, keys) in enumerate(records):
                 scalar = engine.interval_closeness_bound(0, 0, 1, 1, int(bounds.alpha[v]), r, 4)
-                assert keys[0] == scalar and not np.isnan(keys).any(), (r, v)
+                assert keys[0] == kernel.keys[v, 0] == scalar < 1e300, (r, v)
 
     def test_a_key_equal_to_the_threshold_retires_the_visit(self, suite):
         # vertex 47 of gnp-d-n50-p0.01-s8 (alpha 3, omega 4): at boundary 1
@@ -548,16 +545,17 @@ class TestKernel:
 
 
 class TestScreen:
-    def test_leaves_arithmetic_float64_cannot_hold_to_bfs_cut(self):
+    def test_keys_float64_cannot_hold_are_the_scalar_bound(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
-        for r, screened in ((2, True), (2**27, False)):  # (2**27 - 1)**2 > 2**53
+        for r in (2, 2**27):  # (2**27 - 1)**2 > 2**53
             # 0 and 1 with an exact r, 2 and 3 with alpha = 2, omega = r + 1
             alpha, omega = np.array([r, r, 2, 2]), np.array([r, r, r + 1, r + 1])
             bounds = ReachabilityBounds(alpha=alpha, omega=omega)
             screen = engine.Screen.build(g, bounds, np.arange(4))
-            assert np.isfinite(screen.keys[0][:2]).all() == screened, r
-            assert np.isfinite(screen.keys[0][2:]).all() == screened, r
-            assert screen.ends[:2].all() == screened, r  # exact r(v) = 1 + deg(v)
+            for v in range(4):
+                scalar = engine.interval_closeness_bound(0, 0, 1, 1, int(alpha[v]), int(omega[v]), 4)
+                assert screen.keys[0][v] == scalar, (r, v)
+            assert screen.ends[:2].all() == (r == 2), r  # exact r(v) = 1 + deg(v)
 
     def test_kernel_rows_0_and_1_match_the_screen(self, suite, monkeypatch):
         # a kernel visit that a threshold risen since its claim cuts at
@@ -565,8 +563,8 @@ class TestScreen:
         # what the screen's rows would, so that it ends where the screen
         # would have ended it: f_d, n_d, gamma and the level's degree sum,
         # and wherever the screen's key is finite, that key and whether the
-        # next level exists. (Where the key is NaN no decision reads the flag:
-        # an alpha/omega visit's row 1 says only that level 2 may exist.)
+        # next level exists. (Where the key is +inf the flags may differ: an
+        # alpha/omega visit's row 1 says only that level 2 may exist.)
         records = []
         real = engine.Kernel.step
 
@@ -664,6 +662,13 @@ class TestTopK:
     def test_k_larger_than_n(self):
         res, _ = top_k(path_graph(3), 10)
         assert len(res.entries) == 3
+        # a heap of k = 10**12 values would need 8 TB; at most n visits push
+        g = path_graph(5)
+        expected, _ = top_k(g, 5)
+        for workers in (1, 2):
+            res, stats = top_k(g, 10**12, workers=workers)
+            assert res.entries == expected.entries, workers
+            assert stats.final_threshold == top_k(g, 6)[1].final_threshold == 0.0, workers
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -350,6 +350,10 @@ class TestEndpointValidation:
         with pytest.raises(ValueError, match=r"edge 0 \(0, -1\)"):
             from_edges(3, [(0, -1)], directed=False)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match=r"n=-1 is negative"):
+            from_edges(-1, [], directed=False)
+
     def test_id_equal_to_n(self):
         with pytest.raises(ValueError, match=r"edge 1 \(2, 3\)"):
             from_edges(3, [(0, 1), (2, 3)], directed=True)
