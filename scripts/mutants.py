@@ -22,9 +22,10 @@ never visited, the visit decision's, the boundary state the records hold
 (the gamma that the kernel and the screen write, and a completion's
 farness and r, read from its end row), the kernel's pull, its clear of a
 freed slot's seen bits and the growth of its level table, and the
-parallel run's: its warm-up and the parent's watch on its workers while
-it waits on a lock. A later change that adds a cut or scheduling path
-adds its mutants.
+parallel run's: its warm-up, its fork only when its first claim at a
+positive threshold leaves visits, its locks made only for a fork, and the
+parent's watch on its workers while it waits on a lock. A later change
+that adds a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -68,6 +69,8 @@ LADDER = "tests/test_engine.py::TestBfsCut::test_frontiers_hold_no_repeats[ladde
 UNSCREENED = "tests/test_engine.py::TestTopK::test_screen_matches_the_visit_loop_without_it"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
+FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
+NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
 
 MUTANTS = (
     Mutant(
@@ -277,15 +280,30 @@ MUTANTS = (
     Mutant(
         "scheduler: fork the workers before the threshold rises",
         ENGINE,
-        "if spawn and more and heap.threshold > 0:",
-        "if spawn and more:",
+        "if spawn and x > 0:",
+        "if spawn:",
         (WARMUP,),
+    ),
+    Mutant(
+        "scheduler: fork even when the first claim at a positive threshold left no visit",
+        ENGINE,
+        "if more:  # it left visits for the others",
+        "if True:",
+        (f"{FORKS}[pa1000-2-0]",),
+    ),
+    Mutant(
+        "scheduler: create the locks before the warm-up",
+        ENGINE,
+        "heap = ThresholdHeap(k, values, heap_lock)",
+        "heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()\n    "
+        "heap = ThresholdHeap(k, values, heap_lock)",
+        (NO_LOCKS,),
     ),
     Mutant(
         "scheduler: the parent waits on a lock without looking at the workers",
         ENGINE,
-        "while not self.lock.acquire(timeout=_SLICE):\n            _check(self.procs)",
-        "while not self.lock.acquire(timeout=_SLICE):\n            pass",
+        "not self.lock.acquire(timeout=_SLICE):\n            _check(self.procs)",
+        "not self.lock.acquire(timeout=_SLICE):\n            pass",
         (f"{DEAD}[heap-lock]", f"{DEAD}[run-claim]"),
     ),
 )

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Wall-clock and visited-arc behavior across worker counts.
+"""Wall-clock and visited-arc behavior across worker counts. The
+``processes`` column counts the processes that ran: a run whose parent can
+finish alone forks none.
 
 Usage: python scripts/parallel_speedup.py [--nodes 100000] [--workers 1,2,4,8]
 """
@@ -23,7 +25,7 @@ def main() -> None:
     g = preferential_attachment(args.nodes, args.degree, seed=args.seed)
     base_time = None
     base_vis = None
-    print("workers\tseconds\tspeedup\tm_vis\textra_arcs")
+    print("workers\tprocesses\tseconds\tspeedup\tm_vis\textra_arcs")
     for w in (int(s) for s in args.workers.split(",")):
         t0 = time.perf_counter()
         _, stats = top_k(g, args.k, workers=w)
@@ -31,7 +33,8 @@ def main() -> None:
         if base_time is None:
             base_time, base_vis = elapsed, stats.m_vis
         extra = (stats.m_vis - base_vis) / base_vis
-        print(f"{w}\t{elapsed:.2f}\t{base_time / elapsed:.2f}x\t{stats.m_vis}\t{extra:+.2%}")
+        print(f"{w}\t{len(stats.per_process)}\t{elapsed:.2f}\t{base_time / elapsed:.2f}x\t"
+              f"{stats.m_vis}\t{extra:+.2%}")
 
 
 if __name__ == "__main__":

@@ -624,10 +624,10 @@ def top_k(
     Visits the per-vertex degree statistics settle at boundary 0 or 1 need
     no BFS (see Screen); the others run in the multi-source kernel, up to 64
     at a time. decide settles both kinds from their records. ``workers`` > 1
-    runs that many processes: this one and workers - 1 forked ones (see
-    _run_parallel). ``recorder`` sees every boundary a serial
-    visit evaluates (see decide); it cannot be combined with ``workers`` > 1,
-    because a forked worker cannot call back into the parent.
+    runs this process and, if its first claim after the warm-up leaves
+    visits, workers - 1 forked ones (see _run_parallel). ``recorder`` sees
+    every boundary a serial visit evaluates (see decide); it cannot be used
+    with ``workers`` > 1, as a forked worker cannot call back into the parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -698,10 +698,10 @@ def _visit_all(
 
     With ``spawn`` (the parent of a parallel run) it warms up first: while
     the threshold is 0, which prunes nothing, it claims BATCH visits at a
-    time, the next only once all before are decided. At the first step
-    where the threshold is positive, if visits are left to claim, it calls
-    spawn(), which forks the other workers, and goes on claiming beside
-    them with the same kernel.
+    time, the next only once all before are decided. If its first claim at
+    a positive threshold leaves visits to claim, it calls spawn(), which
+    forks the other workers, and goes on claiming beside them with the same
+    kernel; else it finishes alone.
     """
     kernel = Kernel(g, bounds)
     claimed = np.zeros(0, _CLAIMED)  # in processing order
@@ -725,13 +725,10 @@ def _visit_all(
             claimed = claimed[took:]
             x = heap.threshold
         free = kernel.free
-        if spawn and more and heap.threshold > 0:
-            spawn()
-            spawn = None
-        if free > ready.size and more and not (spawn and claimed.size):
+        if free > ready.size and more and not (spawn and claimed.size and x == 0):
             with lock:
-                i = int(cursor[0])
-                pos, stop = screen.claim(order, i, heap.threshold)
+                i, x = int(cursor[0]), heap.threshold
+                pos, stop = screen.claim(order, i, x)
                 cursor[0] = stop
             more = stop < len(order)
             span = np.empty(stop - i, _CLAIMED)
@@ -739,6 +736,10 @@ def _visit_all(
             span["kernel"][pos - i] = True
             claimed = np.concatenate([claimed, span])
             ready = np.concatenate([ready, order[pos]])
+            if spawn and x > 0:  # the first claim at a positive threshold
+                if more:  # it left visits for the others
+                    spawn()
+                spawn = None
         if free and ready.size:
             kernel.start(ready[:free])
             ready = ready[free:]
@@ -771,25 +772,25 @@ def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
 
 
 def _run_parallel(g, bounds, screen, order, k, workers):
-    """Run _visit_all in this process and in workers - 1 forked ones, which
+    """Run _visit_all in this process and in the workers - 1 it may fork, which
     share the graph and the screen copy-on-write, and one threshold heap,
     one cursor and one set of result arrays in shared memory. A worker may
     read a stale (smaller) threshold, which can only delay a cut, never
     cause a wrong one.
 
     This process is the last worker. Its _visit_all warms up alone while
-    the threshold is 0 and forks the others once it is positive (see
-    _visit_all's ``spawn``), so no worker fills the heap with weaker visits
-    that a threshold of 0 cannot prune; if the warm-up claims every visit,
-    none is forked. It takes the cursor lock and the heap lock through
-    _Watched, and then waits on the worker sentinels: a worker that exits
-    with a nonzero code, even one that dies holding a lock, raises
-    RuntimeError naming the code. Returns the heap, the result arrays and
-    one row of _visit_all's counts per process, this one's first.
+    the threshold is 0 and forks the others only if its first claim at a
+    positive threshold leaves visits to claim (see _visit_all's ``spawn``),
+    so no worker fills the heap with weaker visits that a threshold of 0
+    cannot prune, and a run this process can finish alone forks none. The
+    cursor lock and the heap lock are made just before the fork; this
+    process takes them through _Watched, and then waits on the worker
+    sentinels: a worker that exits with a nonzero code, even one that dies
+    holding a lock, raises RuntimeError naming the code. Returns the heap,
+    the result arrays and one row of _visit_all's counts per process that
+    ran, this one's first.
     """
-    # imported here, as only a parallel run needs them (wait: 0.5 MB of peak RSS)
-    import mmap
-    from multiprocessing.connection import wait
+    import mmap  # only a parallel run needs it
 
     ctx = mp.get_context("fork")
 
@@ -798,31 +799,35 @@ def _run_parallel(g, bounds, screen, order, k, workers):
         size = max(length, 1) * np.dtype(dtype).itemsize
         return np.frombuffer(mmap.mmap(-1, size), dtype, length)
 
-    values, heap_lock = shared_zeros(k + 1, np.float64), ctx.Lock()
+    values, cursor = shared_zeros(k + 1, np.float64), shared_zeros(1, np.int64)
     results = _results(g.n, shared_zeros)
     counts = shared_zeros(len(COUNTERS) * workers, np.int64).reshape(workers, -1)
-    cursor, lock = shared_zeros(1, np.int64), ctx.Lock()
     procs = []
+    heap_lock, lock = _Watched(procs), _Watched(procs)
 
     def work(w: int) -> None:
-        heap = ThresholdHeap(k, values, heap_lock)
-        counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results)
+        heap = ThresholdHeap(k, values, heap_lock.lock)
+        counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock.lock, results)
 
     def spawn() -> None:
+        # a Lock imports multiprocessing.synchronize, about 5 ms in a fresh process
+        heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()
         for w in range(1, workers):
             p = ctx.Process(target=work, args=(w,))
             p.start()
             procs.append(p)
 
-    heap = ThresholdHeap(k, values, _Watched(heap_lock, procs))
+    heap = ThresholdHeap(k, values, heap_lock)
     try:
-        counts[0] = _visit_all(g, bounds, screen, order, heap, cursor, _Watched(lock, procs),
-                               results, spawn=spawn)
-        running = {p.sentinel: p for p in procs}
-        while running:
-            for sentinel in wait(list(running)):
-                running.pop(sentinel).join()
-            _check(procs)
+        counts[0] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results, spawn=spawn)
+        if procs:
+            from multiprocessing.connection import wait  # about 7 ms to import
+
+            running = {p.sentinel: p for p in procs}
+            while running:
+                for sentinel in wait(list(running)):
+                    running.pop(sentinel).join()
+                _check(procs)
     except BaseException:
         for p in procs:
             p.terminate()  # the others may wait on a lock the dead one held
@@ -839,17 +844,20 @@ _SLICE = 0.05  # seconds: how long the parent of forked workers waits on a lock 
 class _Watched:
     """A lock that the parent of forked workers takes in timed slices of
     _SLICE. Between slices it checks the workers (see _check), so a worker
-    that dies holding the lock fails the run instead of hanging it."""
+    that dies holding the lock fails the run instead of hanging it. Until
+    ``lock`` is set, just before the fork, the parent is alone and taking
+    it does nothing."""
 
-    def __init__(self, lock, procs: list):
-        self.lock, self.procs = lock, procs
+    def __init__(self, procs: list):
+        self.lock, self.procs = None, procs
 
     def __enter__(self) -> None:
-        while not self.lock.acquire(timeout=_SLICE):
+        while self.lock is not None and not self.lock.acquire(timeout=_SLICE):
             _check(self.procs)
 
     def __exit__(self, *exc) -> None:
-        self.lock.release()
+        if self.lock is not None:
+            self.lock.release()
 
 
 def _check(procs: list) -> None:

@@ -166,10 +166,33 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def run_script(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package under test."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes top_k forks, appended as each starts."""
+    started, real_start = [], ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+    return started
+
+
 @pytest.fixture
 def worker_claims_first(monkeypatch):
     """After each fork the parent waits until a forked worker has claimed,
-    so a worker, not the parent, claims the visits after the warm-up."""
+    so a worker, not the parent, claims the visits after the parent's first
+    claim at a positive threshold (the claim that decided to fork)."""
     claimed = mp.get_context("fork").RawValue("i", 0)
     parent, real_claim, real_start = os.getpid(), engine.Screen.claim, ForkProcess.start
 
@@ -721,11 +744,7 @@ class TestTopK:
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             """
         )
-        src = str(Path(engine.__file__).resolve().parents[1])  # the package under test
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_script(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -888,17 +907,21 @@ class TestParallel:
         assert stats.m_vis > 0
         assert stats.arcs_gathered > 0
 
-    def test_workers_start_from_a_positive_threshold(self, worker_claims_first, monkeypatch):
-        # the parent warms up alone at threshold 0 and forks the workers once
-        # it is positive: every later claim, by any process, is at a positive
-        # threshold, and no worker fills the heap with the weaker visits a
-        # threshold of 0 cannot prune. A worker forked too early claims at 0,
-        # as the parent waits after a fork until a worker has claimed.
+    def test_workers_start_from_a_positive_threshold(self, monkeypatch):
+        # the parent warms up alone at threshold 0 and forks the workers only
+        # after its first claim at a positive threshold: every later claim, by
+        # any process, is at a positive threshold, and no worker fills the
+        # heap with the weaker visits a threshold of 0 cannot prune. After
+        # the fork the parent waits until the worker has pushed, so a worker
+        # forked too early claims at 0. Held so, the parent has claimed the
+        # path's centre but decided none of it, and the worker's first visits
+        # (ids 129 on, more central than the warm-up's) complete.
         shared = mp.get_context("fork").RawArray
         log = np.frombuffer(shared("d", 2 * 1024)).reshape(2, -1)  # per claim: by the parent, x
         count = np.frombuffer(shared("q", 3), dtype=np.int64)  # claims, worker pushes, at 0
         parent = os.getpid()
         real_push, real_claim = ThresholdHeap.push, engine.Screen.claim
+        real_start = ForkProcess.start
 
         def push(self, value):
             if os.getpid() != parent:
@@ -911,8 +934,14 @@ class TestParallel:
             count[0] += 1
             return real_claim(self, order, i, x)
 
+        def start(self):
+            real_start(self)
+            while not count[1]:
+                time.sleep(0.001)
+
         monkeypatch.setattr(ThresholdHeap, "push", push)
         monkeypatch.setattr(engine.Screen, "claim", claim)
+        monkeypatch.setattr(ForkProcess, "start", start)
         with time_limit(120):
             _, stats = top_k(path_graph(200), 3, workers=2)
         by_parent, x = log[:, : count[0]]
@@ -923,31 +952,36 @@ class TestParallel:
         assert count[2] == 0
         assert stats.final_threshold == top_k(path_graph(200), 3)[1].final_threshold
 
-    @pytest.mark.parametrize("n, workers, forked", [(200, 2, 1), (200, 4, 3), (50, 4, 0)])
-    def test_forks_workers_minus_one(self, n, workers, forked, monkeypatch):
-        # the parent is the last worker; a run its warm-up claims whole forks none
-        started, real = [], ForkProcess.start
-
-        def start(self):
-            started.append(self)
-            real(self)
-
-        monkeypatch.setattr(ForkProcess, "start", start)
+    @pytest.mark.parametrize("g, workers, forked", [
+        pytest.param(path_graph(200), 2, 1, id="200-2-1"),
+        pytest.param(path_graph(200), 4, 3, id="200-4-3"),
+        pytest.param(path_graph(50), 4, 0, id="50-4-0"),
+        pytest.param(preferential_attachment(1000, 3, seed=2), 2, 0, id="pa1000-2-0"),
+    ])
+    def test_forks_only_when_visits_are_left(self, g, workers, forked, forks):
+        # the parent is the last worker, and forks workers - 1 others only if
+        # its first claim at a positive threshold leaves visits to claim: a
+        # run the warm-up claims whole (path 50) forks none, and so does one
+        # whose first claim after it takes every visit left (the PA graph,
+        # where the screen settles them)
         with time_limit(120):
-            _, stats = top_k(path_graph(n), 3, workers=workers)
-        assert len(started) == forked
+            _, stats = top_k(g, 3, workers=workers)
+        assert len(forks) == forked
         assert len(stats.per_process) == forked + 1
 
-    def test_per_process_rows_sum_to_the_totals(self):
-        g = preferential_attachment(1000, 3, seed=2)
+    def test_per_process_rows_sum_to_the_totals(self, forks):
+        # one row per process that ran: the PA graph forks none, the path forks
         with time_limit(120):
-            for workers in (1, 2, 4):
-                _, stats = top_k(g, 10, workers=workers)
-                rows = stats.per_process
-                assert rows.shape == (workers, len(engine.COUNTERS)), workers
-                totals = [getattr(stats, name) for name in engine.COUNTERS]
-                assert rows.sum(axis=0).tolist() == totals, workers
-                assert rows[0, engine.COUNTERS.index("kernel_levels")] > 0  # the parent's warm-up
+            for g in (preferential_attachment(1000, 3, seed=2), path_graph(200)):
+                for workers in (1, 2, 4):
+                    forks.clear()
+                    _, stats = top_k(g, 10, workers=workers)
+                    rows = stats.per_process
+                    assert rows.shape == (1 + len(forks), len(engine.COUNTERS)), workers
+                    totals = [getattr(stats, name) for name in engine.COUNTERS]
+                    assert rows.sum(axis=0).tolist() == totals, workers
+                    assert rows[0, engine.COUNTERS.index("kernel_levels")] > 0  # the warm-up
+            assert len(forks) == 3  # the path at 4 workers
 
     def test_a_decision_acts_on_a_threshold_another_worker_raised(
         self, ranked, worker_claims_first, monkeypatch
@@ -984,6 +1018,26 @@ class TestParallel:
             if rose[0]:
                 break
         assert rose[0] > 0
+
+    def test_a_run_that_forks_none_makes_no_locks(self):
+        # a lock imports multiprocessing.synchronize, and the wait on the
+        # workers multiprocessing.connection: about 12 ms in a fresh process,
+        # which a run that its parent finishes alone does not pay
+        code = textwrap.dedent(
+            """
+            import sys
+            from topclose import top_k
+            from topclose.generators import preferential_attachment
+
+            _, stats = top_k(preferential_attachment(1000, 3, seed=2), 10, workers=2)
+            print(len(stats.per_process))
+            print([m for m in ("multiprocessing.synchronize", "multiprocessing.connection")
+                   if m in sys.modules])
+            """
+        )
+        proc = run_script(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["1", "[]"]
 
     def test_rejects_bad_workers(self):
         for workers in (0, -2):
@@ -1083,9 +1137,7 @@ class TestParallel:
         exitcode, patch = self.DYING[where]
         code = textwrap.dedent(
             """
-            import multiprocessing
             import os
-            import time
             from multiprocessing.context import ForkProcess
             from topclose import engine
             from topclose.generators import path_graph
@@ -1094,33 +1146,24 @@ class TestParallel:
             """
         ) + textwrap.dedent(patch) + textwrap.dedent(
             """
-            # after the fork the parent waits until the worker has claimed:
-            # the parent runs the first batch; the worker claims the second,
-            # in which the path's centre completes, and reaches its dying point
-            claimed = multiprocessing.RawValue("i", 0)
-            real_claim, real_start = engine.Screen.claim, ForkProcess.start
-
-            def claim(self, order, i, x):
-                if os.getpid() != parent:
-                    claimed.value = 1
-                return real_claim(self, order, i, x)
+            # after the fork the parent waits until the worker has exited: the
+            # parent runs the first batch and claims the second, which holds
+            # the path's centre; the worker claims the third, in which visits
+            # more central than the first batch's complete, and reaches its
+            # dying point before the parent decides any of the second
+            real_start = ForkProcess.start
 
             def start(self):
                 real_start(self)
-                while not claimed.value:
-                    time.sleep(0.001)
+                self.join()
 
-            engine.Screen.claim, ForkProcess.start = claim, start
+            ForkProcess.start = start
             try:
                 engine.top_k(path_graph(200), 3, workers=2)
             except RuntimeError as exc:
                 print(exc)
             """
         )
-        src = str(Path(engine.__file__).resolve().parents[1])  # the package under test
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_script(code, timeout=15)  # a clean case takes about 0.3 s (2 cores)
         assert proc.returncode == 0, proc.stderr
         assert f"exited with code {exitcode}" in proc.stdout
