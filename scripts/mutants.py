@@ -15,17 +15,20 @@ timed out. Each line gives the seconds its run took.
 
 The catalogue holds the loader's guards, the cut keys' (both ends of the
 reachable-count interval, the raise of its lower end to the vertices
-seen, the 2**53 guard, the integer fallback for the keys past it and the
-+inf of a degenerate bound), the cut test key <= x in the kernel and in
-the decision, the screen's claim, the visit order's drop of the vertices
-never visited, the visit decision's, the boundary state the records hold
-(the gamma that the kernel and the screen write, and a completion's
-farness and r, read from its end row), the kernel's pull, its clear of a
-freed slot's seen bits and the growth of its level table, and the
-parallel run's: its warm-up, its fork only when its first claim at a
-positive threshold leaves visits, its locks made only for a fork, and the
-parent's watch on its workers while it waits on a lock. A later change
-that adds a cut or scheduling path adds its mutants.
+seen, the 2**53 guard's scalar test and per-entry mask, the integer
+fallback for the keys past it and the +inf of a degenerate bound), the
+cut test key <= x in the kernel and in the decision, the screen's claim,
+the visit order's drop of the vertices never visited, the visit
+decision's, the boundary state the records hold (the gamma that the
+kernel and the screen write, and a completion's farness and r, read from
+its end row), the kernel's pull (the OR of the masks of the vertices
+started since the last step), its per-source count's 12-bit digits, its
+clear of a freed slot's seen bits and the growth of its level table, and
+the parallel run's: its warm-up, its fork only when its first claim at a
+positive threshold leaves visits, its multiprocessing import and locks
+made only for a fork, and the parent's watch on its workers while it
+waits on a lock. A later change that adds a cut or scheduling path adds
+its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -71,6 +74,7 @@ WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
 NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
+COUNT = "tests/test_engine.py::TestKernel::test_per_source_counts_every_bit_exactly"
 
 MUTANTS = (
     Mutant(
@@ -194,10 +198,10 @@ MUTANTS = (
         (DEGENERATE,),
     ),
     Mutant(
-        "cut keys: > for >= in the 2**53 guard",
+        "cut keys: > for >= in the per-entry 2**53 guard",
         ENGINE,
-        ">= 2.0**53] = np.nan",
-        "> 2.0**53] = np.nan",
+        "(n - 1.0) * lam) >= 2.0**53",
+        "(n - 1.0) * lam) > 2.0**53",
         (KEYS,),
     ),
     Mutant(
@@ -222,10 +226,10 @@ MUTANTS = (
         (ORACLE,),
     ),
     Mutant(
-        "pull: a plain scatter of the frontier's masks, not an OR",
+        "pull: a plain scatter of the started tail's masks, not an OR",
         ENGINE,
-        "np.bitwise_or.at(acc, frontier, masks)",
-        "acc[frontier] = masks",
+        "np.bitwise_or.at(acc, frontier[head:], masks[head:])",
+        "acc[frontier[head:]] = masks[head:]",
         (AGREE,),
     ),
     Mutant(
@@ -264,18 +268,25 @@ MUTANTS = (
         (UNSCREENED,),
     ),
     Mutant(
-        "cut keys: no exactness guard",
+        "cut keys: skip the per-entry guard although a term reaches 2**53",
         ENGINE,
-        "key[np.maximum((x - 1.0) ** 2, (n - 1.0) * lam) >= 2.0**53] = np.nan",
-        "pass",
+        "* lam.max(initial=0)) >= 2.0**53:",
+        "* lam.max(initial=0)) >= 2.0**53 and False:",
         (KEYS,),
     ),
     Mutant(
         "cut keys: skip the integer fallback",
         ENGINE,
-        "if nan.size:  # the scalar bound, in Python integers",
-        "if False:",
+        "key[rows] = [interval_closeness_bound(*row, n) for row in per_row]",
+        "pass",
         (KEYS,),
+    ),
+    Mutant(
+        "count: no digits once the weights reach 2**24",
+        ENGINE,
+        "digits = weights.sum() >= 2**24",
+        "digits = False",
+        (COUNT,),
     ),
     Mutant(
         "scheduler: fork the workers before the threshold rises",
@@ -292,9 +303,17 @@ MUTANTS = (
         (f"{FORKS}[pa1000-2-0]",),
     ),
     Mutant(
+        "scheduler: import multiprocessing with the module",
+        ENGINE,
+        "from __future__ import annotations\n",
+        "from __future__ import annotations\n\nimport multiprocessing\n",
+        (NO_LOCKS,),
+    ),
+    Mutant(
         "scheduler: create the locks before the warm-up",
         ENGINE,
         "heap = ThresholdHeap(k, values, heap_lock)",
+        "import multiprocessing\n    ctx = multiprocessing.get_context('fork')\n    "
         "heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()\n    "
         "heap = ThresholdHeap(k, values, heap_lock)",
         (NO_LOCKS,),
@@ -311,9 +330,12 @@ MUTANTS = (
 
 def run_tests(src: Path, tests: tuple[str, ...]) -> str:
     """"passed", "failed" or "timed out" (after 300 s): the tests, run with
-    ``src`` as the package source."""
+    ``src`` as the package source. Asserts fail as plain asserts: with no
+    bytecode cache, rewriting them (hypothesis's modules too, as a pytest
+    plugin's) costs about 1 s per run, and only the outcome is read."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--assert=plain", *tests]
     try:
         proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     except subprocess.TimeoutExpired:

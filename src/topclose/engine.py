@@ -17,7 +17,6 @@ threshold, as the paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -80,20 +79,21 @@ def cut_keys(d, f_d, n_d, gamma_next, alpha, omega, n: int) -> np.ndarray:
     arrays: interval_closeness_bound, bit for bit. Below 2**53 float64
     holds the intermediates at either end, (x-1)**2 and (n-1)*lam, exactly
     (as rounding is monotone), and one rounded division of them matches
-    Python's integer arithmetic; the keys with a term at or above 2**53 are
+    Python's integer arithmetic. One scalar test of the largest terms tells
+    whether any entry reaches 2**53; only then are those entries found and
     recomputed in Python integers. A lam <= 0 gives +inf in both."""
     x = omega
     if np.count_nonzero(alpha < omega):  # far cheaper than any() on a small array
         x = np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])
     lam = farness_lower_bound(d, f_d, n_d, gamma_next, x)
     key = closeness_upper_bound(lam, x, n)
-    key[np.maximum((x - 1.0) ** 2, (n - 1.0) * lam) >= 2.0**53] = np.nan
     key = np.maximum(key[0], key[1]) if key.ndim == 2 else key
-    nan = np.flatnonzero(np.isnan(key))
-    if nan.size:  # the scalar bound, in Python integers
+    if max((x.max(initial=1) - 1.0) ** 2, (n - 1.0) * lam.max(initial=0)) >= 2.0**53:
+        big = np.maximum((x - 1.0) ** 2, (n - 1.0) * lam) >= 2.0**53
+        rows = np.flatnonzero(big.any(axis=0) if big.ndim == 2 else big)
         state = np.broadcast_arrays(d, f_d, n_d, gamma_next, alpha, omega)
-        per_row = zip(*(a[nan].tolist() for a in state))
-        key[nan] = [interval_closeness_bound(*row, n) for row in per_row]
+        per_row = zip(*(a[rows].tolist() for a in state))
+        key[rows] = [interval_closeness_bound(*row, n) for row in per_row]  # in Python integers
     return key
 
 
@@ -111,28 +111,32 @@ BoundaryRecorder = Callable[[int, int, int, int, int], None]
 
 BATCH = 64  # live visits per kernel: one bit each of a uint64 mask
 _SPAN = 4096  # visits per decide call: bounds its records and temporaries to about 1 MB
-_CHUNK = 8192  # arcs per gather step, masks per count step: 64 kB per temporary
+_CHUNK = 8192  # arcs per gather step (64 kB per temporary); a count step takes _CHUNK // 8 masks
 _PULL = 16  # an undirected step pulls once its frontier holds m / _PULL arcs or more
-_BYTE_BASE = np.arange(0, 8 * 256, 256)  # histogram bins of byte j of a mask
-_BYTE_BITS = np.array([[v >> t & 1 for t in range(8)] for v in range(256)], float)  # [byte, t]
 _SLOTS = np.arange(BATCH)
 _BIT = np.left_shift(np.uint64(1), _SLOTS.astype(np.uint64))  # the mask bit of each slot
 
 
-def _per_source(masks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """Write into out[0, s] how many of ``masks`` have bit s set, and into
-    out[1, s] the sum of their ``weights``, for s < 64 (``out`` is a
-    contiguous (2, 64) int64 array): a histogram of each mask byte, then a
-    float64 matmul with a (256, 8) bit table, exact as every product and
-    partial sum is an integer below 2**53. No per-bit pass."""
-    as_bytes = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    hist = np.zeros((2, 2048))  # integers, exact below 2**53
+def _per_source(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A (2, 64) int64 array: in [0, s] how many of ``masks`` have bit s
+    set, and in [1, s] the sum of their ``weights``. Per chunk of _CHUNK // 8
+    masks, one float32 matmul of the rows [1; weights] with the masks' bits
+    (256 kB of float32), exact as every partial sum is an integer below
+    2**24. Weights that sum to 2**24 or more are taken in 12-bit digits,
+    [1; w & 4095; w >> 12], exact while they sum below 2**36 (a frontier's
+    degrees sum to at most 2m)."""
+    digits = weights.sum() >= 2**24
+    rows = np.ones((3 if digits else 2, len(masks)), np.float32)
+    rows[1:] = (weights & 4095, weights >> 12) if digits else weights
+    out = np.zeros((len(rows), BATCH), np.int64)
+    as_bytes = masks.astype("<u8", copy=False).view(np.uint8)
     step = _CHUNK // 8
     for a in range(0, len(masks), step):
-        bins = (as_bytes[a : a + step] + _BYTE_BASE).ravel()
-        hist[0] += np.bincount(bins, minlength=2048)
-        hist[1] += np.bincount(bins, np.repeat(weights[a : a + step], 8), minlength=2048)
-    out.reshape(16, 8)[:] = hist.reshape(16, 256) @ _BYTE_BITS
+        bits = np.unpackbits(as_bytes[8 * a : 8 * (a + step)], bitorder="little")
+        out += (rows[:, a : a + step] @ bits.reshape(-1, BATCH).astype(np.float32)).astype(np.int64)
+    if digits:
+        out[1] += out[2] << 12
+    return out[:2]
 
 
 def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -184,8 +188,10 @@ class Kernel:
     tested before the gather (level d+1 exists iff fewer than r(v) vertices
     are seen) and never gathers the level it throws away; an alpha/omega
     visit is tested after the gather that tells whether level d+1 exists.
-    Reads and counts run in chunks of at most _CHUNK arcs or masks, so no
-    temporary outgrows 64 kB.
+    Every mask is nonzero as a step starts, and the frontier the last step
+    made holds each vertex once; ``start`` appends to it. Reads run in
+    chunks of at most _CHUNK arcs and counts in chunks of _CHUNK // 8 masks
+    (see _per_source), so a chunk's temporaries stay within 256 kB.
     """
 
     def __init__(self, g: Graph, bounds: ReachabilityBounds):
@@ -195,6 +201,7 @@ class Kernel:
         self.acc = np.zeros(n, np.uint64)  # masks a step's read ORs into a vertex; 0 between steps
         self.slot = np.empty(n, np.int64)  # graph.distinct's dedup slot
         self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
+        self.started = 0  # the frontier's last entries: the vertices started since the last step
         self.source = np.full(BATCH, -1)  # per slot: the visit's source; -1 where free
         self.d = np.zeros(BATCH, np.int64)  # its level, from its own start
         self.f = np.zeros(BATCH, np.int64)
@@ -223,6 +230,7 @@ class Kernel:
         # disjoint, so a push only repeats its gather and a pull ORs both
         self.frontier = np.concatenate([self.frontier, vs])
         self.masks = np.concatenate([self.masks, bits])
+        self.started += len(vs)
 
     def step(self, x: float) -> Records | None:
         """Expand every running visit by one level at threshold x. Returns
@@ -235,10 +243,8 @@ class Kernel:
         if d.max() == self.keys.shape[1]:  # a visit needs more levels than the table holds
             both = (np.concatenate([a, np.empty_like(a)], axis=-1) for a in (self.ints, self.keys))
             self.ints, self.keys = both
-        count = np.empty((2, BATCH), np.int64)
         deg = g.degrees[frontier]
-        _per_source(masks, deg, count)
-        c, s = count
+        c, s = _per_source(masks, deg)
         f += d * c
         nd += c
         # undirected refinement: beyond level 0 one edge per frontier vertex
@@ -248,14 +254,14 @@ class Kernel:
         cut = key <= x
         more = nd < omega  # exact r(v) = omega; alpha/omega: after the gather
         leave = live & exact & (cut | ~more)
-        if np.count_nonzero(leave):
+        started = self.started
+        if np.count_nonzero(leave):  # else every mask is still nonzero
             masks = masks & ~_word(_BIT[leave])
-
-        active = masks != 0
-        frontier, masks = frontier[active], masks[active]
-        deg = deg[active]
+            active = masks != 0
+            started = int(np.count_nonzero(active[len(active) - started :]))
+            frontier, masks, deg = frontier[active], masks[active], deg[active]
         if not g.directed and _PULL * int(deg.sum()) >= g.m > 0:
-            frontier, masks = self._pull(frontier, masks)
+            frontier, masks = self._pull(frontier, masks, started)
         elif frontier.size:
             seen, acc, slot, fresh = self.seen, self.acc, self.slot, []
             for a, z in _spans(deg, _CHUNK):
@@ -284,7 +290,7 @@ class Kernel:
         self.keys[_SLOTS, d] = key
         d += live
         self.levels += 1
-        self.frontier, self.masks = frontier, masks
+        self.frontier, self.masks, self.started = frontier, masks, 0
         gone = live & ((_word(masks) & _BIT) == 0)
         if not np.count_nonzero(gone):
             return None
@@ -302,12 +308,18 @@ class Kernel:
         """Vertex spans [a, z) whose rows hold at most _CHUNK arcs (or one row)."""
         return _spans(self.g.degrees, _CHUNK)
 
-    def _pull(self, frontier: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _pull(
+        self, frontier: np.ndarray, masks: np.ndarray, started: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The next frontier and its masks, read bottom-up (undirected
         graphs only): every vertex ORs the masks of its neighbours on the
-        frontier, less the visits that have seen it."""
+        frontier, less the visits that have seen it. The frontier's head,
+        all but its last ``started`` entries, holds each vertex once; a
+        started vertex may sit there too."""
         g, seen, acc = self.g, self.seen, self.acc
-        np.bitwise_or.at(acc, frontier, masks)  # a vertex may sit twice on the frontier
+        head = len(frontier) - started
+        acc[frontier[:head]] = masks[:head]
+        np.bitwise_or.at(acc, frontier[head:], masks[head:])
         fresh, words = [], []
         for a, z in self._rows:
             pulled = neighbor_or(g, acc, a, z)
@@ -792,8 +804,6 @@ def _run_parallel(g, bounds, screen, order, k, workers):
     """
     import mmap  # only a parallel run needs it
 
-    ctx = mp.get_context("fork")
-
     def shared_zeros(length, dtype):
         # an anonymous shared mapping: zeros, seen by every child forked after it
         size = max(length, 1) * np.dtype(dtype).itemsize
@@ -810,7 +820,11 @@ def _run_parallel(g, bounds, screen, order, k, workers):
         counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock.lock, results)
 
     def spawn() -> None:
-        # a Lock imports multiprocessing.synchronize, about 5 ms in a fresh process
+        # multiprocessing costs about 700 kB of RSS, and a Lock imports
+        # multiprocessing.synchronize, about 5 ms in a fresh process
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
         heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()
         for w in range(1, workers):
             p = ctx.Process(target=work, args=(w,))

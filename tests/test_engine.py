@@ -424,6 +424,50 @@ class TestKernel:
                 checked += expected.closeness == CUT
         assert checked > 0
 
+    def test_per_source_counts_every_bit_exactly(self):
+        # against a per-bit count in Python integers: lengths around the
+        # chunk, popcounts 0..64, a chunk whose weights cross 2**24 (float32
+        # cannot hold an odd sum there) and one weight of 2**31 - 1
+        rng = np.random.default_rng(7)
+        chunk = engine._CHUNK // 8
+        for length in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            popcount = np.arange(length) % 65
+            masks = np.zeros(length, np.uint64)
+            for i, p in enumerate(popcount.tolist()):
+                masks[i] = engine._word(engine._BIT[rng.permutation(64)[:p]])
+            for case in ("small", "crossing", "one-max"):
+                weights = rng.integers(0, 100, length)
+                if case == "crossing" and length >= chunk:
+                    weights[:chunk] = rng.integers(2**16, 2**17, chunk) | 1
+                if case == "one-max" and length:
+                    weights[length // 2] = 2**31 - 1
+                bits = [[int(m) >> s & 1 for m in masks.tolist()] for s in range(64)]
+                expected = [[sum(b) for b in bits],
+                            [sum(w * bit for w, bit in zip(weights.tolist(), b)) for b in bits]]
+                if case == "crossing" and length >= chunk:
+                    assert any(w > 2**24 and w % 2 for w in expected[1])
+                assert engine._per_source(masks, weights).tolist() == expected, (length, case)
+
+    def test_a_step_starts_from_nonzero_masks_and_a_distinct_head(self, monkeypatch):
+        # the step filters zero masks only after a visit leaves, and the pull
+        # assigns the head's masks, ORing only those of the started tail
+        rejoined, real = [], engine.Kernel.step
+
+        def step(self, x):
+            head = self.frontier[: len(self.frontier) - self.started]
+            assert np.count_nonzero(self.masks) == len(self.masks)
+            assert len(np.unique(head)) == len(head)
+            rejoined.append(np.count_nonzero(np.isin(self.frontier[len(head) :], head)))
+            return real(self, x)
+
+        monkeypatch.setattr(engine.Kernel, "step", step)
+        for pull in (2**62, 0):  # every step pushes, then every one pulls
+            monkeypatch.setattr(engine, "_PULL", pull)
+            for _, g in self.AGREE:
+                for k in (1, 10):
+                    top_k(g, k)
+        assert sum(rejoined) > 0  # a vertex started while still on the frontier
+
     def test_gathers_and_counts_in_chunks(self, monkeypatch):
         # a small chunk size splits the gathers and the per-source counts
         # of big levels; the outcome must not change
@@ -458,7 +502,8 @@ class TestKernel:
         # an undirected step pulls once its frontier is large; a directed one never
         pulls, real = [], engine.Kernel._pull
         monkeypatch.setattr(
-            engine.Kernel, "_pull", lambda self, f, m: pulls.append(len(f)) or real(self, f, m)
+            engine.Kernel, "_pull",
+            lambda self, f, m, started: pulls.append(len(f)) or real(self, f, m, started),
         )
         for tag, g in self.GRAPHS:
             pulls.clear()
@@ -1020,24 +1065,32 @@ class TestParallel:
         assert rose[0] > 0
 
     def test_a_run_that_forks_none_makes_no_locks(self):
-        # a lock imports multiprocessing.synchronize, and the wait on the
-        # workers multiprocessing.connection: about 12 ms in a fresh process,
-        # which a run that its parent finishes alone does not pay
+        # multiprocessing costs about 700 kB of RSS, a lock imports
+        # multiprocessing.synchronize, and the wait on the workers
+        # multiprocessing.connection: about 12 ms in a fresh process, which
+        # the import, a serial run and a run that its parent finishes alone
+        # do not pay
         code = textwrap.dedent(
             """
             import sys
             from topclose import top_k
             from topclose.generators import preferential_attachment
 
-            _, stats = top_k(preferential_attachment(1000, 3, seed=2), 10, workers=2)
+            def imported():
+                return [m for m in sys.modules if m.split(".")[0] == "multiprocessing"]
+
+            print(imported())
+            g = preferential_attachment(1000, 3, seed=2)
+            top_k(g, 10)
+            print(imported())
+            _, stats = top_k(g, 10, workers=2)
             print(len(stats.per_process))
-            print([m for m in ("multiprocessing.synchronize", "multiprocessing.connection")
-                   if m in sys.modules])
+            print(imported())
             """
         )
         proc = run_script(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["1", "[]"]
+        assert proc.stdout.split("\n")[:4] == ["[]", "[]", "1", "[]"]
 
     def test_rejects_bad_workers(self):
         for workers in (0, -2):
