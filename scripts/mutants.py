@@ -25,10 +25,11 @@ its end row), the kernel's pull (the OR of the masks of the vertices
 started since the last step), its per-source count's 12-bit digits, its
 clear of a freed slot's seen bits and the growth of its level table, and
 the parallel run's: its warm-up, its fork only when its first claim at a
-positive threshold leaves visits, its multiprocessing import and locks
-made only for a fork, and the parent's watch on its workers while it
-waits on a lock. A later change that adds a cut or scheduling path adds
-its mutants.
+positive threshold leaves visits, its multiprocessing import, shared
+memory and lock made only for a fork, the parent's move onto the shared
+state when it forks, no fork hook for a serial run, and the parent's
+watch on its workers while it waits on a lock. A later change that adds
+a cut or scheduling path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -75,6 +76,9 @@ DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
 NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
 COUNT = "tests/test_engine.py::TestKernel::test_per_source_counts_every_bit_exactly"
+RAISED = ("tests/test_engine.py::TestParallel::"
+          "test_a_decision_acts_on_a_threshold_another_worker_raised")
+INDEPENDENT = "tests/test_independent_oracle.py::test_top_k_matches_on_the_suite"
 
 MUTANTS = (
     Mutant(
@@ -310,12 +314,28 @@ MUTANTS = (
         (NO_LOCKS,),
     ),
     Mutant(
-        "scheduler: create the locks before the warm-up",
+        "scheduler: share the state and make the lock before the warm-up",
         ENGINE,
-        "heap = ThresholdHeap(k, values, heap_lock)",
-        "import multiprocessing\n    ctx = multiprocessing.get_context('fork')\n    "
-        "heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()\n    "
-        "heap = ThresholdHeap(k, values, heap_lock)",
+        "    try:\n        counts[0] = _visit_all(",
+        "    if workers > 1:\n        import multiprocessing\n"
+        "        values, cursor, counts, *results = map(\n"
+        "            _shared, (values, cursor, counts, *results))\n"
+        "        lock.lock = multiprocessing.get_context('fork').Lock()\n"
+        "    try:\n        counts[0] = _visit_all(",
+        (NO_LOCKS,),
+    ),
+    Mutant(
+        "scheduler: the parent's loop keeps its private cursor and results after the fork",
+        ENGINE,
+        "heap, cursor, results = spawn()",
+        "heap = spawn()[0]",
+        (RAISED, f"{INDEPENDENT}[2]"),
+    ),
+    Mutant(
+        "scheduler: a serial run gets the fork hook",
+        ENGINE,
+        "spawn if workers > 1 else None)",
+        "spawn)",
         (NO_LOCKS,),
     ),
     Mutant(

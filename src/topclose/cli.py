@@ -64,7 +64,8 @@ def _emit(report, fmt: str) -> None:
 
 
 def _multisets_match(a, b) -> bool:
-    return Counter(round(c, 12) for c in a) == Counter(round(c, 12) for c in b)
+    # exact: the engine and the oracle both take (r-1)**2 / ((n-1) f) in Python integers
+    return Counter(a) == Counter(b)
 
 
 def cmd_topk(args: argparse.Namespace) -> int:

@@ -407,7 +407,7 @@ def bfs_cut(
     kernel.start(np.array([v]))
     while (rec := kernel.step(threshold())) is None:
         pass
-    results = _results(g.n, np.zeros)
+    results = _results(g.n)
     _, arcs = decide(g, ThresholdHeap(1), threshold(), results, rec, recorder)
     closeness, farness, reachable, level = (a.item(v) for a in results)
     if level < 0:
@@ -635,11 +635,11 @@ def top_k(
     exceed the current k-th best value.
     Visits the per-vertex degree statistics settle at boundary 0 or 1 need
     no BFS (see Screen); the others run in the multi-source kernel, up to 64
-    at a time. decide settles both kinds from their records. ``workers`` > 1
-    runs this process and, if its first claim after the warm-up leaves
-    visits, workers - 1 forked ones (see _run_parallel). ``recorder`` sees
-    every boundary a serial visit evaluates (see decide); it cannot be used
-    with ``workers`` > 1, as a forked worker cannot call back into the parent.
+    at a time. decide settles both kinds from their records. Every run goes
+    through _run: ``workers`` > 1 runs this process and, if its first claim
+    after the warm-up leaves visits, workers - 1 forked ones. ``recorder``
+    sees every boundary a serial visit evaluates (see decide); it needs
+    ``workers`` = 1, as a forked worker cannot call back into the parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -656,32 +656,23 @@ def top_k(
     order = order[bounds.alpha[order] > 1]
     screen = Screen.build(g, bounds, order)
     size = min(k, g.n + 1)  # at most n visits push: for k > n, n + 1 values keep the threshold 0
-    if workers > 1 and g.n:
-        heap, results, rows = _run_parallel(g, bounds, screen, order, size, workers)
-    else:
-        heap, results, cursor = ThresholdHeap(size), _results(g.n, np.zeros), np.zeros(1, np.int64)
-        rows = np.array([_visit_all(g, bounds, screen, order, heap, cursor, nullcontext(),
-                                    results, recorder)])
+    threshold, results, rows = _run(g, bounds, screen, order, size, workers, recorder)
     closeness, farness, reachable, cut_level = results
 
     result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
     stats = RunStats(
         **dict(zip(COUNTERS, rows.sum(axis=0).tolist())), per_process=rows,
         m_tot=exact_m_tot(g, bounds), cut_level=cut_level, preprocessing_seconds=prep,
-        total_seconds=time.perf_counter() - t0, final_threshold=heap.threshold,
+        total_seconds=time.perf_counter() - t0, final_threshold=threshold,
     )
     return result, stats
 
 
-def _results(n: int, zeros) -> tuple[np.ndarray, ...]:
-    """Per-vertex (closeness, farness, reachable, cut_level) arrays made by
-    ``zeros(length, dtype)``. A vertex no visit writes to (a skipped one)
-    reads as completed with closeness 0 and only itself reachable."""
-    closeness, farness, reachable, cut_level = (
-        zeros(n, dtype) for dtype in (np.float64, np.int64, np.int64, np.int64)
-    )
-    reachable[:], cut_level[:] = 1, -1
-    return closeness, farness, reachable, cut_level
+def _results(n: int) -> tuple[np.ndarray, ...]:
+    """Per-vertex (closeness, farness, reachable, cut_level) arrays. A vertex
+    no visit writes to (a skipped one) reads as completed with closeness 0
+    and only itself reachable."""
+    return np.zeros(n), np.zeros(n, np.int64), np.ones(n, np.int64), np.full(n, -1, np.int64)
 
 
 # a claimed, undecided visit: its source, and whether it went to the kernel
@@ -711,9 +702,9 @@ def _visit_all(
     With ``spawn`` (the parent of a parallel run) it warms up first: while
     the threshold is 0, which prunes nothing, it claims BATCH visits at a
     time, the next only once all before are decided. If its first claim at
-    a positive threshold leaves visits to claim, it calls spawn(), which
-    forks the other workers, and goes on claiming beside them with the same
-    kernel; else it finishes alone.
+    a positive threshold leaves visits to claim, it takes the shared heap,
+    cursor and results from spawn(), which forks the other workers, and
+    goes on claiming beside them with the same kernel; else it finishes alone.
     """
     kernel = Kernel(g, bounds)
     claimed = np.zeros(0, _CLAIMED)  # in processing order
@@ -750,7 +741,7 @@ def _visit_all(
             ready = np.concatenate([ready, order[pos]])
             if spawn and x > 0:  # the first claim at a positive threshold
                 if more:  # it left visits for the others
-                    spawn()
+                    heap, cursor, results = spawn()
                 spawn = None
         if free and ready.size:
             kernel.start(ready[:free])
@@ -783,57 +774,53 @@ def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
     return Records(vs, depth, ints, keys)
 
 
-def _run_parallel(g, bounds, screen, order, k, workers):
-    """Run _visit_all in this process and in the workers - 1 it may fork, which
-    share the graph and the screen copy-on-write, and one threshold heap,
-    one cursor and one set of result arrays in shared memory. A worker may
-    read a stale (smaller) threshold, which can only delay a cut, never
-    cause a wrong one.
+def _run(g, bounds, screen, order, k, workers, recorder=None):
+    """Run _visit_all in this process and, with ``workers`` > 1, in the
+    workers - 1 it may fork, over one threshold heap of k values, one
+    cursor and one set of result arrays. Returns the final threshold, the
+    result arrays and one row of _visit_all's counts per process that ran,
+    this one's first.
 
-    This process is the last worker. Its _visit_all warms up alone while
-    the threshold is 0 and forks the others only if its first claim at a
-    positive threshold leaves visits to claim (see _visit_all's ``spawn``),
-    so no worker fills the heap with weaker visits that a threshold of 0
-    cannot prune, and a run this process can finish alone forks none. The
-    cursor lock and the heap lock are made just before the fork; this
-    process takes them through _Watched, and then waits on the worker
-    sentinels: a worker that exits with a nonzero code, even one that dies
-    holding a lock, raises RuntimeError naming the code. Returns the heap,
-    the result arrays and one row of _visit_all's counts per process that
-    ran, this one's first.
+    This process is the last worker. With ``workers`` > 1 its _visit_all
+    warms up alone while the threshold is 0 and calls spawn only if its
+    first claim at a positive threshold leaves visits, so a run this
+    process can finish alone forks none and its state stays ordinary
+    arrays. spawn copies the heap, the cursor, the results and the counts
+    into shared memory, makes the one lock that guards both heap pushes and
+    claims (they never nest) and forks; the workers share the graph and the
+    screen copy-on-write. A worker may read a stale (smaller) threshold,
+    which can only delay a cut, never cause a wrong one. This process takes
+    the lock through _Watched, then waits on the worker sentinels: a worker
+    that exits with a nonzero code, even one that dies holding the lock,
+    raises RuntimeError naming the code.
     """
-    import mmap  # only a parallel run needs it
-
-    def shared_zeros(length, dtype):
-        # an anonymous shared mapping: zeros, seen by every child forked after it
-        size = max(length, 1) * np.dtype(dtype).itemsize
-        return np.frombuffer(mmap.mmap(-1, size), dtype, length)
-
-    values, cursor = shared_zeros(k + 1, np.float64), shared_zeros(1, np.int64)
-    results = _results(g.n, shared_zeros)
-    counts = shared_zeros(len(COUNTERS) * workers, np.int64).reshape(workers, -1)
+    values, cursor, results = np.zeros(k + 1), np.zeros(1, np.int64), _results(g.n)
+    counts = np.zeros((workers, len(COUNTERS)), np.int64)
     procs = []
-    heap_lock, lock = _Watched(procs), _Watched(procs)
+    lock = _Watched(procs)
 
     def work(w: int) -> None:
-        heap = ThresholdHeap(k, values, heap_lock.lock)
+        heap = ThresholdHeap(k, values, lock.lock)
         counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock.lock, results)
 
-    def spawn() -> None:
+    def spawn() -> tuple[ThresholdHeap, np.ndarray, list[np.ndarray]]:
+        nonlocal values, cursor, results, counts
         # multiprocessing costs about 700 kB of RSS, and a Lock imports
         # multiprocessing.synchronize, about 5 ms in a fresh process
         import multiprocessing
 
+        values, cursor, counts, *results = map(_shared, (values, cursor, counts, *results))
         ctx = multiprocessing.get_context("fork")
-        heap_lock.lock, lock.lock = ctx.Lock(), ctx.Lock()
+        lock.lock = ctx.Lock()
         for w in range(1, workers):
             p = ctx.Process(target=work, args=(w,))
             p.start()
             procs.append(p)
+        return ThresholdHeap(k, values, lock), cursor, results
 
-    heap = ThresholdHeap(k, values, heap_lock)
     try:
-        counts[0] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results, spawn=spawn)
+        counts[0] = _visit_all(g, bounds, screen, order, ThresholdHeap(k, values, lock), cursor,
+                               lock, results, recorder, spawn if workers > 1 else None)
         if procs:
             from multiprocessing.connection import wait  # about 7 ms to import
 
@@ -849,7 +836,17 @@ def _run_parallel(g, bounds, screen, order, k, workers):
     finally:
         for p in procs:
             p.join()
-    return heap, results, np.array(counts[: 1 + len(procs)])
+    return values.item(k), results, np.array(counts[: 1 + len(procs)])
+
+
+def _shared(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` in an anonymous shared mapping, which every process
+    forked after it shares."""
+    import mmap  # only a run that forks needs it
+
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 _SLICE = 0.05  # seconds: how long the parent of forked workers waits on a lock between checks

@@ -1,10 +1,11 @@
 import json
+import math
 import time
 
 import pytest
 
 from topclose import oracle
-from topclose.cli import main
+from topclose.cli import _multisets_match, main
 from topclose.report import RunReport
 
 
@@ -158,6 +159,13 @@ class TestOracleAndCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "match"
         assert report["improvement_factor"] <= 1.0
+
+    def test_verdicts_compare_exactly(self):
+        # both sides compute each closeness exactly rounded, so one ulp apart
+        # is a mismatch, which rounding to 12 digits would hide
+        values = [2 / 3, 0.5, 2 / 3]
+        assert _multisets_match(values, values[::-1])
+        assert not _multisets_match(values, [math.nextafter(2 / 3, 1.0), 0.5, 2 / 3])
 
     def test_compare_random_digraph(self, tmp_path, capsys):
         from topclose.generators import gnp

@@ -91,7 +91,7 @@ def reference_top_k(g, k, recorder=None):
     bounds = reachability_for(g)
     skip = skipped(g, bounds)
     heap = ThresholdHeap(k)
-    closeness, farness, reachable, cut_level = engine._results(g.n, np.zeros)
+    closeness, farness, reachable, cut_level = engine._results(g.n)
     m_vis = 0
     for v in processing_order(g).tolist():
         if skip[v]:
@@ -744,14 +744,16 @@ class TestTopK:
 
     def test_empty_graph(self):
         g = from_edges(0, [], directed=False)
-        res, stats = top_k(g, 5)
-        assert res.entries == ()
-        assert stats.m_vis == 0
+        for workers in (1, 2):
+            res, stats = top_k(g, 5, workers=workers)
+            assert res.entries == ()
+            assert stats.m_vis == 0
 
     def test_single_vertex(self):
         g = from_edges(1, [], directed=True)
-        res, _ = top_k(g, 1)
-        assert res.entries[0].closeness == 0.0
+        for workers in (1, 2):
+            res, _ = top_k(g, 1, workers=workers)
+            assert res.entries[0].closeness == 0.0
 
     def test_matches_oracle_on_random_digraph(self):
         g = gnp(150, 0.03, 42, directed=True)
@@ -1069,15 +1071,16 @@ class TestParallel:
         # multiprocessing.synchronize, and the wait on the workers
         # multiprocessing.connection: about 12 ms in a fresh process, which
         # the import, a serial run and a run that its parent finishes alone
-        # do not pay
+        # do not pay; nor do they import mmap or map shared memory. The path
+        # forks at 2 workers, not at 1
         code = textwrap.dedent(
             """
             import sys
             from topclose import top_k
-            from topclose.generators import preferential_attachment
+            from topclose.generators import path_graph, preferential_attachment
 
             def imported():
-                return [m for m in sys.modules if m.split(".")[0] == "multiprocessing"]
+                return [m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "mmap")]
 
             print(imported())
             g = preferential_attachment(1000, 3, seed=2)
@@ -1086,11 +1089,14 @@ class TestParallel:
             _, stats = top_k(g, 10, workers=2)
             print(len(stats.per_process))
             print(imported())
+            _, stats = top_k(path_graph(200), 3)
+            print(len(stats.per_process))
+            print(imported())
             """
         )
         proc = run_script(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:4] == ["[]", "[]", "1", "[]"]
+        assert proc.stdout.split("\n")[:6] == ["[]", "[]", "1", "[]", "1", "[]"]
 
     def test_rejects_bad_workers(self):
         for workers in (0, -2):
@@ -1139,8 +1145,8 @@ class TestParallel:
                 assert stats.screened > 0, workers
 
     # a worker that dies must fail the run, not hang it: mid-visit, while
-    # holding the shared-heap lock or the cursor lock (claiming a run) the
-    # parent then waits on, or by raising an exception
+    # holding the one lock the parent then waits on (in a heap push, or
+    # claiming a run), or by raising an exception
     DYING = {
         "visit": (3, """
             real = engine.decide
