@@ -28,8 +28,11 @@ the parallel run's: its warm-up, its fork only when its first claim at a
 positive threshold leaves visits, its multiprocessing import, shared
 memory and lock made only for a fork, the parent's move onto the shared
 state when it forks, no fork hook for a serial run, and the parent's
-watch on its workers while it waits on a lock. A later change that adds
-a cut or scheduling path adds its mutants.
+watch on its workers while it waits on a lock. It also holds the
+reachability bounds': the SCC trim's sources in reverse peel order, its
+dedup of a round's sinks and its one side for a vertex with neither arc,
+and the dedup of the alpha/omega rounds' ready set. A later change that
+adds a cut, scheduling or bounds path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -79,6 +82,9 @@ COUNT = "tests/test_engine.py::TestKernel::test_per_source_counts_every_bit_exac
 RAISED = ("tests/test_engine.py::TestParallel::"
           "test_a_decision_acts_on_a_threshold_another_worker_raised")
 INDEPENDENT = "tests/test_independent_oracle.py::test_top_k_matches_on_the_suite"
+SCC = "topclose/scc.py"
+SWEEP = "tests/test_scc.py::test_trim_and_rounds_match_the_oracle_and_the_sweep"
+INVARIANTS = "tests/test_scc.py::TestComputeSccDag::test_invariants_random"
 
 MUTANTS = (
     Mutant(
@@ -291,6 +297,34 @@ MUTANTS = (
         "digits = weights.sum() >= 2**24",
         "digits = False",
         (COUNT,),
+    ),
+    Mutant(
+        "trim: sources numbered in peel order, not reverse",
+        SCC,
+        "*sources[::-1]",
+        "*sources",
+        (INVARIANTS,),
+    ),
+    Mutant(
+        "trim: a vertex peeled twice in one round",
+        SCC,
+        "sink = distinct(pred[(out[pred] == 0) & alive[pred]], slot)",
+        "sink = pred[(out[pred] == 0) & alive[pred]]",
+        (INVARIANTS,),
+    ),
+    Mutant(
+        "trim: a vertex with neither arc peeled as a sink and as a source",
+        SCC,
+        "source = source[out[source] > 0]",
+        "pass",
+        (INVARIANTS,),
+    ),
+    Mutant(
+        "alpha/omega rounds: a ready component is folded twice",
+        SCC,
+        "ready = distinct(pred[pending[pred] == 0], slot)",
+        "ready = pred[pending[pred] == 0]",
+        (SWEEP,),
     ),
     Mutant(
         "scheduler: fork the workers before the threshold rises",

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, distinct, frontier_neighbors, neighbor_or
+from .graph import Graph, distinct, frontier_neighbors, neighbor_or, pull_rows
 from .scc import ReachabilityBounds, reachability_for
 
 INF = float("inf")
@@ -304,9 +304,11 @@ class Kernel:
         return rec
 
     @cached_property
-    def _rows(self) -> list[tuple[int, int]]:
-        """Vertex spans [a, z) whose rows hold at most _CHUNK arcs (or one row)."""
-        return _spans(self.g.degrees, _CHUNK)
+    def _rows(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Vertex spans [a, z) whose rows hold at most _CHUNK arcs (or one
+        row), each with its pull_rows."""
+        g = self.g
+        return [(a, z, *pull_rows(g, a, z)) for a, z in _spans(g.degrees, _CHUNK)]
 
     def _pull(
         self, frontier: np.ndarray, masks: np.ndarray, started: int
@@ -321,8 +323,8 @@ class Kernel:
         acc[frontier[:head]] = masks[:head]
         np.bitwise_or.at(acc, frontier[head:], masks[head:])
         fresh, words = [], []
-        for a, z in self._rows:
-            pulled = neighbor_or(g, acc, a, z)
+        for a, z, starts, has in self._rows:
+            pulled = neighbor_or(g, acc, a, z, starts, has)
             pulled &= ~seen[a:z]
             new = np.flatnonzero(pulled)
             fresh.append(new + a)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -59,7 +59,14 @@ class Graph:
         return zip(sources.tolist(), targets.tolist())
 
 
-def csr_from_arcs(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Csr(NamedTuple):
+    """Bare CSR arrays: row v is ``targets[offsets[v]:offsets[v + 1]]``."""
+
+    offsets: np.ndarray
+    targets: np.ndarray
+
+
+def csr_from_arcs(n: int, src: np.ndarray, tgt: np.ndarray) -> Csr:
     """CSR ``(offsets, targets)``, both int64, of the arcs ``src[i] -> tgt[i]``
     over vertices 0..n-1: self-arcs dropped, each row sorted and deduplicated.
     Sorts ``src*n + tgt`` keys: ``np.unique``'s hash table costs more memory."""
@@ -69,7 +76,7 @@ def csr_from_arcs(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray,
     keys = keys[fresh]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
-    return offsets, keys % n
+    return Csr(offsets, keys % n)
 
 
 def from_edges(
@@ -274,10 +281,10 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
     sink.write("".join(f"{labels[u]} {labels[w]}\n" for u, w in g.edges()))
 
 
-def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
+def frontier_neighbors(g: Graph | Csr, frontier: np.ndarray) -> np.ndarray:
     """Out-neighbours of every vertex in ``frontier`` as int64 ids,
     concatenated in frontier order with repeats; its length is the
-    frontier's arc count."""
+    frontier's arc count. ``g`` is a Graph or bare CSR arrays."""
     # a BFS root, a one-vertex level or a hub alone in a gather span: a slice is cheaper
     if len(frontier) == 1:
         v = int(frontier[0])
@@ -289,13 +296,21 @@ def frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.targets[idx].astype(np.int64)
 
 
-def neighbor_or(g: Graph, words: np.ndarray, a: int, z: int) -> np.ndarray:
+def pull_rows(g: Graph, a: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """What neighbor_or reads of the rows [a, z), which depends only on the
+    graph: each row's first arc, counted from row a's, and the rows with arcs."""
+    return g.offsets[a:z] - g.offsets[a], np.flatnonzero(g.degrees[a:z])
+
+
+def neighbor_or(
+    g: Graph, words: np.ndarray, a: int, z: int, starts: np.ndarray, has: np.ndarray
+) -> np.ndarray:
     """For each vertex v in [a, z): the OR of ``words[w]`` over its
     out-neighbours w, 0 where v has none. Reads the arcs of those rows once,
-    in CSR order: g.offsets[z] - g.offsets[a] of them."""
+    in CSR order: g.offsets[z] - g.offsets[a] of them. ``starts`` and
+    ``has`` are ``pull_rows(g, a, z)``, kept by a caller that pulls the
+    same rows again."""
     lo, hi = int(g.offsets[a]), int(g.offsets[z])
-    starts = g.offsets[a:z] - lo
-    has = np.flatnonzero(g.degrees[a:z])
     # reduceat gives an empty segment the element at its start, and rejects
     # a start of hi - lo: only rows with arcs go in
     read = words.take(g.targets[lo:hi])  # take: faster than [] with int32 ids
@@ -319,17 +334,18 @@ def distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return ids[slot[ids] == pos]
 
 
-def bfs(g: Graph, source: int) -> tuple[np.ndarray, int, int]:
-    """Plain BFS from ``source``.
+def bfs(g: Graph | Csr, source: int) -> tuple[np.ndarray, int, int]:
+    """Plain BFS from ``source`` over a Graph or bare CSR arrays.
 
     Returns (distance array with -1 for unreached, visited count r(source),
     traversed-arc count = sum of out-degree over visited vertices).
     """
-    if not 0 <= source < g.n:
-        raise IndexError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, -1, dtype=np.int64)
+    n = len(g.offsets) - 1
+    if not 0 <= source < n:
+        raise IndexError(f"source {source} out of range for n={n}")
+    dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
-    slot = np.empty(g.n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     visited = 1
     arcs = 0

@@ -291,7 +291,7 @@ class TestBfsCut:
             engine, "frontier_neighbors", lambda g, f: calls.append(1) or real(g, f)
         )
         monkeypatch.setattr(
-            engine, "neighbor_or", lambda g, w, a, z: calls.append(1) or real_pull(g, w, a, z)
+            engine, "neighbor_or", lambda g, *args: calls.append(1) or real_pull(g, *args)
         )
         cut_exact = 0
         for seed in range(3):
@@ -488,9 +488,9 @@ class TestKernel:
             engine, "frontier_neighbors", lambda g, f: gathered.append(len(f := real(g, f))) or f
         )
 
-        def pull(g, words, a, z):
+        def pull(g, words, a, z, *rows):
             gathered.append(g.offsets[z] - g.offsets[a])
-            return real_pull(g, words, a, z)
+            return real_pull(g, words, a, z, *rows)
 
         monkeypatch.setattr(engine, "neighbor_or", pull)
         for g in (grid(9), gnp(150, 0.03, 42, directed=True)):

@@ -4,6 +4,8 @@ from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topclose import top_k, top_k_textbook
 from topclose.generators import gnp
@@ -13,6 +15,98 @@ from topclose.scc import compute_alpha_omega, compute_scc_dag, reachability_for
 
 def digraph(edges, n):
     return from_edges(n, edges, directed=True)
+
+
+# (n, arcs) of the shapes the trim must get right
+SHAPES = {
+    "cycle": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    # a pure DAG: the trim peels every vertex and leaves no core
+    "dag": (6, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 0), (3, 5)]),
+    # every vertex keeps an in-arc and an out-arc: the core is the whole graph
+    "whole-core": (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (4, 1)]),
+    "isolated": (7, [(0, 1), (1, 2), (2, 0), (5, 6)]),
+    # round 1 peels the sink 2 and the source 0; round 2 peels 1, which is both
+    "sink-and-source": (3, [(0, 1), (1, 2)]),
+    # sources 0 -> 1 and 7 into the core {2, 3, 4}, sinks 5 -> 6 and 8 out of it
+    "tails": (9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (7, 3), (4, 8)]),
+}
+
+
+@st.composite
+def shaped_digraphs(draw):
+    """(n, arcs): random arcs, kept acyclic, replaced by a cycle, joined by a
+    cycle through every vertex, or hung on both sides of a cycle."""
+    n = draw(st.integers(0, 24))
+    vertex = st.integers(0, max(n - 1, 0))
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
+    kind = draw(st.sampled_from(["random", "dag", "cycle", "whole-core", "tails"]))
+    ring = [(v, (v + 1) % n) for v in range(n)]
+    if kind == "dag":
+        arcs = [(u, w) for u, w in arcs if u < w]
+    elif kind == "cycle":
+        arcs = ring
+    elif kind == "whole-core":
+        arcs += ring
+    elif kind == "tails":  # sources below n/3 feed a cycle, sinks above 2n/3 leave it
+        lo, hi = n // 3, 2 * n // 3
+        arcs = [(u, w) for u, w in arcs if (u < lo and u < w) or (w >= hi and u < w)]
+        arcs += [(v, v + 1) for v in range(lo, hi - 1)] + ([(hi - 1, lo)] if hi > lo else [])
+    return n, arcs
+
+
+def sweep_reference(dag, g):
+    """compute_alpha_omega as one ascending sweep over the sinks-first ids,
+    one component at a time: the reference its array rounds must match."""
+    n = g.n
+    k = dag.scc_count
+    offsets, targets, w = dag.offsets.tolist(), dag.targets.tolist(), dag.weight.tolist()
+    sid = dag.scc_id
+    big = int(sid[np.flatnonzero(dag.weight[sid] == dag.weight.max())[0]])
+
+    downstream = [False] * k
+    downstream[big] = True
+    r_big = 0
+    for c in range(big, -1, -1):
+        if downstream[c]:
+            r_big += w[c]
+            for d in targets[offsets[c] : offsets[c + 1]]:
+                downstream[d] = True
+
+    alpha = [0] * k
+    omega = [0] * k
+    reduced = [0] * k  # omega over the components not downstream of big; 0 on those
+    reaches = [False] * k  # reaches big, or is big
+    for c in range(k):
+        if c == big:
+            alpha[c] = omega[c] = r_big
+            reaches[c] = True
+            continue
+        a = om = red = 0
+        reach = False
+        for d in targets[offsets[c] : offsets[c + 1]]:
+            if alpha[d] > a:
+                a = alpha[d]
+            om += omega[d]
+            red += reduced[d]
+            reach = reach or reaches[d]
+        alpha[c] = w[c] + a
+        if not downstream[c]:
+            reduced[c] = min(w[c] + red, n)
+        reaches[c] = reach
+        omega[c] = min(reduced[c] + r_big, n) if reach else min(w[c] + om, n)
+    return np.asarray(alpha, dtype=np.int64)[sid], np.asarray(omega, dtype=np.int64)[sid]
+
+
+def check_invariants(g, dag):
+    assert int(dag.weight.sum()) == g.n
+    assert dag.scc_count == 0 or dag.weight.min() > 0
+    assert len(dag.offsets) == dag.scc_count + 1
+    assert dag.offsets[0] == 0 and dag.offsets[-1] == len(dag.targets)
+    for c in range(dag.scc_count):
+        succ = dag.targets[dag.offsets[c] : dag.offsets[c + 1]].tolist()
+        # sinks first: every arc goes from a higher id to a lower one
+        assert all(d < c for d in succ)
+        assert len(succ) == len(set(succ))
 
 
 def plain_dp(dag, cap):
@@ -69,17 +163,10 @@ class TestComputeSccDag:
             assert np.array_equal(mutual, same_scc)
 
     def test_invariants_random(self):
-        for seed in range(5):
-            g = gnp(120, 0.02, seed, directed=True)
-            dag = compute_scc_dag(g)
-            assert int(dag.weight.sum()) == g.n
-            assert len(dag.offsets) == dag.scc_count + 1
-            assert dag.offsets[0] == 0 and dag.offsets[-1] == len(dag.targets)
-            for c in range(dag.scc_count):
-                succ = dag.targets[dag.offsets[c] : dag.offsets[c + 1]].tolist()
-                # sinks first: every arc goes from a higher id to a lower one
-                assert all(d < c for d in succ)
-                assert len(succ) == len(set(succ))
+        graphs = [gnp(120, 0.02, seed, directed=True) for seed in range(5)]
+        graphs += [digraph(arcs, n) for n, arcs in SHAPES.values()]
+        for g in graphs:
+            check_invariants(g, compute_scc_dag(g))
 
 
 class TestAlphaOmega:
@@ -184,7 +271,45 @@ class TestAlphaOmega:
             assert len(set(b.omega[members].tolist())) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=shaped_digraphs())
+@example(case=SHAPES["cycle"])
+@example(case=SHAPES["dag"])
+@example(case=SHAPES["whole-core"])
+@example(case=SHAPES["isolated"])
+@example(case=SHAPES["sink-and-source"])
+@example(case=SHAPES["tails"])
+def test_trim_and_rounds_match_the_oracle_and_the_sweep(case):
+    # the partition is the double-BFS oracle's, and the bounds are the
+    # one-component-at-a-time sweep's, bit for bit
+    n, arcs = case
+    g = digraph(arcs, n)
+    rev = digraph([(w, u) for u, w in arcs], n)
+    dag = compute_scc_dag(g)
+    check_invariants(g, dag)
+    for v in range(n):
+        mutual = (bfs(g, v)[0] >= 0) & (bfs(rev, v)[0] >= 0)
+        assert np.array_equal(mutual, dag.scc_id == dag.scc_id[v])
+    b = compute_alpha_omega(dag, g)
+    if n:
+        alpha, omega = sweep_reference(dag, g)
+        assert b.alpha.dtype == b.omega.dtype == np.int64
+        assert np.array_equal(b.alpha, alpha) and np.array_equal(b.omega, omega)
+    else:
+        assert b.alpha.shape == b.omega.shape == (0,)
+
+
 class TestReachabilityFor:
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_empty_and_arcless_digraphs(self, n):
+        # no arcs: every vertex reaches only itself; n = 0: empty bounds
+        g = digraph([], n)
+        for b in (compute_alpha_omega(compute_scc_dag(g), g), reachability_for(g)):
+            assert b.alpha.tolist() == b.omega.tolist() == [1] * n
+            assert b.exact.all()
+        u = from_edges(n, [], directed=False)
+        assert reachability_for(u).r.tolist() == [1] * n
+
     def test_undirected_disjoint_edges(self):
         g = from_edges(4, [(0, 1), (2, 3)], directed=False)
         b = reachability_for(g)
