@@ -22,17 +22,18 @@ the visit order's drop of the vertices never visited, the visit
 decision's, the boundary state the records hold (the gamma that the
 kernel and the screen write, and a completion's farness and r, read from
 its end row), the kernel's pull (the OR of the masks of the vertices
-started since the last step), its per-source count's 12-bit digits, its
-clear of a freed slot's seen bits and the growth of its level table, and
-the parallel run's: its warm-up, its fork only when its first claim at a
-positive threshold leaves visits, its multiprocessing import, shared
-memory and lock made only for a fork, the parent's move onto the shared
-state when it forks, no fork hook for a serial run, and the parent's
-watch on its workers while it waits on a lock. It also holds the
-reachability bounds': the SCC trim's sources in reverse peel order, its
-dedup of a round's sinks and its one side for a vertex with neither arc,
-and the dedup of the alpha/omega rounds' ready set. A later change that
-adds a cut, scheduling or bounds path adds its mutants.
+started since the last step), its per-source count's float64 past 2**24,
+its clear of a freed slot's seen bits and the growth of its level table,
+and the parallel run's: its warm-up, its fork only when its first claim
+at a positive threshold leaves visits, its mmap import, shared memory and
+lock made only for a fork, the parent's move onto the shared state when
+it forks, no fork hook for a serial run, a worker's nonzero exit code
+raised, a forked child's exit in place of a return, and the lock's
+exclusion. It also holds the reachability bounds': the SCC trim's
+sources in reverse peel order, its dedup of a round's sinks and its one
+side for a vertex with neither arc, and the dedup of the alpha/omega
+rounds' ready set. A later change that adds a cut, scheduling or bounds
+path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -78,6 +79,7 @@ WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
 NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
+EXCLUDES = "tests/test_engine.py::TestParallel::test_the_lock_excludes_other_processes"
 COUNT = "tests/test_engine.py::TestKernel::test_per_source_counts_every_bit_exactly"
 RAISED = ("tests/test_engine.py::TestParallel::"
           "test_a_decision_acts_on_a_threshold_another_worker_raised")
@@ -292,10 +294,10 @@ MUTANTS = (
         (KEYS,),
     ),
     Mutant(
-        "count: no digits once the weights reach 2**24",
+        "count: float32 even once the weights reach 2**24",
         ENGINE,
-        "digits = weights.sum() >= 2**24",
-        "digits = False",
+        "dtype = np.float32 if weights.sum() < 2**24 else np.float64",
+        "dtype = np.float32",
         (COUNT,),
     ),
     Mutant(
@@ -341,28 +343,27 @@ MUTANTS = (
         (f"{FORKS}[pa1000-2-0]",),
     ),
     Mutant(
-        "scheduler: import multiprocessing with the module",
+        "scheduler: import mmap with the module",
         ENGINE,
         "from __future__ import annotations\n",
-        "from __future__ import annotations\n\nimport multiprocessing\n",
+        "from __future__ import annotations\n\nimport mmap\n",
         (NO_LOCKS,),
     ),
     Mutant(
         "scheduler: share the state and make the lock before the warm-up",
         ENGINE,
         "    try:\n        counts[0] = _visit_all(",
-        "    if workers > 1:\n        import multiprocessing\n"
+        "    if workers > 1:\n        files.append(tempfile.TemporaryFile())\n"
         "        values, cursor, counts, *results = map(\n"
         "            _shared, (values, cursor, counts, *results))\n"
-        "        lock.lock = multiprocessing.get_context('fork').Lock()\n"
         "    try:\n        counts[0] = _visit_all(",
         (NO_LOCKS,),
     ),
     Mutant(
         "scheduler: the parent's loop keeps its private cursor and results after the fork",
         ENGINE,
-        "heap, cursor, results = spawn()",
-        "heap = spawn()[0]",
+        "heap, cursor, results, lock = spawn()",
+        "heap, _, _, lock = spawn()",
         (RAISED, f"{INDEPENDENT}[2]"),
     ),
     Mutant(
@@ -373,11 +374,25 @@ MUTANTS = (
         (NO_LOCKS,),
     ),
     Mutant(
-        "scheduler: the parent waits on a lock without looking at the workers",
+        "scheduler: a worker's nonzero exit ignored",
         ENGINE,
-        "not self.lock.acquire(timeout=_SLICE):\n            _check(self.procs)",
-        "not self.lock.acquire(timeout=_SLICE):\n            pass",
-        (f"{DEAD}[heap-lock]", f"{DEAD}[run-claim]"),
+        "if code:\n                raise RuntimeError(",
+        "if False:\n                raise RuntimeError(",
+        (f"{DEAD}[exception]", f"{DEAD}[heap-lock-sigkill]"),
+    ),
+    Mutant(
+        "fork: a child that returns into the caller after its work",
+        ENGINE,
+        "    finally:\n        os._exit(code)",
+        "    finally:\n        pass",
+        (NO_LOCKS,),
+    ),
+    Mutant(
+        "lock: LOCK_EX a no-op",
+        ENGINE,
+        "fcntl.lockf(self.file, fcntl.LOCK_EX)",
+        "pass",
+        (EXCLUDES,),
     ),
 )
 

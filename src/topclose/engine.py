@@ -17,8 +17,13 @@ threshold, as the paper's one-at-a-time pruned BFS would."""
 
 from __future__ import annotations
 
+import fcntl
+import os
+import signal
+import tempfile
 import time
-from contextlib import nullcontext
+import traceback
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -120,23 +125,20 @@ _BIT = np.left_shift(np.uint64(1), _SLOTS.astype(np.uint64))  # the mask bit of 
 def _per_source(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A (2, 64) int64 array: in [0, s] how many of ``masks`` have bit s
     set, and in [1, s] the sum of their ``weights``. Per chunk of _CHUNK // 8
-    masks, one float32 matmul of the rows [1; weights] with the masks' bits
-    (256 kB of float32), exact as every partial sum is an integer below
-    2**24. Weights that sum to 2**24 or more are taken in 12-bit digits,
-    [1; w & 4095; w >> 12], exact while they sum below 2**36 (a frontier's
-    degrees sum to at most 2m)."""
-    digits = weights.sum() >= 2**24
-    rows = np.ones((3 if digits else 2, len(masks)), np.float32)
-    rows[1:] = (weights & 4095, weights >> 12) if digits else weights
-    out = np.zeros((len(rows), BATCH), np.int64)
+    masks, one matmul of the rows [1; weights] with the masks' bits, exact
+    as every partial sum is an integer below the dtype's 2**p: float32 (p =
+    24, 256 kB per chunk) while the weights sum below 2**24, else float64
+    (p = 53; a frontier's degrees sum to at most 2m)."""
+    dtype = np.float32 if weights.sum() < 2**24 else np.float64
+    rows = np.ones((2, len(masks)), dtype)
+    rows[1] = weights
+    out = np.zeros((2, BATCH), np.int64)
     as_bytes = masks.astype("<u8", copy=False).view(np.uint8)
     step = _CHUNK // 8
     for a in range(0, len(masks), step):
         bits = np.unpackbits(as_bytes[8 * a : 8 * (a + step)], bitorder="little")
-        out += (rows[:, a : a + step] @ bits.reshape(-1, BATCH).astype(np.float32)).astype(np.int64)
-    if digits:
-        out[1] += out[2] << 12
-    return out[:2]
+        out += (rows[:, a : a + step] @ bits.reshape(-1, BATCH).astype(dtype)).astype(np.int64)
+    return out
 
 
 def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -503,8 +505,8 @@ class ThresholdHeap:
 
     Every closeness is >= 0, so the threshold, the k-th biggest value once k
     values are present and 0 before, is the minimum of the k values; it never
-    decreases. A ``buffer`` in shared memory and a ``lock`` let forked workers
-    push into one heap; reading the threshold takes no lock.
+    decreases. A ``buffer`` in shared memory and a ``lock`` (see _FileLock)
+    let forked workers push into one heap; reading the threshold takes no lock.
     """
 
     def __init__(self, k: int, buffer: np.ndarray | None = None, lock=None):
@@ -705,7 +707,7 @@ def _visit_all(
     the threshold is 0, which prunes nothing, it claims BATCH visits at a
     time, the next only once all before are decided. If its first claim at
     a positive threshold leaves visits to claim, it takes the shared heap,
-    cursor and results from spawn(), which forks the other workers, and
+    cursor, results and lock from spawn(), which forks the other workers, and
     goes on claiming beside them with the same kernel; else it finishes alone.
     """
     kernel = Kernel(g, bounds)
@@ -743,7 +745,7 @@ def _visit_all(
             ready = np.concatenate([ready, order[pos]])
             if spawn and x > 0:  # the first claim at a positive threshold
                 if more:  # it left visits for the others
-                    heap, cursor, results = spawn()
+                    heap, cursor, results, lock = spawn()
                 spawn = None
         if free and ready.size:
             kernel.start(ready[:free])
@@ -787,58 +789,63 @@ def _run(g, bounds, screen, order, k, workers, recorder=None):
     warms up alone while the threshold is 0 and calls spawn only if its
     first claim at a positive threshold leaves visits, so a run this
     process can finish alone forks none and its state stays ordinary
-    arrays. spawn copies the heap, the cursor, the results and the counts
-    into shared memory, makes the one lock that guards both heap pushes and
-    claims (they never nest) and forks; the workers share the graph and the
-    screen copy-on-write. A worker may read a stale (smaller) threshold,
-    which can only delay a cut, never cause a wrong one. This process takes
-    the lock through _Watched, then waits on the worker sentinels: a worker
-    that exits with a nonzero code, even one that dies holding the lock,
-    raises RuntimeError naming the code.
+    arrays. spawn makes the one lock that guards both heap pushes and
+    claims (they never nest), copies the heap, the cursor, the results and
+    the counts into shared memory and forks; the workers share the graph
+    and the screen copy-on-write. A worker may read a stale (smaller)
+    threshold, which can only delay a cut, never cause a wrong one. The
+    kernel releases the lock of a worker that dies holding it (see
+    _FileLock), so no process waits on a dead one: this process finishes
+    its own loop, then reaps every worker and raises RuntimeError naming
+    the first nonzero exit code (-N for a worker killed by signal N).
     """
     values, cursor, results = np.zeros(k + 1), np.zeros(1, np.int64), _results(g.n)
     counts = np.zeros((workers, len(COUNTERS)), np.int64)
-    procs = []
-    lock = _Watched(procs)
+    pids, files, reaped = [], ExitStack(), 0
 
-    def work(w: int) -> None:
-        heap = ThresholdHeap(k, values, lock.lock)
-        counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock.lock, results)
-
-    def spawn() -> tuple[ThresholdHeap, np.ndarray, list[np.ndarray]]:
+    def spawn() -> tuple[ThresholdHeap, np.ndarray, list[np.ndarray], _FileLock]:
         nonlocal values, cursor, results, counts
-        # multiprocessing costs about 700 kB of RSS, and a Lock imports
-        # multiprocessing.synchronize, about 5 ms in a fresh process
-        import multiprocessing
-
+        lock = _FileLock(files.enter_context(tempfile.TemporaryFile()))
         values, cursor, counts, *results = map(_shared, (values, cursor, counts, *results))
-        ctx = multiprocessing.get_context("fork")
-        lock.lock = ctx.Lock()
-        for w in range(1, workers):
-            p = ctx.Process(target=work, args=(w,))
-            p.start()
-            procs.append(p)
-        return ThresholdHeap(k, values, lock), cursor, results
+        heap = ThresholdHeap(k, values, lock)
+
+        def work(w: int) -> None:
+            counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results)
+
+        pids.extend(_fork(work, w) for w in range(1, workers))
+        return heap, cursor, results, lock
 
     try:
-        counts[0] = _visit_all(g, bounds, screen, order, ThresholdHeap(k, values, lock), cursor,
-                               lock, results, recorder, spawn if workers > 1 else None)
-        if procs:
-            from multiprocessing.connection import wait  # about 7 ms to import
-
-            running = {p.sentinel: p for p in procs}
-            while running:
-                for sentinel in wait(list(running)):
-                    running.pop(sentinel).join()
-                _check(procs)
-    except BaseException:
-        for p in procs:
-            p.terminate()  # the others may wait on a lock the dead one held
-        raise
+        counts[0] = _visit_all(g, bounds, screen, order, ThresholdHeap(k, values), cursor,
+                               nullcontext(), results, recorder, spawn if workers > 1 else None)
+        for pid in pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code:
+                raise RuntimeError(f"top_k worker (pid {pid}) exited with code {code}")
     finally:
-        for p in procs:
-            p.join()
-    return values.item(k), results, np.array(counts[: 1 + len(procs)])
+        for pid in pids[reaped:]:  # the run failed: the others are of no use
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        files.close()
+    return values.item(k), results, np.array(counts[: 1 + len(pids)])
+
+
+def _fork(work: Callable, *args) -> int:
+    """Fork a child that runs work(*args) and exits with code 0 if it
+    returns, else with 1 after printing the traceback; it never returns
+    into the caller's stack. Returns the child's pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        work(*args)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def _shared(a: np.ndarray) -> np.ndarray:
@@ -851,30 +858,18 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return out
 
 
-_SLICE = 0.05  # seconds: how long the parent of forked workers waits on a lock between checks
+class _FileLock:
+    """A POSIX record lock (fcntl.lockf) on ``file`` (an unlinked temporary
+    file), taken and released as a context manager. Each process holds it
+    on its own behalf, so a process forked after it is made takes it like
+    any other. The kernel releases it when its holder exits, however it
+    exits, so a process that dies holding it blocks no one."""
 
-
-class _Watched:
-    """A lock that the parent of forked workers takes in timed slices of
-    _SLICE. Between slices it checks the workers (see _check), so a worker
-    that dies holding the lock fails the run instead of hanging it. Until
-    ``lock`` is set, just before the fork, the parent is alone and taking
-    it does nothing."""
-
-    def __init__(self, procs: list):
-        self.lock, self.procs = None, procs
+    def __init__(self, file):
+        self.file = file
 
     def __enter__(self) -> None:
-        while self.lock is not None and not self.lock.acquire(timeout=_SLICE):
-            _check(self.procs)
+        fcntl.lockf(self.file, fcntl.LOCK_EX)
 
     def __exit__(self, *exc) -> None:
-        if self.lock is not None:
-            self.lock.release()
-
-
-def _check(procs: list) -> None:
-    """Raise RuntimeError naming the first worker that exited with a nonzero code."""
-    for p in procs:
-        if p.exitcode:  # None while it runs
-            raise RuntimeError(f"top_k worker (pid {p.pid}) exited with code {p.exitcode}")
+        fcntl.lockf(self.file, fcntl.LOCK_UN)

@@ -90,10 +90,13 @@ def from_edges(
     duplicate arcs are dropped, an undirected edge is stored both ways, and
     each vertex's targets come out sorted and deduplicated.
 
-    Raises ValueError naming n < 0, or the first pair with an endpoint outside [0, n).
+    Raises ValueError naming n < 0 or n > 2**31 (ids are stored as int32),
+    or the first pair with an endpoint outside [0, n).
     """
     if n < 0:
         raise ValueError(f"the vertex count n={n} is negative")
+    if n > 2**31:
+        raise ValueError(f"the vertex count n={n} exceeds 2**31: ids are stored as int32")
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:

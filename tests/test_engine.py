@@ -1,13 +1,12 @@
-import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from collections import Counter
 from contextlib import contextmanager
-from multiprocessing.context import ForkProcess
 from pathlib import Path
 
 import numpy as np
@@ -175,16 +174,23 @@ def run_script(code: str, timeout: float) -> subprocess.CompletedProcess:
     )
 
 
+def shared(*shape, dtype=np.int64):
+    """Zeros in memory that processes forked after this call share."""
+    return engine._shared(np.zeros(shape, dtype))
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The processes top_k forks, appended as each starts."""
-    started, real_start = [], ForkProcess.start
+    """The pids of the processes top_k forks, appended as each starts."""
+    started, real_fork = [], os.fork
 
-    def start(self):
-        started.append(self)
-        real_start(self)
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(ForkProcess, "start", start)
+    monkeypatch.setattr(os, "fork", fork)
     return started
 
 
@@ -193,22 +199,23 @@ def worker_claims_first(monkeypatch):
     """After each fork the parent waits until a forked worker has claimed,
     so a worker, not the parent, claims the visits after the parent's first
     claim at a positive threshold (the claim that decided to fork)."""
-    claimed = mp.get_context("fork").RawValue("i", 0)
-    parent, real_claim, real_start = os.getpid(), engine.Screen.claim, ForkProcess.start
+    claimed = shared(1)
+    parent, real_claim, real_fork = os.getpid(), engine.Screen.claim, os.fork
 
     def claim(self, order, i, x):
         if os.getpid() != parent:
-            claimed.value = 1
+            claimed[0] = 1
         return real_claim(self, order, i, x)
 
-    def start(self):
-        claimed.value = 0
-        real_start(self)
-        while not claimed.value:  # a new worker always claims once
+    def fork():
+        claimed[0] = 0
+        pid = real_fork()
+        while pid and not claimed[0]:  # a new worker always claims once
             time.sleep(0.001)
+        return pid
 
     monkeypatch.setattr(engine.Screen, "claim", claim)
-    monkeypatch.setattr(ForkProcess, "start", start)
+    monkeypatch.setattr(os, "fork", fork)
 
 
 @pytest.fixture
@@ -963,12 +970,10 @@ class TestParallel:
         # forked too early claims at 0. Held so, the parent has claimed the
         # path's centre but decided none of it, and the worker's first visits
         # (ids 129 on, more central than the warm-up's) complete.
-        shared = mp.get_context("fork").RawArray
-        log = np.frombuffer(shared("d", 2 * 1024)).reshape(2, -1)  # per claim: by the parent, x
-        count = np.frombuffer(shared("q", 3), dtype=np.int64)  # claims, worker pushes, at 0
+        log = shared(2, 1024, dtype=float)  # per claim: by the parent, x
+        count = shared(3)  # claims, worker pushes, at 0
         parent = os.getpid()
-        real_push, real_claim = ThresholdHeap.push, engine.Screen.claim
-        real_start = ForkProcess.start
+        real_push, real_claim, real_fork = ThresholdHeap.push, engine.Screen.claim, os.fork
 
         def push(self, value):
             if os.getpid() != parent:
@@ -981,14 +986,15 @@ class TestParallel:
             count[0] += 1
             return real_claim(self, order, i, x)
 
-        def start(self):
-            real_start(self)
-            while not count[1]:
+        def fork():
+            pid = real_fork()
+            while pid and not count[1]:
                 time.sleep(0.001)
+            return pid
 
         monkeypatch.setattr(ThresholdHeap, "push", push)
         monkeypatch.setattr(engine.Screen, "claim", claim)
-        monkeypatch.setattr(ForkProcess, "start", start)
+        monkeypatch.setattr(os, "fork", fork)
         with time_limit(120):
             _, stats = top_k(path_graph(200), 3, workers=2)
         by_parent, x = log[:, : count[0]]
@@ -1039,7 +1045,7 @@ class TestParallel:
         decision must then act on the risen threshold, and the run stays
         exact. The parent is held after the fork until the worker has
         claimed, so both decide visits after the warm-up."""
-        rose = np.frombuffer(mp.get_context("fork").RawArray("q", 1), dtype=np.int64)
+        rose = shared(1)
         real = engine.decide
         last = [INF]  # this process's threshold after its last decision
 
@@ -1067,12 +1073,11 @@ class TestParallel:
         assert rose[0] > 0
 
     def test_a_run_that_forks_none_makes_no_locks(self):
-        # multiprocessing costs about 700 kB of RSS, a lock imports
-        # multiprocessing.synchronize, and the wait on the workers
-        # multiprocessing.connection: about 12 ms in a fresh process, which
         # the import, a serial run and a run that its parent finishes alone
-        # do not pay; nor do they import mmap or map shared memory. The path
-        # forks at 2 workers, not at 1
+        # import no mmap and map no shared memory; the path forks at 2
+        # workers, not at 1. No run imports multiprocessing (about 700 kB of
+        # RSS), and the forked worker prints nothing: it never returns into
+        # the script, so the parent's unflushed lines are not written twice
         code = textwrap.dedent(
             """
             import sys
@@ -1092,11 +1097,15 @@ class TestParallel:
             _, stats = top_k(path_graph(200), 3)
             print(len(stats.per_process))
             print(imported())
+            _, stats = top_k(path_graph(200), 3, workers=2)
+            print(len(stats.per_process))
+            print(imported())
             """
         )
         proc = run_script(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:6] == ["[]", "[]", "1", "[]", "1", "[]"]
+        expected = ["[]", "[]", "1", "[]", "1", "[]", "2", "['mmap']", ""]
+        assert proc.stdout.split("\n") == expected
 
     def test_rejects_bad_workers(self):
         for workers in (0, -2):
@@ -1144,9 +1153,39 @@ class TestParallel:
                     ), (workers, name)
                 assert stats.screened > 0, workers
 
+    def test_the_lock_excludes_other_processes(self):
+        # a forked child waits for the lock the parent holds, so it reads
+        # what the parent wrote just before letting go
+        flag = shared(2)  # the child has started; the parent's write
+        with tempfile.TemporaryFile() as file:
+            lock = engine._FileLock(file)
+
+            def child():
+                flag[0] = 1
+                with lock:
+                    if flag[1] != 7:
+                        raise AssertionError("the child took the lock the parent held")
+
+            with lock:
+                pid = engine._fork(child)
+                with time_limit(60):
+                    while not flag[0]:
+                        time.sleep(0.001)
+                time.sleep(0.05)  # the child is now waiting for the lock
+                flag[1] = 7
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    def test_a_lock_file_that_cannot_be_made_fails_the_run(self, tmp_path, forks, monkeypatch):
+        # the lock's file is made only to fork, before any worker starts
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        top_k(path_graph(200), 3)
+        with pytest.raises(OSError):
+            top_k(path_graph(200), 3, workers=2)
+        assert forks == []
+
     # a worker that dies must fail the run, not hang it: mid-visit, while
-    # holding the one lock the parent then waits on (in a heap push, or
-    # claiming a run), or by raising an exception
+    # holding the one lock (in a heap push, or claiming a run; also when
+    # SIGKILL ends it there), or by raising an exception
     DYING = {
         "visit": (3, """
             real = engine.decide
@@ -1163,8 +1202,19 @@ class TestParallel:
 
             def dying(self, value):
                 if os.getpid() != parent and value > 0:
-                    self._lock.acquire()
+                    self._lock.__enter__()
                     os._exit(3)
+                real(self, value)
+
+            engine.ThresholdHeap.push = dying
+            """),
+        "heap-lock-sigkill": (-9, """
+            real = engine.ThresholdHeap.push
+
+            def dying(self, value):
+                if os.getpid() != parent and value > 0:
+                    self._lock.__enter__()
+                    os.kill(os.getpid(), signal.SIGKILL)
                 real(self, value)
 
             engine.ThresholdHeap.push = dying
@@ -1197,7 +1247,7 @@ class TestParallel:
         code = textwrap.dedent(
             """
             import os
-            from multiprocessing.context import ForkProcess
+            import signal
             from topclose import engine
             from topclose.generators import path_graph
 
@@ -1205,18 +1255,21 @@ class TestParallel:
             """
         ) + textwrap.dedent(patch) + textwrap.dedent(
             """
-            # after the fork the parent waits until the worker has exited: the
-            # parent runs the first batch and claims the second, which holds
-            # the path's centre; the worker claims the third, in which visits
-            # more central than the first batch's complete, and reaches its
-            # dying point before the parent decides any of the second
-            real_start = ForkProcess.start
+            # after the fork the parent waits until the worker has exited,
+            # leaving it to the engine to reap: the parent runs the first
+            # batch and claims the second, which holds the path's centre; the
+            # worker claims the third, in which visits more central than the
+            # first batch's complete, and reaches its dying point before the
+            # parent decides any of the second
+            real_fork = os.fork
 
-            def start(self):
-                real_start(self)
-                self.join()
+            def fork():
+                pid = real_fork()
+                if pid:
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                return pid
 
-            ForkProcess.start = start
+            os.fork = fork
             try:
                 engine.top_k(path_graph(200), 3, workers=2)
             except RuntimeError as exc:

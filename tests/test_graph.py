@@ -355,6 +355,11 @@ class TestEndpointValidation:
         with pytest.raises(ValueError, match=r"n=-1 is negative"):
             from_edges(-1, [], directed=False)
 
+    def test_vertex_count_past_the_int32_ids(self):
+        # only the rejected side: a graph at the limit needs 16 GB of offsets
+        with pytest.raises(ValueError, match=r"n=2147483649 exceeds 2\*\*31"):
+            from_edges(2**31 + 1, [], directed=True)
+
     def test_id_equal_to_n(self):
         with pytest.raises(ValueError, match=r"edge 1 \(2, 3\)"):
             from_edges(3, [(0, 1), (2, 3)], directed=True)
