@@ -6,7 +6,6 @@ import pytest
 
 from topclose import oracle
 from topclose.cli import _multisets_match, main
-from topclose.report import RunReport
 
 
 @pytest.fixture
@@ -124,7 +123,7 @@ class TestOracleAndCompare:
         report = json.loads(capsys.readouterr().out)
         assert [e["closeness"] for e in report["results"]] == pytest.approx([2 / 3] * 3)
 
-    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    @pytest.mark.parametrize("command", ["oracle", "compare", "topk --check"])
     def test_one_oracle_pass(self, command, cycle3, capsys, monkeypatch):
         calls = []
         real = oracle.exact_closeness_all
@@ -134,7 +133,7 @@ class TestOracleAndCompare:
             return real(g)
 
         monkeypatch.setattr(oracle, "exact_closeness_all", counting)
-        assert main([command, "--input", cycle3, "--directed", "-k", "2"]) == 0
+        assert main([*command.split(), "--input", cycle3, "--directed", "-k", "2"]) == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["oracle", "compare"])
@@ -223,74 +222,29 @@ class TestGenCommand:
 
 
 class TestReportRoundTrip:
-    def test_json_round_trip(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        text = capsys.readouterr().out
-        report = RunReport.from_json(text)
-        assert RunReport.from_json(report.to_json()) == report
-        assert report.k == 3
-        assert report.stats is not None
-
-    def test_report_with_arcs_scanned_loads(self, path3, capsys):
-        # reports written before arcs_scanned was dropped still load
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        assert "arcs_scanned" not in raw["stats"]
-        raw["stats"]["arcs_scanned"] = raw["stats"]["m_vis"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert not hasattr(report.stats, "arcs_scanned")
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_arcs_gathered_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        del raw["stats"]["arcs_gathered"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.arcs_gathered == 0
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_kernel_levels_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        assert raw["stats"]["kernel_levels"] > 0
-        del raw["stats"]["kernel_levels"], raw["stats"]["source_levels"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert (report.stats.kernel_levels, report.stats.source_levels) == (0, 0)
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_dense_levels_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        assert "dense_levels" in raw["stats"]
-        del raw["stats"]["dense_levels"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.dense_levels == 0
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_screened_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        del raw["stats"]["screened"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.screened == 0
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_load_seconds_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        del raw["stats"]["load_seconds"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.load_seconds == 0.0
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
-
-    def test_report_without_per_process_loads(self, path3, capsys):
-        main(["topk", "--input", path3, "--undirected", "-k", "3", "--stats"])
-        raw = json.loads(capsys.readouterr().out)
-        assert len(raw["stats"]["per_process"]) == 1  # a serial run: one row
-        del raw["stats"]["per_process"]
-        report = RunReport.from_json(json.dumps(raw))
-        assert report.stats.per_process == ()
-        assert report.stats.m_vis == raw["stats"]["m_vis"]
+    def test_report_keys_in_order(self, path3, capsys):
+        # the JSON schema: every key the reports carry, in the order they print
+        input_keys = ["path", "n", "m", "directed"]
+        top = ["input", "k", "workers", "results", "stats"]
+        entry = ["rank", "vertex", "label", "closeness", "farness", "reachable"]
+        counters = ["m_vis", "screened", "arcs_gathered", "kernel_levels", "source_levels",
+                    "dense_levels"]
+        stats = ["m_vis", "m_tot", "improvement_factor", "performance_ratio",
+                 "preprocessing_seconds", "total_seconds", *counters[1:], "load_seconds",
+                 "per_process"]
+        # a serial run has one per-process row; the oracle's stats have none
+        for command, rows in (("topk", [counters]), ("oracle", [])):
+            main([command, "--input", path3, "--undirected", "-k", "3", "--stats"])
+            report = json.loads(capsys.readouterr().out)
+            assert list(report) == top, command
+            assert list(report["input"]) == input_keys, command
+            assert list(report["results"][0]) == entry, command
+            assert list(report["stats"]) == stats, command
+            assert [list(row) for row in report["stats"]["per_process"]] == rows, command
+        main(["compare", "--input", path3, "--undirected", "-k", "3"])
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "engine", "oracle", "improvement_factor", "performance_ratio", "verdict"
+        ]
 
     def test_per_process_rows_sum_to_the_totals(self, tmp_path, capsys):
         p = tmp_path / "path200.txt"

@@ -1040,36 +1040,55 @@ class TestParallel:
         self, ranked, worker_claims_first, monkeypatch
     ):
         """A worker reads the threshold once per decide call, not once per
-        boundary, which can delay a cut but never make a wrong one. A pause
-        after each decision lets the other worker push; the worker's next
-        decision must then act on the risen threshold, and the run stays
-        exact. The parent is held after the fork until the worker has
-        claimed, so both decide visits after the warm-up."""
-        rose = shared(1)
-        real = engine.decide
+        boundary, which can delay a cut but never make a wrong one. The
+        parent is held after the fork until the worker has claimed; the
+        worker's kernel then waits until the parent has decided a visit that
+        raises the threshold it forked at, so the worker's first decision
+        acts on a threshold the parent raised, and the run stays exact.
+
+        The wait makes the raise certain: the worker pushes nothing while it
+        waits, so the parent decides alone. On the 16 x 16 grid with k = 1
+        the warm-up's 64 visits cover the top rows of the inner vertices,
+        and the claim that forks takes the next 64, with the centre, whose
+        closeness beats all before it; the worker's claim starts after it.
+        The wait gives up after 5 s, so a run that never raises fails the
+        last assert rather than hanging."""
+        rose, raised = shared(1), shared(1, dtype=np.float64)
+        parent, real, real_step = os.getpid(), engine.decide, engine.Kernel.step
         last = [INF]  # this process's threshold after its last decision
+        forked_at = [0.0]  # in a forked worker: the parent's threshold at the fork
 
         def watched(g, heap, x, *args):
-            rose[0] += x > last[0]  # only another worker pushed since
+            # only another worker pushed since; written only then, as an
+            # unlocked write of the old count could undo the other process's
+            if x > last[0]:
+                rose[0] += 1
             out = real(g, heap, x, *args)
             last[0] = heap.threshold
-            time.sleep(0.0005)
+            if os.getpid() == parent:
+                forked_at[0] = raised[0] = last[0]
             return out
 
+        def held(self, x):
+            deadline = time.monotonic() + 5
+            while os.getpid() != parent and raised[0] == forked_at[0] and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            return real_step(self, x)
+
         monkeypatch.setattr(engine, "decide", watched)
-        for side in range(12, 17):  # a push lands mid-pause on almost every try
-            g = grid(side)
-            table, _ = exact_closeness_all(g)
-            with time_limit(120):
-                res, stats = top_k(g, 1, workers=2)
-            done = stats.completed
-            assert np.all(done | (stats.cut_level >= 0)), side
-            for name in ("closeness", "farness", "reachable"):
-                assert np.array_equal(ranked[name][done], getattr(table, name)[done]), name
-            assert stats.final_threshold == res.entries[0].closeness == table.closeness.max()
-            assert (table.closeness[~done] <= stats.final_threshold).all(), side
-            if rose[0]:
-                break
+        monkeypatch.setattr(engine.Kernel, "step", held)
+        g = grid(16)
+        table, _ = exact_closeness_all(g)
+        with time_limit(120):
+            res, stats = top_k(g, 1, workers=2)
+        done = stats.completed
+        assert np.all(done | (stats.cut_level >= 0))
+        for name in ("closeness", "farness", "reachable"):
+            assert np.array_equal(ranked[name][done], getattr(table, name)[done]), name
+        assert stats.final_threshold == res.entries[0].closeness == table.closeness.max()
+        assert (table.closeness[~done] <= stats.final_threshold).all()
         assert rose[0] > 0
 
     def test_a_run_that_forks_none_makes_no_locks(self):

@@ -82,13 +82,13 @@ class TestMetrics:
     def test_performance_ratio(self):
         g = cycle_graph(10, directed=True)  # m * n = 100
         info = self.report_stats(g, RunStats(m_vis=50, m_tot=100))
-        assert info.performance_ratio == 0.5
-        assert info.improvement_factor == 0.5
+        assert info["performance_ratio"] == 0.5
+        assert info["improvement_factor"] == 0.5
 
     def test_zero_denominators_marked_undefined(self):
         assert RunStats(m_vis=0, m_tot=0).improvement_factor is None
         assert RunStats(m_vis=0, m_tot=None).improvement_factor is None
         g = from_edges(5, [], directed=False)  # m * n = 0
         info = self.report_stats(g, RunStats(m_vis=0, m_tot=0))
-        assert info.improvement_factor is None
-        assert info.performance_ratio is None
+        assert info["improvement_factor"] is None
+        assert info["performance_ratio"] is None
