@@ -19,21 +19,22 @@ seen, the 2**53 guard's scalar test and per-entry mask, the integer
 fallback for the keys past it and the +inf of a degenerate bound), the
 cut test key <= x in the kernel and in the decision, the screen's claim,
 the visit order's drop of the vertices never visited, the visit
-decision's, the boundary state the records hold (the gamma that the
-kernel and the screen write, and a completion's farness and r, read from
-its end row), the kernel's pull (the OR of the masks of the vertices
-started since the last step), its per-source count's float64 past 2**24,
-its clear of a freed slot's seen bits and the growth of its level table,
-and the parallel run's: its warm-up, its fork only when its first claim
-at a positive threshold leaves visits, its mmap import, shared memory and
-lock made only for a fork, the parent's move onto the shared state when
-it forks, no fork hook for a serial run, a worker's nonzero exit code
-raised, a forked child's exit in place of a return, and the lock's
-exclusion. It also holds the reachability bounds': the SCC trim's
-sources in reverse peel order, its dedup of a round's sinks and its one
-side for a vertex with neither arc, and the dedup of the alpha/omega
-rounds' ready set. A later change that adds a cut, scheduling or bounds
-path adds its mutants.
+decision's (with the row log's offsets of the visits that left the
+kernel and its test for the first claim still running), the boundary
+state the records hold (the gamma that the kernel and the screen write,
+and a completion's farness and r, read from its end row), the kernel's
+pull (the OR of the masks of the vertices started since the last step),
+its per-source count's float64 past 2**24, its clear of a freed slot's
+seen bits and the growth of its level table, and the parallel run's: its
+warm-up, its fork only when its first claim at a positive threshold
+leaves visits, its mmap import, shared memory and lock made only for a
+fork, the parent's move onto the shared state when it forks, no fork
+hook for a serial run, a worker's nonzero exit code raised, a forked
+child's exit in place of a return, and the lock's exclusion. It also
+holds the reachability bounds': the SCC trim's sources in reverse peel
+order, its dedup of a round's sinks and its one side for a vertex with
+neither arc, and the dedup of the alpha/omega rounds' ready set. A later
+change that adds a cut, scheduling or bounds path adds its mutants.
 
 Usage: python scripts/mutants.py
 """
@@ -75,6 +76,7 @@ AGREE = "tests/test_engine.py::TestKernel::test_pull_and_push_agree[8192]"
 GATHERED = "tests/test_engine.py::TestKernel::test_arcs_gathered_counts_the_kernel_gathers"
 LADDER = "tests/test_engine.py::TestBfsCut::test_frontiers_hold_no_repeats[ladder]"
 UNSCREENED = "tests/test_engine.py::TestTopK::test_screen_matches_the_visit_loop_without_it"
+SPANS = "tests/test_engine.py::TestTopK::test_spans_cut_short_match_the_reference[3]"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
@@ -149,9 +151,23 @@ MUTANTS = (
     Mutant(
         "decision: at the threshold read before the last decide, not the live one",
         ENGINE,
-        "claimed = claimed[took:]\n            x = heap.threshold",
-        "claimed = claimed[took:]",
+        "claimed, stop = claimed[took:], stop - took\n                x = heap.threshold",
+        "claimed, stop = claimed[took:], stop - took",
         (HUB,),
+    ),
+    Mutant(
+        "row log: a left visit's rows read one offset off",
+        ENGINE,
+        "self.end[rec.vs], self.depth[rec.vs] = a + rec.depth.cumsum(), rec.depth",
+        "self.end[rec.vs], self.depth[rec.vs] = a + 1 + rec.depth.cumsum(), rec.depth",
+        (HUB, SPANS),
+    ),
+    Mutant(
+        "decision: take the claims up to the first still running even while the first runs",
+        ENGINE,
+        "if claimed.size and log.depth[claimed[0]]:",
+        "if claimed.size:",
+        (HUB, SPANS),
     ),
     Mutant(
         "decision: go on after a push that raises the threshold",
@@ -163,8 +179,8 @@ MUTANTS = (
     Mutant(
         "screen: claim at threshold 0, not the live one",
         ENGINE,
-        "self._settled(window, x)",
-        "self._settled(window, 0.0)",
+        "self.keys[1][window]) <= x",
+        "self.keys[1][window]) <= 0.0",
         (HUB,),
     ),
     Mutant(
@@ -177,8 +193,8 @@ MUTANTS = (
     Mutant(
         "decision: < for <= against the threshold",
         ENGINE,
-        "ends = ~more | (rec.keys <= x)",
-        "ends = ~more | (rec.keys < x)",
+        "~more | (rec.keys <= x)",
+        "~more | (rec.keys < x)",
         (REPLAY,),
     ),
     Mutant(

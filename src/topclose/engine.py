@@ -205,24 +205,20 @@ class Kernel:
         self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
         self.started = 0  # the frontier's last entries: the vertices started since the last step
         self.source = np.full(BATCH, -1)  # per slot: the visit's source; -1 where free
-        self.d = np.zeros(BATCH, np.int64)  # its level, from its own start
-        self.f = np.zeros(BATCH, np.int64)
-        self.nd = np.zeros(BATCH, np.int64)
+        self.d, self.f, self.nd = np.zeros((3, BATCH), np.int64)  # its level d, f_d and n_d
         # a free slot keeps valid bounds, so that its (unused) key raises nothing
         self.alpha, self.omega = np.full(BATCH, 2), np.full(BATCH, 2)
         self.ints = np.empty((5, BATCH, 16), np.int64)  # [:, slot, d]: see Records
         self.keys = np.empty((BATCH, 16))  # [slot, d]; both double in d as visits deepen
         self.gathered = self.levels = self.source_levels = 0  # levels: steps so far
         self.dense_levels = 0  # the steps that pulled
-
-    @property
-    def free(self) -> int:
-        return int(np.count_nonzero(self.source < 0))
+        self.free = BATCH  # the slots with no visit
 
     def start(self, vs: np.ndarray) -> None:
         """Give each vertex of vs (distinct, none running, at most ``free``)
         a free slot and a visit that begins at the next step."""
-        slots = np.flatnonzero(self.source < 0)[: len(vs)]
+        slots = (self.source < 0).nonzero()[0][: len(vs)]
+        self.free -= len(vs)
         b, bits = self.bounds, _BIT[slots]
         self.source[slots] = vs
         self.f[slots] = self.nd[slots] = 0
@@ -296,12 +292,14 @@ class Kernel:
         gone = live & ((_word(masks) & _BIT) == 0)
         if not np.count_nonzero(gone):
             return None
-        depth = d[gone]
-        first = np.repeat(np.cumsum(depth) - depth, depth)
-        slots, level = np.repeat(_SLOTS[gone], depth), np.arange(len(first)) - first
-        rec = Records(self.source[gone], depth, self.ints[:, slots, level], self.keys[slots, level])
+        depth, levels = d[gone], self.keys.shape[1]
+        total = depth.cumsum()  # the leaving visits' rows, at (slot, d) in the flattened tables
+        rows = (_SLOTS[gone] * levels + depth - total).repeat(depth) + np.arange(total[-1])
+        ints, keys = self.ints.reshape(5, -1).take(rows, axis=1), self.keys.reshape(-1).take(rows)
+        rec = Records(self.source[gone], depth, ints, keys)
         self.source[gone] = -1
         self.d[gone] = 0
+        self.free += len(depth)
         self.seen &= ~_word(_BIT[gone])
         return rec
 
@@ -368,17 +366,16 @@ def decide(
     closeness, farness, reachable, cut_level = results
     vs, depth, ints = rec.vs, rec.depth, rec.ints
     more = ints[4] != 0
-    ends = ~more | (rec.keys <= x)
-    # each visit's end: its first row past the ends of the visits before it
-    before = np.zeros(len(ends) + 1, np.int64)
-    np.cumsum(ends, out=before[1:])
-    first = np.cumsum(depth) - depth
-    at = np.append(np.flatnonzero(ends), len(ends))[before[first]]
-    outran = at >= first + depth
-    if outran.any():
+    # the rows that end a visit, and a sentinel past the last row
+    ends = np.concatenate((~more | (rec.keys <= x), [True])).nonzero()[0]
+    last = depth.cumsum()  # just past each visit's rows
+    first = last - depth
+    at = ends[ends.searchsorted(first)]  # each visit's end: its first row that ends it
+    outran = at >= last
+    if np.count_nonzero(outran):
         raise RuntimeError(f"the visit from {vs[outran.argmax()]} outran its reachability bounds")
     level, took = at - first, len(vs)
-    done = np.flatnonzero(~more[at])
+    done = (~more[at]).nonzero()[0]
     # f_d at a completion's end is its farness, and n_d its r
     for i, far, r in zip(done.tolist(), *ints[:2, at[done]].tolist()):
         v = int(vs[i])
@@ -389,8 +386,8 @@ def decide(
             took = i + 1
             break
     cut_level[vs[:took]] = level[:took]
-    end = int(first[took - 1] + depth[took - 1])  # just past the decided visits' rows
-    upto = np.arange(end) <= np.repeat(at[:took], depth[:took])
+    end = int(last[took - 1])  # just past the decided visits' rows
+    upto = np.arange(end) <= at[:took].repeat(depth[:took])
     if recorder is not None:
         d = np.arange(end) - np.repeat(first[:took], depth[:took])  # the row's level
         per_row = (np.repeat(vs[:took], depth[:took]), d, *ints[:3, :end])
@@ -464,11 +461,6 @@ class Screen:
         keys[1, vs] = cut_keys(1, d, 1 + d, gamma1[vs], omega, omega, n)
         return cls(deg, s1, gamma1, keys, ends)
 
-    def _settled(self, vs, x: float):
-        """Whether the visits from vs are cut at boundary 0 or 1: a cut at
-        either is a cut at the smaller key."""
-        return np.minimum(self.keys[0][vs], self.keys[1][vs]) <= x
-
     def claim(self, order: np.ndarray, i: int, x: float) -> tuple[np.ndarray, int]:
         """The positions >= i in ``order`` (the visited vertices, see
         top_k) of the first BATCH visits that need the kernel at threshold x
@@ -479,7 +471,9 @@ class Screen:
         found, got, width = [], 0, BATCH
         while i < end and got < BATCH:
             window = order[i : i + width]
-            pos = np.flatnonzero(~(self._settled(window, x) | self.ends[window]))[: BATCH - got]
+            # a cut at boundary 0 or 1 is a cut at the smaller key
+            cut = np.minimum(self.keys[0][window], self.keys[1][window]) <= x
+            pos = (~(cut | self.ends[window])).nonzero()[0][: BATCH - got]
             found.append(pos + i)
             got += len(pos)
             i += width
@@ -679,29 +673,24 @@ def _results(n: int) -> tuple[np.ndarray, ...]:
     return np.zeros(n), np.zeros(n, np.int64), np.ones(n, np.int64), np.full(n, -1, np.int64)
 
 
-# a claimed, undecided visit: its source, and whether it went to the kernel
-_CLAIMED = np.dtype([("v", np.int64), ("kernel", bool)])
-
-
 def _visit_all(
     g, bounds, screen, order, heap, cursor, lock, results, recorder=None, spawn=None
 ) -> tuple[int, ...]:
     """The main loop: one Kernel kept full from a stream of claims, and the
     claimed visits decided in processing order.
 
-    Between kernel steps decide settles the claimed visits up to the first
-    one still in the kernel, each from the screen's rows or, once it has left
-    the kernel, from its own. A visit claimed for the kernel stays there
-    until the kernel's own cut test, at the live threshold, retires it. Then
-    every free slot takes the next claimed kernel visit; when those run
-    short, it claims, under one hold of ``lock``, the span from ``cursor[0]``
-    up to and including the next BATCH visits the kernel needs at the live
-    threshold. The kernel reads the live threshold at every step and decide
-    later reads one no lower, so a record holds every boundary that a
-    one-at-a-time visit evaluates.
-
-    Returns the COUNTERS (see RunStats) of the visits decided here, once the
-    cursor has passed the end and all are decided.
+    A visit claimed for the kernel stays there until the kernel's own cut
+    test, at the live threshold, retires it; its rows then go to one
+    _RowLog. Between kernel steps decide settles the claimed visits up to
+    the first one still in the kernel (one vector test and an argmax), a
+    span at a time, from one gather of their rows. Every free slot takes
+    the next claimed kernel visit; when those run short, it claims, under
+    one hold of ``lock``, the span from ``cursor[0]`` up to and including
+    the next BATCH visits the kernel needs at the live threshold. The
+    kernel reads the live threshold at every step and decide later reads
+    one no lower, so a record holds every boundary that a one-at-a-time
+    visit evaluates. Returns the COUNTERS (see RunStats) of the visits
+    decided here, once the cursor has passed the end and all are decided.
 
     With ``spawn`` (the parent of a parallel run) it warms up first: while
     the threshold is 0, which prunes nothing, it claims BATCH visits at a
@@ -710,72 +699,82 @@ def _visit_all(
     cursor, results and lock from spawn(), which forks the other workers, and
     goes on claiming beside them with the same kernel; else it finishes alone.
     """
-    kernel = Kernel(g, bounds)
-    claimed = np.zeros(0, _CLAIMED)  # in processing order
-    left = {}  # vertex -> (record, a, b): the rows a:b of a visit that left the kernel
+    kernel, log = Kernel(g, bounds), _RowLog(g.n)
+    claimed = np.zeros(0, np.int64)  # the claimed, undecided visits, in processing order
     ready = np.zeros(0, np.int64)  # claimed kernel visits waiting for a free slot
-    m_vis = screened = 0
-    more = True
+    m_vis, screened, more = 0, 0, True
     while True:
         x = heap.threshold
-        while claimed.size and (not claimed["kernel"][0] or claimed["v"][0] in left):
-            sent = np.flatnonzero(claimed["kernel"])
-            running = np.array([v not in left for v in claimed["v"][sent].tolist()], dtype=bool)
-            stop = min(sent[running.argmax()] if running.any() else len(claimed), _SPAN)
-            span = claimed[:stop]
-            rec = _records(span, left, screen)
-            took, arcs = decide(g, heap, x, results, rec, recorder)
-            for v in span["v"][:took][span["kernel"][:took]].tolist():
-                del left[v]
-            screened += took - int(np.count_nonzero(span["kernel"][:took]))
-            m_vis += arcs
-            claimed = claimed[took:]
-            x = heap.threshold
-        free = kernel.free
-        if free > ready.size and more and not (spawn and claimed.size and x == 0):
+        if claimed.size and log.depth[claimed[0]]:  # the first claim is screened or left the kernel
+            # the first one still running; argmax is 0 only where none is
+            stop = int((log.depth[claimed] == 0).argmax()) or claimed.size
+            while stop:
+                span = claimed[: min(stop, _SPAN)]
+                took, arcs = decide(g, heap, x, results, log.records(span, screen), recorder)
+                m_vis += arcs
+                claimed, stop = claimed[took:], stop - took
+                x = heap.threshold
+        if kernel.free > ready.size and more and not (spawn and claimed.size and x == 0):
             with lock:
                 i, x = int(cursor[0]), heap.threshold
                 pos, stop = screen.claim(order, i, x)
                 cursor[0] = stop
-            more = stop < len(order)
-            span = np.empty(stop - i, _CLAIMED)
-            span["v"], span["kernel"] = order[i:stop], False
-            span["kernel"][pos - i] = True
-            claimed = np.concatenate([claimed, span])
+            more, screened = stop < len(order), screened + stop - i - len(pos)
+            log.depth[order[i:stop]] = 2  # a screened visit's rows 0 and 1,
+            log.depth[order[pos]] = 0  # and none yet for a kernel visit, which runs
+            claimed = np.concatenate([claimed, order[i:stop]])
             ready = np.concatenate([ready, order[pos]])
             if spawn and x > 0:  # the first claim at a positive threshold
                 if more:  # it left visits for the others
                     heap, cursor, results, lock = spawn()
                 spawn = None
-        if free and ready.size:
-            kernel.start(ready[:free])
-            ready = ready[free:]
+        if kernel.free and ready.size:
+            started, ready = ready[: kernel.free], ready[kernel.free :]
+            kernel.start(started)
         if kernel.free < BATCH:
             rec = kernel.step(heap.threshold)
             if rec is not None:
-                z = np.cumsum(rec.depth).tolist()
-                left.update((v, (rec, a, b)) for v, a, b in zip(rec.vs.tolist(), [0] + z, z))
+                log.append(rec, claimed)
         elif not (claimed.size or more):
             work = kernel.gathered, kernel.levels, kernel.source_levels, kernel.dense_levels
             return m_vis, screened, *work
 
 
-def _records(span: np.ndarray, left: dict, screen: Screen) -> Records:
-    """The records of claimed visits: their own once they left the kernel,
-    else rows 0 and 1, which the screen writes."""
-    vs, kernel = span["v"], span["kernel"]
-    sent = np.flatnonzero(kernel)
-    depth = np.full(len(span), 2)
-    runs = [left[v] for v in vs[sent].tolist()]
-    depth[sent] = [b - a for _, a, b in runs]
-    end = np.cumsum(depth)
-    first = end - depth
-    ints, keys = np.empty((5, end[-1]), np.int64), np.empty(end[-1])
-    if len(sent) < len(span):  # on a deep graph every visit may go to the kernel
-        screen.rows(vs[~kernel], first[~kernel], ints, keys)
-    for p, (rec, a, b) in zip(first[sent].tolist(), runs):
-        ints[:, p : p + b - a], keys[p : p + b - a] = rec.ints[:, a:b], rec.keys[a:b]
-    return Records(vs, depth, ints, keys)
+class _RowLog:
+    """The rows (see Records) of the visits that left the kernel and are
+    not yet decided, and where each claimed visit's rows lie: depth[v] rows
+    up to just before end[v]. Depth is 0 while the visit runs; a screened
+    one has end 0 and depth 2, and the screen writes its rows."""
+
+    def __init__(self, n: int):
+        self.end, self.depth = np.zeros((2, n), np.int64)
+        self.ints, self.keys, self.used = np.empty((5, 1024), np.int64), np.empty(1024), 0
+
+    def append(self, rec: Records, claimed: np.ndarray) -> None:
+        """Add the rows of rec's visits. A full log first keeps only the
+        rows of the visits that left and are still ``claimed`` (undecided),
+        and doubles if they would fill more than half of it."""
+        if self.used + len(rec.keys) > len(self.keys):
+            kept = self.records(claimed[(self.end[claimed] > 0) & (self.depth[claimed] > 0)])
+            size = max(len(self.keys), 2 * (len(kept.keys) + len(rec.keys)))
+            self.ints, self.keys, self.used = np.empty((5, size), np.int64), np.empty(size), 0
+            self.append(kept, claimed)
+        a = self.used
+        self.used += len(rec.keys)
+        self.ints[:, a : self.used], self.keys[a : self.used] = rec.ints, rec.keys
+        self.end[rec.vs], self.depth[rec.vs] = a + rec.depth.cumsum(), rec.depth
+
+    def records(self, vs: np.ndarray, screen: Screen | None = None) -> Records:
+        """The Records of the claimed visits from vs, none running: one gather
+        (rows -2 and -1 for a screened one), then the screened ones' rows."""
+        end, depth = self.end[vs], self.depth[vs]
+        total = depth.cumsum()
+        rows = (end - total).repeat(depth) + np.arange(total[-1] if vs.size else 0)
+        ints, keys = self.ints.take(rows, axis=1), self.keys.take(rows)
+        screened = end == 0
+        if np.count_nonzero(screened):
+            screen.rows(vs[screened], (total - depth)[screened], ints, keys)
+        return Records(vs, depth, ints, keys)
 
 
 def _run(g, bounds, screen, order, k, workers, recorder=None):

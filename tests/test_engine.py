@@ -872,6 +872,27 @@ class TestTopK:
         assert self.assert_matches_reference(pa, 10, "pa", monkeypatch).screened > 0
         assert self.assert_matches_reference(grid(20), 10, "grid", monkeypatch).screened == 0
 
+    @pytest.mark.parametrize("span", [1, 3])
+    def test_spans_cut_short_match_the_reference(self, span, monkeypatch):
+        # decide gets at most _SPAN visits a call, so the visits up to the
+        # first one still in the kernel take several calls, each picking up
+        # where the last one stopped
+        sizes, real = [], engine.decide
+
+        def decide(g, heap, x, results, rec, *args):
+            sizes.append(len(rec.vs))
+            return real(g, heap, x, results, rec, *args)
+
+        monkeypatch.setattr(engine, "decide", decide)
+        monkeypatch.setattr(engine, "_SPAN", span)
+        graphs = [("pa-2000", preferential_attachment(2000, 3, seed=1)), ("grid-8x8", grid(8, 8)),
+                  ("gnp-d-800", gnp(800, 1.5 / 800, 2, directed=True))]
+        for tag, g in graphs:
+            for k in (1, 10):
+                sizes.clear()
+                self.assert_matches_reference(g, k, tag, monkeypatch)
+                assert max(sizes) == span, (tag, k)  # the cap binds
+
     @pytest.mark.parametrize("rows, cols", [(7, 9), (8, 8), (5, 13), (3, 43)])
     def test_batches_of_64_visits(self, rows, cols, monkeypatch):
         # 63, 64, 65 and 129 visits reach the kernel: one short of mask bit
