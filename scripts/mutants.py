@@ -17,14 +17,17 @@ The catalogue holds the loader's guards, the cut keys' (both ends of the
 reachable-count interval, the raise of its lower end to the vertices
 seen, the 2**53 guard's scalar test and per-entry mask, the integer
 fallback for the keys past it and the +inf of a degenerate bound), the
-cut test key <= x in the kernel and in the decision, the screen's claim,
+cut test key <= x in the kernel (where only exact-r visits leave
+before the gather) and in the decision, the screen's claim,
 the visit order's drop of the vertices never visited, the visit
 decision's (with the row log's offsets of the visits that left the
 kernel and its test for the first claim still running), the boundary
 state the records hold (the gamma that the kernel and the screen write,
 and a completion's farness and r, read from its end row), the kernel's
-pull (the OR of the masks of the vertices started since the last step),
-its per-source count's float64 past 2**24, its clear of a freed slot's
+pull (the OR of the masks of the vertices started since the last step,
+its test on the arcs left once a visit leaves and the leaving bits kept
+out of the masks it reads), its per-source count's byte table and its
+float64 past 2**24, its clear of a freed slot's
 seen bits and the growth of its level table, and the parallel run's: its
 warm-up, its fork only when its first claim at a positive threshold
 leaves visits, its mmap import, shared memory and lock made only for a
@@ -83,6 +86,7 @@ FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_lef
 NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
 EXCLUDES = "tests/test_engine.py::TestParallel::test_the_lock_excludes_other_processes"
 COUNT = "tests/test_engine.py::TestKernel::test_per_source_counts_every_bit_exactly"
+ARCS_LEFT = "tests/test_engine.py::TestKernel::test_a_step_pulls_only_on_the_arcs_left"
 RAISED = ("tests/test_engine.py::TestParallel::"
           "test_a_decision_acts_on_a_threshold_another_worker_raised")
 INDEPENDENT = "tests/test_independent_oracle.py::test_top_k_matches_on_the_suite"
@@ -191,6 +195,13 @@ MUTANTS = (
         (TIE,),
     ),
     Mutant(
+        "kernel: an alpha/omega visit leaves before the gather that tells whether it goes on",
+        ENGINE,
+        "        if some_ao:\n            leave &= ~ao\n",
+        "",
+        (REPLAY,),
+    ),
+    Mutant(
         "decision: < for <= against the threshold",
         ENGINE,
         "~more | (rec.keys <= x)",
@@ -214,8 +225,8 @@ MUTANTS = (
     Mutant(
         "kernel: the degree sum recorded as gamma",
         ENGINE,
-        "self.ints[:, _SLOTS, d] = f, nd, gamma, s, more",
-        "self.ints[:, _SLOTS, d] = f, nd, s, s, more",
+        "self.more[:] = more\n",
+        "self.more[:] = more\n        self.gamma[:] = self.s\n",
         (HUB,),
     ),
     Mutant(
@@ -298,8 +309,8 @@ MUTANTS = (
     Mutant(
         "cut keys: skip the per-entry guard although a term reaches 2**53",
         ENGINE,
-        "* lam.max(initial=0)) >= 2.0**53:",
-        "* lam.max(initial=0)) >= 2.0**53 and False:",
+        "* int(lam.max(initial=0))) >= 2**53:",
+        "* int(lam.max(initial=0))) >= 2**53 and False:",
         (KEYS,),
     ),
     Mutant(
@@ -308,6 +319,27 @@ MUTANTS = (
         "key[rows] = [interval_closeness_bound(*row, n) for row in per_row]",
         "pass",
         (KEYS,),
+    ),
+    Mutant(
+        "count: the byte table built high bit first",
+        ENGINE,
+        'np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="little")',
+        'np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="big")',
+        (COUNT,),
+    ),
+    Mutant(
+        "pull: tested on the arc sum before the leaving bits are cleared",
+        ENGINE,
+        "int(deg @ active if left else deg.sum())",
+        "int(deg.sum())",
+        (f"{ARCS_LEFT}[grid-20]",),
+    ),
+    Mutant(
+        "pull: a leaving visit's bits kept in the masks it reads",
+        ENGINE,
+        "frontier, masks = self._pull(frontier, masks, self.started)",
+        "frontier, masks = self._pull(frontier, self.masks, self.started)",
+        (AGREE,),
     ),
     Mutant(
         "count: float32 even once the weights reach 2**24",

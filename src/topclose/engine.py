@@ -84,16 +84,17 @@ def cut_keys(d, f_d, n_d, gamma_next, alpha, omega, n: int) -> np.ndarray:
     arrays: interval_closeness_bound, bit for bit. Below 2**53 float64
     holds the intermediates at either end, (x-1)**2 and (n-1)*lam, exactly
     (as rounding is monotone), and one rounded division of them matches
-    Python's integer arithmetic. One scalar test of the largest terms tells
-    whether any entry reaches 2**53; only then are those entries found and
-    recomputed in Python integers. A lam <= 0 gives +inf in both."""
+    Python's integer arithmetic. One scalar test of the largest terms, in
+    Python integers, tells whether any entry reaches 2**53; only then are
+    those entries found and recomputed in Python integers. A lam <= 0 gives
+    +inf in both."""
     x = omega
     if np.count_nonzero(alpha < omega):  # far cheaper than any() on a small array
         x = np.array([omega, np.maximum(alpha, np.minimum(n_d, omega))])
     lam = farness_lower_bound(d, f_d, n_d, gamma_next, x)
     key = closeness_upper_bound(lam, x, n)
     key = np.maximum(key[0], key[1]) if key.ndim == 2 else key
-    if max((x.max(initial=1) - 1.0) ** 2, (n - 1.0) * lam.max(initial=0)) >= 2.0**53:
+    if max((int(x.max(initial=1)) - 1) ** 2, (n - 1) * int(lam.max(initial=0))) >= 2**53:
         big = np.maximum((x - 1.0) ** 2, (n - 1.0) * lam) >= 2.0**53
         rows = np.flatnonzero(big.any(axis=0) if big.ndim == 2 else big)
         state = np.broadcast_arrays(d, f_d, n_d, gamma_next, alpha, omega)
@@ -120,25 +121,32 @@ _CHUNK = 8192  # arcs per gather step (64 kB per temporary); a count step takes 
 _PULL = 16  # an undirected step pulls once its frontier holds m / _PULL arcs or more
 _SLOTS = np.arange(BATCH)
 _BIT = np.left_shift(np.uint64(1), _SLOTS.astype(np.uint64))  # the mask bit of each slot
+# [b, i]: bit i of the byte value b, lowest first, as the count's matmul reads it
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="little")
+_BYTE_BITS = _BYTE_BITS.astype(np.float32)
 
 
 def _per_source(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A (2, 64) int64 array: in [0, s] how many of ``masks`` have bit s
-    set, and in [1, s] the sum of their ``weights``. Per chunk of _CHUNK // 8
-    masks, one matmul of the rows [1; weights] with the masks' bits, exact
-    as every partial sum is an integer below the dtype's 2**p: float32 (p =
-    24, 256 kB per chunk) while the weights sum below 2**24, else float64
-    (p = 53; a frontier's degrees sum to at most 2m)."""
+    set, and in [1, s] the sum of their ``weights``. One take of the masks'
+    bytes from _BYTE_BITS lays out their bits, 64 per mask in slot order,
+    and one matmul of the rows [1; weights] with them sums them, per chunk
+    of _CHUNK // 8 masks (one for most frontiers). Exact, as every partial
+    sum is an integer below the dtype's 2**p: float32 (p = 24, 256 kB of
+    bits per chunk) while the weights sum below 2**24, else float64 (p = 53;
+    a frontier's degrees sum to at most 2m)."""
     dtype = np.float32 if weights.sum() < 2**24 else np.float64
     rows = np.ones((2, len(masks)), dtype)
     rows[1] = weights
-    out = np.zeros((2, BATCH), np.int64)
+    table = _BYTE_BITS.astype(dtype, copy=False)
     as_bytes = masks.astype("<u8", copy=False).view(np.uint8)
     step = _CHUNK // 8
-    for a in range(0, len(masks), step):
-        bits = np.unpackbits(as_bytes[8 * a : 8 * (a + step)], bitorder="little")
-        out += (rows[:, a : a + step] @ bits.reshape(-1, BATCH).astype(dtype)).astype(np.int64)
-    return out
+
+    def count(a: int) -> np.ndarray:
+        bits = table.take(as_bytes[8 * a : 8 * (a + step)], axis=0).reshape(-1, BATCH)
+        return (rows[:, a : a + step] @ bits).astype(np.int64)
+
+    return count(0) if len(masks) <= step else sum(map(count, range(0, len(masks), step)))
 
 
 def _spans(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -178,10 +186,11 @@ class Kernel:
     (given to cut_keys and to the undirected refinement of gamma), farness
     and counts run from its own start. A slot keeps its visit's alpha and
     omega; r(v) is exact where they meet. Each step records every visit's
-    boundary at its slot and level d, in ints[:, slot, d] and keys[slot, d]:
-    the state the cut key reads (f_d, n_d, gamma), the level's degree sum,
-    whether the next level exists, and the cut key (see cut_keys: exact, so
-    no float rounding decides a cut).
+    boundary at its slot and level d, in ints[:, slot, d] (the five rows
+    of ``state``, in one write) and keys[slot, d]: the state the cut key
+    reads (f_d, n_d, gamma), the level's degree sum, whether the next level
+    exists, and the cut key (see cut_keys: exact, so no float rounding
+    decides a cut).
 
     A visit leaves once it completes, its key is <= the step's threshold x,
     or (where the bounds disagree with the graph) its next level is empty;
@@ -191,7 +200,11 @@ class Kernel:
     are seen) and never gathers the level it throws away; an alpha/omega
     visit is tested after the gather that tells whether level d+1 exists.
     Every mask is nonzero as a step starts, and the frontier the last step
-    made holds each vertex once; ``start`` appends to it. Reads run in
+    made holds each vertex once; ``start`` appends to it. An exact-r visit
+    that leaves clears its bits from the masks before the read: a pull
+    reads the masks as they are, zero ones included, and only a push first
+    compacts the frontier to its nonzero masks. The direction is chosen on
+    the arcs of the masks still nonzero. Reads run in
     chunks of at most _CHUNK arcs and counts in chunks of _CHUNK // 8 masks
     (see _per_source), so a chunk's temporaries stay within 256 kB.
     """
@@ -205,7 +218,11 @@ class Kernel:
         self.frontier, self.masks = np.zeros(0, np.int64), np.zeros(0, np.uint64)
         self.started = 0  # the frontier's last entries: the vertices started since the last step
         self.source = np.full(BATCH, -1)  # per slot: the visit's source; -1 where free
-        self.d, self.f, self.nd = np.zeros((3, BATCH), np.int64)  # its level d, f_d and n_d
+        self.d = np.zeros(BATCH, np.int64)  # its level d
+        # its state at boundary d, one row each: f_d, n_d, gamma, the degree
+        # sum and more (see Records); a step writes it to ints in one go
+        self.state = np.zeros((5, BATCH), np.int64)
+        self.f, self.nd, self.gamma, self.s, self.more = self.state
         # a free slot keeps valid bounds, so that its (unused) key raises nothing
         self.alpha, self.omega = np.full(BATCH, 2), np.full(BATCH, 2)
         self.ints = np.empty((5, BATCH, 16), np.int64)  # [:, slot, d]: see Records
@@ -234,32 +251,37 @@ class Kernel:
         """Expand every running visit by one level at threshold x. Returns
         the records of the visits that left (None if none did)."""
         g, frontier, masks = self.g, self.frontier, self.masks
-        d, f, nd, omega = self.d, self.f, self.nd, self.omega
-        exact = self.alpha == omega
+        d, omega, f, nd, gamma, s = self.d, self.omega, self.f, self.nd, self.gamma, self.s
         live = self.source >= 0
-        self.source_levels += int(np.count_nonzero(live))
+        ao = live & (self.alpha < omega)  # the alpha/omega visits
+        some_ao = np.count_nonzero(ao)
+        self.source_levels += BATCH - self.free
         if d.max() == self.keys.shape[1]:  # a visit needs more levels than the table holds
             both = (np.concatenate([a, np.empty_like(a)], axis=-1) for a in (self.ints, self.keys))
             self.ints, self.keys = both
         deg = g.degrees[frontier]
-        c, s = _per_source(masks, deg)
-        f += d * c
+        c, s[:] = _per_source(masks, deg)
+        dc = d * c
+        f += dc
         nd += c
         # undirected refinement: beyond level 0 one edge per frontier vertex
-        # must point back into the previous level
-        gamma = np.where(d >= 1, s - c, s) if not g.directed else s
+        # must point back into the previous level (min(c, dc) is c there, 0 at d = 0)
+        np.subtract(s, np.minimum(c, dc) if not g.directed else 0, out=gamma)
         key = cut_keys(d, f, nd, gamma, self.alpha, omega, g.n)
         cut = key <= x
         more = nd < omega  # exact r(v) = omega; alpha/omega: after the gather
-        leave = live & exact & (cut | ~more)
-        started = self.started
-        if np.count_nonzero(leave):  # else every mask is still nonzero
+        leave = live & (cut | ~more)
+        if some_ao:
+            leave &= ~ao
+        left = np.count_nonzero(leave)
+        if left:  # their bits go; a pull reads the masks this empties as 0
             masks = masks & ~_word(_BIT[leave])
             active = masks != 0
-            started = int(np.count_nonzero(active[len(active) - started :]))
+        pull = not g.directed and _PULL * int(deg @ active if left else deg.sum()) >= g.m > 0
+        if left and not pull:  # a push gathers only the arcs of nonzero masks
             frontier, masks, deg = frontier[active], masks[active], deg[active]
-        if not g.directed and _PULL * int(deg.sum()) >= g.m > 0:
-            frontier, masks = self._pull(frontier, masks, started)
+        if pull:
+            frontier, masks = self._pull(frontier, masks, self.started)
         elif frontier.size:
             seen, acc, slot, fresh = self.seen, self.acc, self.slot, []
             for a, z in _spans(deg, _CHUNK):
@@ -276,25 +298,24 @@ class Kernel:
             acc[frontier] = 0
             seen[frontier] |= masks
 
-        ao = live & ~exact
-        if np.count_nonzero(ao):
-            more = np.where(exact, more, (_word(masks) & _BIT) != 0)
+        if some_ao:
+            more = np.where(ao, (_word(masks) & _BIT) != 0, more)
             ao &= cut | ~more
             masks = masks & ~_word(_BIT[ao])
             active = masks != 0
             frontier, masks = frontier[active], masks[active]
-        # a free slot writes level 0, which a start rewrites
-        self.ints[:, _SLOTS, d] = f, nd, gamma, s, more
+        self.more[:] = more
+        self.ints[:, _SLOTS, d] = self.state  # a free slot writes level 0, which a start rewrites
         self.keys[_SLOTS, d] = key
         d += live
         self.levels += 1
         self.frontier, self.masks, self.started = frontier, masks, 0
-        gone = live & ((_word(masks) & _BIT) == 0)
-        if not np.count_nonzero(gone):
+        gone = (live & ((_word(masks) & _BIT) == 0)).nonzero()[0]
+        if not gone.size:
             return None
         depth, levels = d[gone], self.keys.shape[1]
         total = depth.cumsum()  # the leaving visits' rows, at (slot, d) in the flattened tables
-        rows = (_SLOTS[gone] * levels + depth - total).repeat(depth) + np.arange(total[-1])
+        rows = (gone * levels + depth - total).repeat(depth) + np.arange(total[-1])
         ints, keys = self.ints.reshape(5, -1).take(rows, axis=1), self.keys.reshape(-1).take(rows)
         rec = Records(self.source[gone], depth, ints, keys)
         self.source[gone] = -1
@@ -317,22 +338,26 @@ class Kernel:
         graphs only): every vertex ORs the masks of its neighbours on the
         frontier, less the visits that have seen it. The frontier's head,
         all but its last ``started`` entries, holds each vertex once; a
-        started vertex may sit there too."""
+        started vertex may sit there too. The zero masks of vertices whose
+        visits all left at this step ride in and OR nothing."""
         g, seen, acc = self.g, self.seen, self.acc
         head = len(frontier) - started
         acc[frontier[:head]] = masks[:head]
-        np.bitwise_or.at(acc, frontier[head:], masks[head:])
+        if started:
+            np.bitwise_or.at(acc, frontier[head:], masks[head:])
         fresh, words = [], []
         for a, z, starts, has in self._rows:
             pulled = neighbor_or(g, acc, a, z, starts, has)
             pulled &= ~seen[a:z]
-            new = np.flatnonzero(pulled)
+            seen[a:z] |= pulled  # 0 where nothing is new
+            new = pulled.nonzero()[0]
             fresh.append(new + a)
             words.append(pulled[new])
-            seen[a:z][new] |= words[-1]
         acc[frontier] = 0
         self.gathered += g.m
         self.dense_levels += 1
+        if len(fresh) == 1:
+            return fresh[0], words[0]
         return np.concatenate(fresh), np.concatenate(words)
 
 

@@ -518,6 +518,48 @@ class TestKernel:
             assert stats.dense_levels == len(pulls) <= stats.kernel_levels, tag
             assert (stats.dense_levels > 0) == (not g.directed), tag
 
+    @pytest.mark.parametrize(
+        "g", [preferential_attachment(2000, 4, seed=1), grid(20)], ids=["pa-2000", "grid-20"]
+    )
+    def test_a_step_pulls_only_on_the_arcs_left(self, g, monkeypatch):
+        # an exact visit that leaves takes its bits out of the masks before
+        # the read; the step then pulls exactly when the arcs of the masks
+        # still nonzero reach m / _PULL, and a push gathers those arcs alone
+        pulls, gathers, real_step = [], [], engine.Kernel.step
+        real_pull, real_gather = engine.Kernel._pull, engine.frontier_neighbors
+        monkeypatch.setattr(
+            engine.Kernel, "_pull",
+            lambda self, f, m, started: pulls.append(1) or real_pull(self, f, m, started),
+        )
+        monkeypatch.setattr(
+            engine, "frontier_neighbors",
+            lambda g, f: gathers.append(int(g.degrees[f].sum())) or real_gather(g, f),
+        )
+        stats = Counter()
+
+        def step(self, x):
+            frontier, masks, source = self.frontier.copy(), self.masks.copy(), self.source.copy()
+            exact = self.alpha == self.omega
+            pulls.clear()
+            gathers.clear()
+            rec = real_step(self, x)
+            slots = np.flatnonzero(np.isin(source, [] if rec is None else rec.vs) & exact)
+            if slots.size:  # these visits left before the read
+                kept = masks & ~engine._word(engine._BIT[slots]) != 0
+                before, arcs = (int(g.degrees[frontier[m]].sum()) for m in (masks != 0, kept))
+                pulled = engine._PULL * arcs >= g.m
+                assert len(pulls) == pulled, (before, arcs, g.m)
+                assert pulled or sum(gathers) == arcs
+                stats["left"] += 1
+                stats["decisive"] += engine._PULL * before >= g.m > engine._PULL * arcs
+            return rec
+
+        monkeypatch.setattr(engine.Kernel, "step", step)
+        for k in (1, 10):
+            top_k(g, k)
+        # steps where the arcs before the leave would have pulled, and those left do not
+        assert stats["left"] > 0 and stats["decisive"] > 0, stats
+
     AGREE = [
         ("pa-1500", preferential_attachment(1500, 2, seed=4)),
         ("grid-20", grid(20)),
