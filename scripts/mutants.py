@@ -23,13 +23,15 @@ the visit order's drop of the vertices never visited, the visit
 decision's (with the row log's offsets of the visits that left the
 kernel and its test for the first claim still running), the boundary
 state the records hold (the gamma that the kernel and the screen write,
-and a completion's farness and r, read from its end row), the kernel's
+a completion's farness and r, read from its end row, and the end row's
+f_d and n_d kept for every decided visit), the kernel's
 pull (the OR of the masks of the vertices started since the last step,
 its test on the arcs left once a visit leaves and the leaving bits kept
 out of the masks it reads), its per-source count's byte table and its
 float64 past 2**24, its clear of a freed slot's
 seen bits and the growth of its level table, and the parallel run's: its
-warm-up, its fork only when its first claim at a positive threshold
+warm-up and its one batch at a time while the threshold is 0, its fork
+only when its first claim at a positive threshold
 leaves visits, its mmap import, shared memory and lock made only for a
 fork, the parent's move onto the shared state when it forks, no fork
 hook for a serial run, a worker's nonzero exit code raised, a forked
@@ -81,6 +83,9 @@ LADDER = "tests/test_engine.py::TestBfsCut::test_frontiers_hold_no_repeats[ladde
 UNSCREENED = "tests/test_engine.py::TestTopK::test_screen_matches_the_visit_loop_without_it"
 SPANS = "tests/test_engine.py::TestTopK::test_spans_cut_short_match_the_reference[3]"
 WARMUP = "tests/test_engine.py::TestParallel::test_workers_start_from_a_positive_threshold"
+WARMUP_GATE = ("tests/test_engine.py::TestParallel::"
+               "test_the_warm_up_claims_once_all_before_are_decided")
+RAISE_LOW = "tests/test_bounds.py::test_visited_count_raises_the_lower_end_to_a_cut"
 DEAD = "tests/test_engine.py::TestParallel::test_dead_worker_raises"
 FORKS = "tests/test_engine.py::TestParallel::test_forks_only_when_visits_are_left"
 NO_LOCKS = "tests/test_engine.py::TestParallel::test_a_run_that_forks_none_makes_no_locks"
@@ -214,6 +219,13 @@ MUTANTS = (
         "*ints[:2, at[done]].tolist()",
         "*ints[:2, at[done] - 1].tolist()",
         (PATH,),
+    ),
+    Mutant(
+        "decision: a decided visit's farness and reachable written from the row before its end",
+        ENGINE,
+        "= ints[:2, at[:took]]",
+        "= ints[:2, at[:took] - 1]",
+        (RAISE_LOW, REPLAY),
     ),
     Mutant(
         "screen: boundary-1 gamma unrefined",
@@ -384,6 +396,13 @@ MUTANTS = (
         (WARMUP,),
     ),
     Mutant(
+        "scheduler: the warm-up claims a batch before all claimed visits are decided",
+        ENGINE,
+        " and more and not (spawn and claimed.size and x == 0):",
+        " and more:",
+        (WARMUP_GATE,),
+    ),
+    Mutant(
         "scheduler: fork even when the first claim at a positive threshold left no visit",
         ENGINE,
         "if more:  # it left visits for the others",
@@ -401,17 +420,17 @@ MUTANTS = (
         "scheduler: share the state and make the lock before the warm-up",
         ENGINE,
         "    try:\n        counts[0] = _visit_all(",
-        "    if workers > 1:\n        files.append(tempfile.TemporaryFile())\n"
-        "        values, cursor, counts, *results = map(\n"
-        "            _shared, (values, cursor, counts, *results))\n"
+        "    if workers > 1:\n        files.enter_context(tempfile.TemporaryFile())\n"
+        "        values, cursor, counts = map(_shared, (values, cursor, counts))\n"
+        "        results = Outcomes._make(map(_shared, results))\n"
         "    try:\n        counts[0] = _visit_all(",
         (NO_LOCKS,),
     ),
     Mutant(
         "scheduler: the parent's loop keeps its private cursor and results after the fork",
         ENGINE,
-        "heap, cursor, results, lock = spawn()",
-        "heap, _, _, lock = spawn()",
+        "heap, cursor, results = spawn()",
+        "heap, _, _ = spawn()",
         (RAISED, f"{INDEPENDENT}[2]"),
     ),
     Mutant(

@@ -374,21 +374,20 @@ class Records(NamedTuple):
 
 
 def decide(
-    g: Graph, heap: ThresholdHeap, x: float, results, rec: Records,
+    g: Graph, heap: ThresholdHeap, x: float, results: Outcomes, rec: Records,
     recorder: BoundaryRecorder | None = None,
 ) -> tuple[int, int]:
     """Decide the visits of ``rec`` in order at threshold x, as a
     one-at-a-time pruned BFS would: each ends at its first boundary with no
     next level, where it completes, or whose cut key (see cut_keys) is <= x.
 
-    One vector pass finds every end. Outcomes go into ``results`` (see
-    _results), and completions push into ``heap`` in order, up to the first
-    push that raises the threshold above x: the visits after it are left to
-    be decided at the new one. A completion's end row holds its farness
-    (f_d) and r (n_d). ``recorder`` sees each boundary the decided visits
-    evaluate, completions excepted, as its row holds it. Returns how many
-    visits it decided, and their m_vis."""
-    closeness, farness, reachable, cut_level = results
+    One vector pass finds every end. Completions push into ``heap`` in
+    order, up to the first push that raises the threshold above x: the
+    visits after it are left to be decided at the new one. A decided
+    visit's end row gives its farness and reachable in ``results`` (f_d and
+    n_d: a completion's farness and r), and a cut its level. ``recorder``
+    sees each boundary the decided visits evaluate, completions excepted,
+    as its row holds it. Returns how many visits it decided, and their m_vis."""
     vs, depth, ints = rec.vs, rec.depth, rec.ints
     more = ints[4] != 0
     # the rows that end a visit, and a sentinel past the last row
@@ -401,16 +400,15 @@ def decide(
         raise RuntimeError(f"the visit from {vs[outran.argmax()]} outran its reachability bounds")
     level, took = at - first, len(vs)
     done = (~more[at]).nonzero()[0]
-    # f_d at a completion's end is its farness, and n_d its r
     for i, far, r in zip(done.tolist(), *ints[:2, at[done]].tolist()):
-        v = int(vs[i])
         c = closeness_upper_bound(far, r, g.n) if r > 1 else 0.0
-        closeness[v], farness[v], reachable[v], level[i] = c, far, r, -1
+        results.closeness[vs[i]], level[i] = c, -1
         heap.push(c)
         if heap.threshold > x:
             took = i + 1
             break
-    cut_level[vs[:took]] = level[:took]
+    results.farness[vs[:took]], results.reachable[vs[:took]] = ints[:2, at[:took]]
+    results.cut_level[vs[:took]] = level[:took]
     end = int(last[took - 1])  # just past the decided visits' rows
     upto = np.arange(end) <= at[:took].repeat(depth[:took])
     if recorder is not None:
@@ -427,18 +425,19 @@ def bfs_cut(
 ) -> VisitOutcome:
     """Level-synchronous pruned BFS from v: a Kernel running v alone,
     stepped at the live threshold until it leaves, then decided at it (see
-    both). Returns CUT with the cut level as soon as closeness <= x is
-    certain at a level boundary."""
+    both). Returns CUT with the cut level, f_d and n_d as soon as closeness
+    <= x is certain at a level boundary. Raises IndexError for a v outside
+    [0, n), as graph.bfs does."""
+    if not 0 <= v < g.n:  # a -1 would mark a free kernel slot, which never leaves
+        raise IndexError(f"source {v} out of range for n={g.n}")
     kernel = Kernel(g, bounds)
     kernel.start(np.array([v]))
     while (rec := kernel.step(threshold())) is None:
         pass
-    results = _results(g.n)
+    results = Outcomes.empty(g.n)
     _, arcs = decide(g, ThresholdHeap(1), threshold(), results, rec, recorder)
     closeness, farness, reachable, level = (a.item(v) for a in results)
-    if level < 0:
-        return VisitOutcome(closeness, farness, reachable, -1, arcs)
-    return VisitOutcome(CUT, int(rec.ints[0, level]), int(rec.ints[1, level]), level, arcs)
+    return VisitOutcome(CUT if level >= 0 else closeness, farness, reachable, level, arcs)
 
 
 @dataclass(frozen=True)
@@ -524,8 +523,9 @@ class ThresholdHeap:
 
     Every closeness is >= 0, so the threshold, the k-th biggest value once k
     values are present and 0 before, is the minimum of the k values; it never
-    decreases. A ``buffer`` in shared memory and a ``lock`` (see _FileLock)
-    let forked workers push into one heap; reading the threshold takes no lock.
+    decreases. A ``buffer`` in shared memory and a ``lock`` (see _FileLock),
+    which also guards a run's claims, let forked workers push into one heap;
+    reading the threshold takes no lock.
     """
 
     def __init__(self, k: int, buffer: np.ndarray | None = None, lock=None):
@@ -533,12 +533,12 @@ class ThresholdHeap:
             raise ValueError("k must be >= 1")
         self.k = k
         self._values = np.zeros(k + 1) if buffer is None else buffer
-        self._lock = nullcontext() if lock is None else lock
+        self.lock = nullcontext() if lock is None else lock
 
     def push(self, value: float) -> None:
         values = self._values
         k = self.k
-        with self._lock:
+        with self.lock:
             i = int(values[:k].argmin())
             if value <= values[i]:
                 return
@@ -630,18 +630,32 @@ def exact_m_tot(g: Graph, bounds: ReachabilityBounds) -> int | None:
     return None
 
 
-def _rank(
-    g: Graph, k: int, closeness: np.ndarray, farness: np.ndarray, reachable: np.ndarray,
-    eligible: np.ndarray,
-) -> TopKResult:
-    idx = np.nonzero(eligible)[0]
-    order = np.lexsort((idx, -closeness[idx]))
-    chosen = idx[order][:k]
-    entries = tuple(
-        RankedVertex(i + 1, v, g.labels[v], closeness.item(v), farness.item(v), reachable.item(v))
-        for i, v in enumerate(chosen.tolist())
-    )
-    return TopKResult(k=k, entries=entries)
+class Outcomes(NamedTuple):
+    """Per vertex: closeness, farness, reachable count and cut level (-1
+    where the visit completed; the oracle's are all -1). A cut vertex keeps
+    the f_d and n_d of the boundary that cut it, and closeness 0."""
+
+    closeness: np.ndarray  # float64
+    farness: np.ndarray  # int64
+    reachable: np.ndarray  # int64
+    cut_level: np.ndarray  # int64
+
+    @classmethod
+    def empty(cls, n: int) -> Outcomes:
+        """Every vertex completed, closeness 0 and only itself reachable."""
+        ints = np.zeros(n, np.int64), np.ones(n, np.int64), np.full(n, -1, np.int64)
+        return cls(np.zeros(n), *ints)
+
+    def ranked(self, g: Graph, k: int) -> TopKResult:
+        """The k best completed vertices: closeness descending, ties by vertex id."""
+        c, far, r = self.closeness, self.farness, self.reachable
+        idx = np.flatnonzero(self.cut_level < 0)
+        chosen = idx[np.lexsort((idx, -c[idx]))][:k].tolist()
+        entries = tuple(
+            RankedVertex(i + 1, v, g.labels[v], c.item(v), far.item(v), r.item(v))
+            for i, v in enumerate(chosen)
+        )
+        return TopKResult(k=k, entries=entries)
 
 
 def top_k(
@@ -680,26 +694,17 @@ def top_k(
     screen = Screen.build(g, bounds, order)
     size = min(k, g.n + 1)  # at most n visits push: for k > n, n + 1 values keep the threshold 0
     threshold, results, rows = _run(g, bounds, screen, order, size, workers, recorder)
-    closeness, farness, reachable, cut_level = results
-
-    result = _rank(g, k, closeness, farness, reachable, cut_level < 0)
+    result = results.ranked(g, k)
     stats = RunStats(
         **dict(zip(COUNTERS, rows.sum(axis=0).tolist())), per_process=rows,
-        m_tot=exact_m_tot(g, bounds), cut_level=cut_level, preprocessing_seconds=prep,
+        m_tot=exact_m_tot(g, bounds), cut_level=results.cut_level, preprocessing_seconds=prep,
         total_seconds=time.perf_counter() - t0, final_threshold=threshold,
     )
     return result, stats
 
 
-def _results(n: int) -> tuple[np.ndarray, ...]:
-    """Per-vertex (closeness, farness, reachable, cut_level) arrays. A vertex
-    no visit writes to (a skipped one) reads as completed with closeness 0
-    and only itself reachable."""
-    return np.zeros(n), np.zeros(n, np.int64), np.ones(n, np.int64), np.full(n, -1, np.int64)
-
-
 def _visit_all(
-    g, bounds, screen, order, heap, cursor, lock, results, recorder=None, spawn=None
+    g, bounds, screen, order, heap, cursor, results, recorder=None, spawn=None
 ) -> tuple[int, ...]:
     """The main loop: one Kernel kept full from a stream of claims, and the
     claimed visits decided in processing order.
@@ -710,7 +715,7 @@ def _visit_all(
     the first one still in the kernel (one vector test and an argmax), a
     span at a time, from one gather of their rows. Every free slot takes
     the next claimed kernel visit; when those run short, it claims, under
-    one hold of ``lock``, the span from ``cursor[0]`` up to and including
+    one hold of ``heap.lock``, the span from ``cursor[0]`` up to and including
     the next BATCH visits the kernel needs at the live threshold. The
     kernel reads the live threshold at every step and decide later reads
     one no lower, so a record holds every boundary that a one-at-a-time
@@ -721,7 +726,7 @@ def _visit_all(
     the threshold is 0, which prunes nothing, it claims BATCH visits at a
     time, the next only once all before are decided. If its first claim at
     a positive threshold leaves visits to claim, it takes the shared heap,
-    cursor, results and lock from spawn(), which forks the other workers, and
+    cursor and results from spawn(), which forks the other workers, and
     goes on claiming beside them with the same kernel; else it finishes alone.
     """
     kernel, log = Kernel(g, bounds), _RowLog(g.n)
@@ -740,7 +745,7 @@ def _visit_all(
                 claimed, stop = claimed[took:], stop - took
                 x = heap.threshold
         if kernel.free > ready.size and more and not (spawn and claimed.size and x == 0):
-            with lock:
+            with heap.lock:
                 i, x = int(cursor[0]), heap.threshold
                 pos, stop = screen.claim(order, i, x)
                 cursor[0] = stop
@@ -751,7 +756,7 @@ def _visit_all(
             ready = np.concatenate([ready, order[pos]])
             if spawn and x > 0:  # the first claim at a positive threshold
                 if more:  # it left visits for the others
-                    heap, cursor, results, lock = spawn()
+                    heap, cursor, results = spawn()
                 spawn = None
         if kernel.free and ready.size:
             started, ready = ready[: kernel.free], ready[kernel.free :]
@@ -805,16 +810,16 @@ class _RowLog:
 def _run(g, bounds, screen, order, k, workers, recorder=None):
     """Run _visit_all in this process and, with ``workers`` > 1, in the
     workers - 1 it may fork, over one threshold heap of k values, one
-    cursor and one set of result arrays. Returns the final threshold, the
-    result arrays and one row of _visit_all's counts per process that ran,
-    this one's first.
+    cursor and one Outcomes table. Returns the final threshold, the table
+    and one row of _visit_all's counts per process that ran, this one's
+    first.
 
     This process is the last worker. With ``workers`` > 1 its _visit_all
     warms up alone while the threshold is 0 and calls spawn only if its
     first claim at a positive threshold leaves visits, so a run this
     process can finish alone forks none and its state stays ordinary
-    arrays. spawn makes the one lock that guards both heap pushes and
-    claims (they never nest), copies the heap, the cursor, the results and
+    arrays. spawn makes the heap's lock, which guards its pushes and the
+    claims (they never nest), copies the heap, the cursor, the table and
     the counts into shared memory and forks; the workers share the graph
     and the screen copy-on-write. A worker may read a stale (smaller)
     threshold, which can only delay a cut, never cause a wrong one. The
@@ -823,25 +828,26 @@ def _run(g, bounds, screen, order, k, workers, recorder=None):
     its own loop, then reaps every worker and raises RuntimeError naming
     the first nonzero exit code (-N for a worker killed by signal N).
     """
-    values, cursor, results = np.zeros(k + 1), np.zeros(1, np.int64), _results(g.n)
+    values, cursor, results = np.zeros(k + 1), np.zeros(1, np.int64), Outcomes.empty(g.n)
     counts = np.zeros((workers, len(COUNTERS)), np.int64)
     pids, files, reaped = [], ExitStack(), 0
 
-    def spawn() -> tuple[ThresholdHeap, np.ndarray, list[np.ndarray], _FileLock]:
+    def spawn() -> tuple[ThresholdHeap, np.ndarray, Outcomes]:
         nonlocal values, cursor, results, counts
         lock = _FileLock(files.enter_context(tempfile.TemporaryFile()))
-        values, cursor, counts, *results = map(_shared, (values, cursor, counts, *results))
+        values, cursor, counts = map(_shared, (values, cursor, counts))
+        results = Outcomes._make(map(_shared, results))
         heap = ThresholdHeap(k, values, lock)
 
         def work(w: int) -> None:
-            counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, lock, results)
+            counts[w] = _visit_all(g, bounds, screen, order, heap, cursor, results)
 
         pids.extend(_fork(work, w) for w in range(1, workers))
-        return heap, cursor, results, lock
+        return heap, cursor, results
 
     try:
         counts[0] = _visit_all(g, bounds, screen, order, ThresholdHeap(k, values), cursor,
-                               nullcontext(), results, recorder, spawn if workers > 1 else None)
+                               results, recorder, spawn if workers > 1 else None)
         for pid in pids:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -143,10 +144,12 @@ def load_edge_list(source: IO[str] | Iterable[str], directed: bool) -> Graph:
 
 def _parse(source: IO[str] | Iterable[str]) -> tuple[ArrayLike, tuple[str, ...]]:
     """Endpoint ids u0, w0, u1, w1, ... and the labels. The text is freed on
-    return, before the CSR build."""
+    return, before the CSR build. One leading U+FEFF (a UTF-8 byte order
+    mark read without the utf-8-sig codec) is dropped, as that codec does."""
     if not hasattr(source, "read"):
-        return _parse_lines(source)
-    text = source.read()
+        lines = iter(source)
+        return _parse_lines(chain([next(lines, "").removeprefix("\ufeff")], lines))
+    text = source.read().removeprefix("\ufeff")
     if getattr(source, "newlines", None) not in (None, "\n"):
         # opened with newline="", read() keeps "\r" and "\r\n" line ends, where
         # iterating the file splits; with the default newline=None it kept none
@@ -277,11 +280,18 @@ def _first_appearance_ids(vals: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
-    """Canonical writer: header with n/m/direction, then one 'u v' per line."""
+    """Canonical writer: header with n/m/direction, then one 'u v' per line.
+    An undirected edge is written with a label that starts with '#' second,
+    as first on its line it reads as a comment; where no order avoids that
+    (a directed arc's tail, or both ends) it raises ValueError, unwritten."""
+    labels, edges = g.labels, g.edges()
+    if lead := {v for v, label in enumerate(labels) if label.startswith("#")}:
+        edges = [(w, u) if u in lead and not g.directed else (u, w) for u, w in edges]
+        if bad := [labels[u] for u, _ in edges if u in lead]:
+            raise ValueError(f"label {bad[0]!r} would start a line, which reads as a comment")
     kind = "directed" if g.directed else "undirected"
     sink.write(f"# topclose edge list: n={g.n} m={g.m} {kind}\n")
-    labels = g.labels
-    sink.write("".join(f"{labels[u]} {labels[w]}\n" for u, w in g.edges()))
+    sink.write("".join(f"{labels[u]} {labels[w]}\n" for u, w in edges))
 
 
 def frontier_neighbors(g: Graph | Csr, frontier: np.ndarray) -> np.ndarray:

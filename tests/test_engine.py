@@ -18,6 +18,7 @@ from topclose import engine, graph
 from topclose.engine import (
     CUT,
     INF,
+    Outcomes,
     ThresholdHeap,
     bfs_cut,
     exact_m_tot,
@@ -90,7 +91,7 @@ def reference_top_k(g, k, recorder=None):
     bounds = reachability_for(g)
     skip = skipped(g, bounds)
     heap = ThresholdHeap(k)
-    closeness, farness, reachable, cut_level = engine._results(g.n)
+    table = Outcomes.empty(g.n)
     m_vis = 0
     for v in processing_order(g).tolist():
         if skip[v]:
@@ -98,12 +99,12 @@ def reference_top_k(g, k, recorder=None):
         out = scalar_visit(g, v, lambda: heap.threshold, bounds, recorder)
         m_vis += out.arcs
         if out.closeness == CUT:
-            cut_level[v] = out.cut_level
+            table.cut_level[v] = out.cut_level
         else:
-            closeness[v], farness[v], reachable[v] = out.closeness, out.farness, out.reachable
+            table.closeness[v], table.farness[v] = out.closeness, out.farness
+            table.reachable[v] = out.reachable
             heap.push(out.closeness)
-    ranked = engine._rank(g, k, closeness, farness, reachable, cut_level < 0)
-    return ranked, cut_level, heap.threshold, m_vis
+    return table.ranked(g, k), table.cut_level, heap.threshold, m_vis
 
 
 def grid(side, cols=None):
@@ -126,7 +127,7 @@ def spy_decide(monkeypatch):
         took, arcs = real(g, heap, x, results, rec, *args)
         first = np.cumsum(rec.depth) - rec.depth
         for v, a, depth in zip(rec.vs[:took].tolist(), first.tolist(), rec.depth.tolist()):
-            level = int(results[3][v])
+            level = int(results.cut_level[v])
             # a completion's last row has no cut test
             last = level if level >= 0 else int(np.argmin(rec.ints[4, a : a + depth])) - 1
             decided.append((v, x, last, level))
@@ -154,7 +155,7 @@ def spy_left(monkeypatch):
 @contextmanager
 def time_limit(seconds):
     def timed_out(signum, frame):
-        raise TimeoutError(f"parallel top_k did not finish in {seconds} s")
+        raise TimeoutError(f"did not finish in {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(seconds)
@@ -220,16 +221,17 @@ def worker_claims_first(monkeypatch):
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """The per-vertex arrays top_k hands to _rank, captured on each call."""
+    """The per-vertex arrays of the Outcomes that top_k ranks, captured on
+    each call."""
     seen = {}
-    real_rank = engine._rank
+    real_ranked = Outcomes.ranked
 
-    def spy(g, k, closeness, farness, reachable, eligible):
-        seen.update(closeness=closeness.copy(), farness=farness.copy(),
-                    reachable=reachable.copy())
-        return real_rank(g, k, closeness, farness, reachable, eligible)
+    def spy(self, g, k):
+        seen.update(closeness=self.closeness.copy(), farness=self.farness.copy(),
+                    reachable=self.reachable.copy())
+        return real_ranked(self, g, k)
 
-    monkeypatch.setattr(engine, "_rank", spy)
+    monkeypatch.setattr(Outcomes, "ranked", spy)
     return seen
 
 
@@ -263,6 +265,15 @@ class TestBfsCut:
         assert out.closeness == pytest.approx(2 / 3)
         assert out.farness == 3
         assert out.reachable == 3
+
+    def test_out_of_range_source_raises(self):
+        # -1 marks a free kernel slot: as a source it would never leave
+        g = path_graph(5)
+        bounds = reachability_for(g)
+        with time_limit(10):
+            for v in (-1, g.n, -g.n - 1):
+                with pytest.raises(IndexError, match=f"source {v} out of range for n=5"):
+                    bfs_cut(g, v, lambda: 0.0, bounds)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_zero_threshold_never_cuts(self, directed):
@@ -1085,6 +1096,33 @@ class TestParallel:
         assert len(forks) == forked
         assert len(stats.per_process) == forked + 1
 
+    def test_the_warm_up_claims_once_all_before_are_decided(self, monkeypatch):
+        # while the threshold is 0 the parent claims a batch only once every
+        # visit it claimed before is decided: at each such claim, decide has
+        # taken every position before the cursor. The path's first 64 visits
+        # leave the kernel from the centre out, long before the first of
+        # them, at the path's end, completes and raises the threshold
+        parent, claims, decided = os.getpid(), [], [0]
+        real_claim, real_decide = engine.Screen.claim, engine.decide
+
+        def claim(self, order, i, x):
+            if os.getpid() == parent and x == 0:
+                claims.append((i, decided[0]))
+            return real_claim(self, order, i, x)
+
+        def decide(*args):
+            took, arcs = real_decide(*args)
+            if os.getpid() == parent:
+                decided[0] += took
+            return took, arcs
+
+        monkeypatch.setattr(engine.Screen, "claim", claim)
+        monkeypatch.setattr(engine, "decide", decide)
+        with time_limit(60):
+            top_k(path_graph(200), 3, workers=2)
+        assert claims[0] == (0, 0)
+        assert all(i == done for i, done in claims), claims
+
     def test_per_process_rows_sum_to_the_totals(self, forks):
         # one row per process that ran: the PA graph forks none, the path forks
         with time_limit(120):
@@ -1284,7 +1322,7 @@ class TestParallel:
 
             def dying(self, value):
                 if os.getpid() != parent and value > 0:
-                    self._lock.__enter__()
+                    self.lock.__enter__()
                     os._exit(3)
                 real(self, value)
 
@@ -1295,7 +1333,7 @@ class TestParallel:
 
             def dying(self, value):
                 if os.getpid() != parent and value > 0:
-                    self._lock.__enter__()
+                    self.lock.__enter__()
                     os.kill(os.getpid(), signal.SIGKILL)
                 real(self, value)
 

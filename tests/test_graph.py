@@ -63,6 +63,22 @@ class TestLoadEdgeList:
         g = load_lines(["z y", "y x"], directed=True)
         assert g.labels == ("z", "y", "x")
 
+    @pytest.mark.parametrize("data", [b"0 1\n1 2\n2 0\n", b"a b\nb c\nc a\n"])
+    def test_utf8_bom_is_dropped(self, tmp_path, data):
+        # a file with a byte order mark, opened without the utf-8-sig codec,
+        # loads as the same file without it (bulk and per-line routes, and
+        # an iterable of lines), not with a phantom label "\ufeff0"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        for directed in (False, True):
+            with open(plain, encoding="utf-8") as fh:
+                expected = outcome(load_edge_list, fh, directed)
+            with open(marked, encoding="utf-8") as fh:
+                assert outcome(load_edge_list, fh, directed) == expected
+            with open(marked, encoding="utf-8") as fh:
+                assert outcome(load_edge_list, iter(fh), directed) == expected
+
 
 def loop_load_edge_list(source, directed):
     """The per-line loader that the bulk route must match: the reference."""
@@ -582,6 +598,31 @@ def loop_edge_list(g):
             if g.directed or u < w:
                 lines.append(f"{g.labels[u]} {g.labels[w]}\n")
     return "".join(lines)
+
+
+class TestHashLabels:
+    """write_edge_list never starts a line with a label that begins with
+    '#', which the loader would read as a comment."""
+
+    @pytest.mark.parametrize("directed, m", [(False, 4), (True, 2)])
+    def test_round_trip(self, directed, m):
+        # undirected, the edges are written "y #a": "#a y" would be a comment
+        g = load_edge_list(io.StringIO("x #a\ny #a\n"), directed=directed)
+        assert (g.labels, g.m) == (("x", "#a", "y"), m)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        again = load_edge_list(io.StringIO(buf.getvalue()), directed=directed)
+        assert (again.labels, again.targets.tolist()) == (g.labels, g.targets.tolist())
+
+    @pytest.mark.parametrize(
+        "directed, labels", [(True, ("#a", "x")), (False, ("#a", "#b"))]
+    )
+    def test_no_order_avoids_it(self, directed, labels):
+        g = from_edges(2, [(0, 1)], directed=directed, labels=labels)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="label '#[ab]' would start a line"):
+            write_edge_list(g, buf)
+        assert buf.getvalue() == ""  # nothing written
 
 
 def test_write_edge_list_matches_loop(suite):
